@@ -8,7 +8,7 @@ BENCH_JSON ?= BENCH_8.json
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= $(BENCH_JSON)
 
-.PHONY: all build vet fmt-check test race race-core alloc-check chaos fuzz bench bench-engine bench-store bench-smoke bench-json bench-diff docs-check run-daemon loadtest-smoke loadgrid
+.PHONY: all build vet fmt-check test race race-core alloc-check chaos fuzz bench bench-engine bench-store bench-smoke bench-json bench-diff benchmark-check docs-check loc run-daemon loadtest-smoke loadgrid
 
 all: vet fmt-check build test docs-check
 
@@ -40,10 +40,12 @@ race-core:
 	$(GO) test -race ./internal/qir ./internal/engine ./internal/store ./internal/trace ./internal/httpapi ./internal/containment ./internal/jauto ./internal/schema ./internal/datalog
 
 # Allocation-regression gate: the AllocsPerRun tests pinning the
-# pooled executor's steady state (plan-cache-hit Match/Eval at zero
-# allocations), the untraced compile path — including cache-hit
-# compiles with the semantic pass enabled — the disabled/pooled
-# trace recorder, and the store's steady-state segment probe. The
+# pooled executor's steady state (plan-cache-hit MatchCtx/EvalAppendCtx
+# at zero allocations, with no context and with context.Background() —
+# the one the daemon passes), the untraced compile path — including
+# cache-hit compiles with the semantic pass enabled — the
+# disabled/pooled trace recorder, and the store's steady-state segment
+# probe. The
 # theory packages are included so any future alloc pins there are
 # picked up without editing this target.
 # -count=1 defeats the test cache so the numbers are measured, not
@@ -61,7 +63,7 @@ alloc-check:
 # concurrency tests first. -count=1: faults must be injected, not
 # replayed from the test cache.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Cancelled|Deadline|HonoursContext|NilContext|LiveContext|CloseRaces|QueryGate|QueryTimeout|Drain|Degraded|BulkByteGate' ./internal/store ./internal/httpapi
+	$(GO) test -race -count=1 -run 'Chaos|Cancelled|Deadline|HonoursContext|ContextKinds|CloseRaces|QueryGate|QueryTimeout|Drain|Degraded|BulkByteGate' ./internal/store ./internal/httpapi
 
 # Short native-fuzz passes: the engine's plan-cache key path, the
 # witness-soundness targets for the semantic planner's decision
@@ -94,6 +96,18 @@ bench-store:
 # this on every push.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkP1EvalDeterministic|BenchmarkStoreFindMongo|BenchmarkStorePlanner' -benchtime 1x ./...
+
+# The repo's benchmark (benchmark/, see BENCHMARK.json) is a module of
+# its own that builds the system under test from this checkout, so the
+# root `go build ./...` never compiles it: an API rename here would
+# break it silently. Vet it and run its self-test (~15 s).
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Non-test Go lines per package outside benchmark/ — the line-delta
+# every simplification PR reports (run it on both commits).
+loc:
+	@sh scripts/loc.sh
 
 # Documentation checks: required docs exist, relative markdown links
 # resolve, and every package (including examples/) compiles via vet.

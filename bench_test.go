@@ -1032,7 +1032,6 @@ func BenchmarkStorePutDurable(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreRecover moved to internal/store/recover_bench_test.go,
-// where it compares segment-open against snapshot-load and wal-replay
-// at 10k and 100k documents (the legacy-layout conversion needs
-// package-internal access).
+// BenchmarkStoreRecover lives in internal/store/recover_bench_test.go,
+// where it compares segment-open against wal-replay at 10k and 100k
+// documents.

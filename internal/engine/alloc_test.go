@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime/debug"
 	"testing"
 
@@ -18,8 +19,9 @@ func measureAllocs(f func()) float64 {
 
 // TestCompileTracedUntracedZeroAllocs pins the tracing tentpole's hard
 // constraint at the engine layer: with no trace armed (nil recorder),
-// a plan-cache-hit CompileTraced followed by Validate — the per-query
-// read path of an untraced request — allocates nothing.
+// a plan-cache-hit CompileTraced followed by ValidateCtx — the
+// per-query read path of an untraced request — allocates nothing,
+// with no context and with the non-nil one the daemon always passes.
 func TestCompileTracedUntracedZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -33,17 +35,22 @@ func TestCompileTracedUntracedZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := measureAllocs(func() {
-		p, err := e.CompileTraced(LangMongoFind, src, nil)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+	}{{"nil", nil}, {"background", context.Background()}} {
+		n := measureAllocs(func() {
+			p, err := e.CompileTraced(LangMongoFind, src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ok, err := e.ValidateCtx(c.ctx, p, tree)
+			if err != nil || !ok {
+				t.Fatalf("validate: %v %v", ok, err)
+			}
+		})
+		if n != 0 {
+			t.Fatalf("untraced cache-hit compile+ValidateCtx(%s) allocates: %v allocs/op, want 0", c.name, n)
 		}
-		ok, err := e.Validate(p, tree)
-		if err != nil || !ok {
-			t.Fatalf("validate: %v %v", ok, err)
-		}
-	})
-	if n != 0 {
-		t.Fatalf("untraced cache-hit compile+validate allocates: %v allocs/op, want 0", n)
 	}
 }

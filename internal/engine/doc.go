@@ -22,12 +22,17 @@
 //     query repeatedly (the "heavy traffic" scenario of the roadmap) pay
 //     parse + translate + normalize once, not per request.
 //
-//   - Evaluation: Engine.Eval and Engine.Validate run the plan's QIR
-//     program, which instantiates its per-(plan, tree) mutable state —
-//     closure and definition memo tables, regex and uniqueness memos —
-//     fresh on every call. That state never outlives a call and is
-//     never shared, which makes the public API goroutine-safe without
-//     locks on the hot path.
+//   - Evaluation: one body per semantics — Engine.ValidateCtx
+//     (boolean) and Engine.EvalAppendCtx (node selection) — runs the
+//     plan's QIR program, which takes its per-(plan, tree) mutable
+//     state (closure and definition memo tables, regex and uniqueness
+//     memos) from a pool on the program and returns it before the call
+//     ends. That state is never shared, which makes the public API
+//     goroutine-safe without locks on the hot path. The context is a
+//     parameter of that one path: a nil one is never polled, a live
+//     one is polled at the executor's checkpoints and ends the call
+//     with ctx.Err(). Validate, Eval and EvalAppend are one-line
+//     wrappers passing no context.
 //
 // This mirrors the split the paper itself makes: the formula (compiled
 // once; Propositions 1 and 3 measure evaluation per formula size |φ|)
@@ -37,7 +42,8 @@
 // # Batch and streaming entry points
 //
 // EvalBatch and ValidateBatch fan a single plan out over a slice of
-// trees with a bounded worker pool, preserving input order. The NDJSON
+// trees with a bounded worker pool, preserving input order; once one
+// tree fails no worker starts another. The NDJSON
 // path (EvalReader, ValidateReader) accepts an io.Reader holding one
 // JSON document per line; lines are tokenized with internal/stream's
 // tokenizer and materialized through jsontree.Builder — one pooled

@@ -129,48 +129,67 @@ func (e *Engine) CacheStats() CacheStats {
 	return st
 }
 
-// Workers returns the batch worker-pool bound (Options.Workers after
-// defaulting). The store consults it to decide between shard-level
-// fan-out and the engine's per-document batch parallelism.
-func (e *Engine) Workers() int { return e.opts.Workers }
-
-// Eval runs the plan's node-selection semantics over one tree. The
-// plan may be shared; all mutable evaluation state is call-local.
+// Eval runs the plan's node-selection semantics over one tree,
+// returning a fresh slice: EvalAppendCtx with no context and no buffer.
 func (e *Engine) Eval(p *Plan, t *jsontree.Tree) ([]jsontree.NodeID, error) {
-	return p.eval(t)
+	return e.EvalAppendCtx(nil, p, t, nil)
 }
 
-// Validate runs the plan's boolean semantics over one tree. A
-// plan-cache-hit Validate is allocation-free: the executor's mutable
-// state is pooled on the compiled program.
+// Validate runs the plan's boolean semantics over one tree:
+// ValidateCtx with no context.
 func (e *Engine) Validate(p *Plan, t *jsontree.Tree) (bool, error) {
-	return p.validate(t)
+	return e.ValidateCtx(nil, p, t)
 }
 
 // EvalAppend is Eval appending the selected nodes to out (which may be
-// nil), returning the extended slice. Callers that reuse the buffer
-// across trees (out, _ = e.EvalAppend(p, t, out[:0])) evaluate without
+// nil), returning the extended slice: EvalAppendCtx with no context.
+func (e *Engine) EvalAppend(p *Plan, t *jsontree.Tree, out []jsontree.NodeID) ([]jsontree.NodeID, error) {
+	return e.EvalAppendCtx(nil, p, t, out)
+}
+
+// ValidateCtx computes the plan's boolean semantics over one tree via
+// the QIR program:
+//
+//   - JNL: does the root satisfy the formula (J |= φ at ε).
+//   - JSONPath: does the path select at least one node.
+//   - JSL: does the document satisfy the expression (J |= Δ).
+//   - Mongo find: does the document match the filter.
+//
+// Cancellation is cooperative: evaluation polls a non-nil ctx
+// periodically and returns ctx.Err() once it is done; a nil ctx is
+// never polled. The plan may be shared — all mutable executor state is
+// call-local, pooled on the compiled program, so a plan-cache-hit
+// ValidateCtx is allocation-free.
+func (e *Engine) ValidateCtx(ctx context.Context, p *Plan, t *jsontree.Tree) (bool, error) {
+	return p.prog.MatchCtx(ctx, t)
+}
+
+// EvalAppendCtx computes the plan's node-selection semantics over one
+// tree via the QIR program, appending the selected nodes to out, with
+// ValidateCtx's cancellation contract:
+//
+//   - JNL: the nodes satisfying the unary formula.
+//   - JSONPath: the nodes selected from the root.
+//   - JSL: the nodes whose subtree satisfies the expression, per the
+//     (json(n), n) |= Δ relation of Lemma 3.
+//   - Mongo find: the nodes whose subtree matches the filter (the root
+//     node's membership is the find() answer for the document).
+//
+// Callers that reuse the buffer across trees
+// (out, _ = e.EvalAppendCtx(ctx, p, t, out[:0])) evaluate without
 // allocating once the buffer has grown to the working-set size — the
 // store's per-shard query workers are the intended users.
-func (e *Engine) EvalAppend(p *Plan, t *jsontree.Tree, out []jsontree.NodeID) ([]jsontree.NodeID, error) {
-	return p.evalAppend(t, out)
+func (e *Engine) EvalAppendCtx(ctx context.Context, p *Plan, t *jsontree.Tree, out []jsontree.NodeID) ([]jsontree.NodeID, error) {
+	return p.prog.EvalAppendCtx(ctx, t, out)
 }
 
 // EvalBatch evaluates one plan over many trees with a worker pool,
 // returning per-tree node selections in input order. The first
 // evaluation error (if any) is returned alongside the partial results.
 func (e *Engine) EvalBatch(p *Plan, trees []*jsontree.Tree) ([][]jsontree.NodeID, error) {
-	return e.EvalBatchBounded(p, trees, 0)
-}
-
-// EvalBatchBounded is EvalBatch with the worker pool additionally
-// capped at maxWorkers (0 or negative: no extra cap). Callers with
-// their own parallelism budget — the store's query fan-out — use it to
-// keep a batch within that budget.
-func (e *Engine) EvalBatchBounded(p *Plan, trees []*jsontree.Tree, maxWorkers int) ([][]jsontree.NodeID, error) {
 	out := make([][]jsontree.NodeID, len(trees))
-	err := e.forEach(len(trees), maxWorkers, func(i int) error {
-		nodes, err := p.eval(trees[i])
+	err := e.forEach(len(trees), func(i int) error {
+		nodes, err := e.Eval(p, trees[i])
 		out[i] = nodes
 		return err
 	})
@@ -180,128 +199,45 @@ func (e *Engine) EvalBatchBounded(p *Plan, trees []*jsontree.Tree, maxWorkers in
 // ValidateBatch validates many trees against one plan with a worker
 // pool, returning per-tree verdicts in input order.
 func (e *Engine) ValidateBatch(p *Plan, trees []*jsontree.Tree) ([]bool, error) {
-	return e.ValidateBatchBounded(p, trees, 0)
-}
-
-// ValidateBatchBounded is ValidateBatch with the worker pool
-// additionally capped at maxWorkers (0 or negative: no extra cap).
-func (e *Engine) ValidateBatchBounded(p *Plan, trees []*jsontree.Tree, maxWorkers int) ([]bool, error) {
 	out := make([]bool, len(trees))
-	err := e.forEach(len(trees), maxWorkers, func(i int) error {
-		ok, err := p.validate(trees[i])
+	err := e.forEach(len(trees), func(i int) error {
+		ok, err := e.Validate(p, trees[i])
 		out[i] = ok
 		return err
 	})
 	return out, err
 }
 
-// batchCancelDocs is how often (in documents) the batch Ctx variants
-// poll ctx.Err between trees; must be a power of two. Within a single
-// tree the executor's own step counter bounds the latency, so the
-// per-document poll only matters for batches of tiny documents.
-const batchCancelDocs = 64
-
-// ValidateCtx is Validate with cooperative cancellation: evaluation
-// polls ctx periodically and returns ctx.Err() once it is done. A nil
-// ctx selects the unchecked (allocation-free) fast path.
-func (e *Engine) ValidateCtx(ctx context.Context, p *Plan, t *jsontree.Tree) (bool, error) {
-	if ctx == nil {
-		return p.validate(t)
-	}
-	return p.validateCtx(ctx, t)
-}
-
-// EvalAppendCtx is EvalAppend with cooperative cancellation; a nil ctx
-// selects the unchecked fast path.
-func (e *Engine) EvalAppendCtx(ctx context.Context, p *Plan, t *jsontree.Tree, out []jsontree.NodeID) ([]jsontree.NodeID, error) {
-	if ctx == nil {
-		return p.evalAppend(t, out)
-	}
-	return p.evalAppendCtx(ctx, t, out)
-}
-
-// ValidateBatchBoundedCtx is ValidateBatchBounded with cooperative
-// cancellation: every worker polls ctx between documents (every
-// batchCancelDocs trees) and inside each evaluation. A nil ctx
-// delegates to the unchecked variant.
-func (e *Engine) ValidateBatchBoundedCtx(ctx context.Context, p *Plan, trees []*jsontree.Tree, maxWorkers int) ([]bool, error) {
-	if ctx == nil {
-		return e.ValidateBatchBounded(p, trees, maxWorkers)
-	}
-	out := make([]bool, len(trees))
-	err := e.forEach(len(trees), maxWorkers, func(i int) error {
-		if i&(batchCancelDocs-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		ok, err := p.validateCtx(ctx, trees[i])
-		out[i] = ok
-		return err
-	})
-	return out, err
-}
-
-// EvalBatchBoundedCtx is EvalBatchBounded with cooperative
-// cancellation; a nil ctx delegates to the unchecked variant.
-func (e *Engine) EvalBatchBoundedCtx(ctx context.Context, p *Plan, trees []*jsontree.Tree, maxWorkers int) ([][]jsontree.NodeID, error) {
-	if ctx == nil {
-		return e.EvalBatchBounded(p, trees, maxWorkers)
-	}
-	out := make([][]jsontree.NodeID, len(trees))
-	err := e.forEach(len(trees), maxWorkers, func(i int) error {
-		if i&(batchCancelDocs-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		nodes, err := p.evalAppendCtx(ctx, trees[i], nil)
-		out[i] = nodes
-		return err
-	})
-	return out, err
-}
-
-// forEach runs fn(0..n-1) over the engine's worker pool, optionally
-// capped below the configured pool size. Work is distributed by an
-// atomic counter so long and short items interleave without static
-// partitioning skew. The first error is kept.
-func (e *Engine) forEach(n, maxWorkers int, fn func(i int) error) error {
-	workers := e.opts.Workers
-	if maxWorkers > 0 && workers > maxWorkers {
-		workers = maxWorkers
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// forEach runs fn(0..n-1) over the engine's worker pool; the calling
+// goroutine is one of the workers, so a batch that cannot parallelize
+// spawns nothing. Work is distributed by an atomic counter so long and
+// short items interleave without static partitioning skew. The first
+// error is kept, and once one is recorded no worker starts another
+// item.
+func (e *Engine) forEach(n int, fn func(i int) error) error {
+	workers := max(min(e.opts.Workers, n), 1)
 	var (
 		next     atomic.Int64
 		firstErr atomic.Pointer[error]
 		wg       sync.WaitGroup
 	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-				}
+	worker := func() {
+		defer wg.Done()
+		for firstErr.Load() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}()
+			if err := fn(i); err != nil {
+				firstErr.CompareAndSwap(nil, &err)
+			}
+		}
 	}
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go worker()
+	}
+	worker()
 	wg.Wait()
 	if ep := firstErr.Load(); ep != nil {
 		return *ep

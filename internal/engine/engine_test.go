@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"jsonlogic/internal/jsontree"
@@ -289,5 +291,38 @@ func TestLanguageNames(t *testing.T) {
 	}
 	if _, err := ParseLanguage("sql"); err == nil {
 		t.Error("ParseLanguage(sql): want error")
+	}
+}
+
+// TestForEachStopsAfterFailure: once an item has failed, no worker
+// starts another — the serial loop and the parallel pool obey the same
+// rule. Items 0 and 1 succeed and every later one fails, so a worker's
+// first failure is its last item: the serial pool runs exactly items
+// 0..2, and W parallel workers can start at most W failing items after
+// the two good ones.
+func TestForEachStopsAfterFailure(t *testing.T) {
+	const items, good = 64, 2
+	boom := errors.New("injected item failure")
+	for _, workers := range []int{1, 4} {
+		e := New(Options{Workers: workers})
+		var started [items]atomic.Bool
+		err := e.forEach(items, func(i int) error {
+			started[i].Store(true)
+			if i < good {
+				return nil
+			}
+			return boom
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: forEach = %v, want the injected failure", workers, err)
+		}
+		for i := range started {
+			switch on := started[i].Load(); {
+			case on && i >= good+workers:
+				t.Errorf("workers=%d: item %d was started after a failure was recorded", workers, i)
+			case !on && i <= good && workers == 1:
+				t.Errorf("workers=1: item %d never ran; the serial pool must reach the failing item", i)
+			}
+		}
 	}
 }

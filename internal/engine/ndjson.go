@@ -101,10 +101,10 @@ func (e *Engine) runNDJSON(p *Plan, r io.Reader, validate bool) ([]DocResult, er
 				case err != nil:
 					res.Err = err
 				case validate:
-					res.Valid, res.Err = p.validate(tree)
+					res.Valid, res.Err = e.Validate(p, tree)
 				default:
 					res.Tree = tree
-					res.Nodes, res.Err = p.eval(tree)
+					res.Nodes, res.Err = e.Eval(p, tree)
 				}
 				mu.Lock()
 				results = append(results, res)

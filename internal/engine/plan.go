@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 
 	"jsonlogic/internal/jnl"
@@ -211,49 +210,6 @@ func MustCompile(lang Language, src string) *Plan {
 		panic(err)
 	}
 	return p
-}
-
-// eval computes the plan's node-selection semantics over one tree via
-// the QIR program; all mutable executor state is call-local, so
-// concurrent calls on a shared plan never interfere:
-//
-//   - JNL: the nodes satisfying the unary formula.
-//   - JSONPath: the nodes selected from the root.
-//   - JSL: the nodes whose subtree satisfies the expression, per the
-//     (json(n), n) |= Δ relation of Lemma 3.
-//   - Mongo find: the nodes whose subtree matches the filter (the root
-//     node's membership is the find() answer for the document).
-func (p *Plan) eval(t *jsontree.Tree) ([]jsontree.NodeID, error) {
-	return p.prog.Eval(t), nil
-}
-
-// evalAppend is eval appending into a caller-reused buffer; see
-// Engine.EvalAppend.
-func (p *Plan) evalAppend(t *jsontree.Tree, out []jsontree.NodeID) ([]jsontree.NodeID, error) {
-	return p.prog.EvalAppend(t, out), nil
-}
-
-// evalAppendCtx is evalAppend with cooperative cancellation; a nil ctx
-// is the unchecked fast path.
-func (p *Plan) evalAppendCtx(ctx context.Context, t *jsontree.Tree, out []jsontree.NodeID) ([]jsontree.NodeID, error) {
-	return p.prog.EvalAppendCtx(ctx, t, out)
-}
-
-// validate computes the plan's boolean semantics over one tree via the
-// QIR program:
-//
-//   - JNL: does the root satisfy the formula (J |= φ at ε).
-//   - JSONPath: does the path select at least one node.
-//   - JSL: does the document satisfy the expression (J |= Δ).
-//   - Mongo find: does the document match the filter.
-func (p *Plan) validate(t *jsontree.Tree) (bool, error) {
-	return p.prog.Match(t), nil
-}
-
-// validateCtx is validate with cooperative cancellation; a nil ctx is
-// the unchecked fast path.
-func (p *Plan) validateCtx(ctx context.Context, t *jsontree.Tree) (bool, error) {
-	return p.prog.MatchCtx(ctx, t)
 }
 
 // EvalReference computes the node-selection semantics with the

@@ -39,7 +39,7 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedExpected, err := sharedWant.eval(shared)
+	sharedExpected, err := sharedWant.prog.EvalAppendCtx(nil, shared, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 	works := make([]work, goroutines)
 	for i := range works {
 		tr := jsontree.FromValue(gen.Document(r, opts))
-		expected, err := sharedWant.eval(tr)
+		expected, err := sharedWant.prog.EvalAppendCtx(nil, tr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -123,7 +123,6 @@ func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
 		e.Gauge(promPrefix+"recovery_segments_mapped", "Shards restored at startup by mapping a segment file.", float64(rec.SegmentsMapped))
 		e.Gauge(promPrefix+"recovery_segment_docs", "Documents served from segments mapped at startup.", float64(rec.SegmentDocs))
 		e.Gauge(promPrefix+"recovery_invalid_segments", "Torn or corrupt segment files skipped at startup in favor of an older generation.", float64(rec.InvalidSegments))
-		e.Gauge(promPrefix+"recovery_snapshot_docs", "Documents loaded from legacy snapshots at startup.", float64(rec.SnapshotDocs))
 		e.Gauge(promPrefix+"recovery_wal_records_replayed", "WAL records replayed at startup.", float64(rec.WALRecordsReplayed))
 		e.Gauge(promPrefix+"recovery_torn_tails", "Torn WAL tails truncated at startup.", float64(rec.TornTails))
 	}

@@ -115,38 +115,23 @@ func MustCompile(q *Query) *Program {
 func (p *Program) Query() *Query { return p.query }
 
 // Match reports whether the tree's root satisfies the query's match
-// predicate (the engine's Validate semantics). Steady-state Match
-// performs no allocations: all evaluation state comes from the
-// program's pool.
+// predicate (the engine's Validate semantics): MatchCtx with no
+// context, which cannot fail.
 func (p *Program) Match(t *jsontree.Tree) bool {
-	st := p.acquire(t)
-	v := p.pred.eval(st, t.Root())
-	p.release(st)
-	return v
+	ok, _ := p.MatchCtx(nil, t)
+	return ok
 }
 
-// MatchCtx is Match with cooperative cancellation: the executor polls
+// MatchCtx is the one body of the match semantics. The executor polls
 // ctx at its recursion checkpoints (closure steps, definition entries,
 // closure-enumeration visits — every cancelCheckEvery of them) and
-// returns ctx.Err() when it has fired. A nil ctx is exactly Match:
-// the zero-overhead, zero-allocation fast path.
+// returns ctx.Err() once it has fired; a nil ctx is never polled.
+// Steady-state evaluation performs no allocations either way: all
+// evaluation state comes from the program's pool.
 func (p *Program) MatchCtx(ctx context.Context, t *jsontree.Tree) (ok bool, err error) {
-	if ctx == nil {
-		return p.Match(t), nil
-	}
 	st := p.acquire(t)
 	st.ctx = ctx
-	defer func() {
-		st.ctx, st.steps = nil, 0
-		p.release(st)
-		if r := recover(); r != nil {
-			c, isCancel := r.(cancelErr)
-			if !isCancel {
-				panic(r)
-			}
-			ok, err = false, c.err
-		}
-	}()
+	defer p.finish(st, &err)
 	return p.pred.eval(st, t.Root()), nil
 }
 
@@ -164,40 +149,19 @@ func (p *Program) Eval(t *jsontree.Tree) []jsontree.NodeID {
 // the extended slice — the strconv.AppendInt convention. A caller
 // reusing its buffer across calls (out = prog.EvalAppend(t, out[:0]))
 // evaluates without allocating once the buffer has grown to the
-// working-set size.
+// working-set size. It is EvalAppendCtx with no context.
 func (p *Program) EvalAppend(t *jsontree.Tree, out []jsontree.NodeID) []jsontree.NodeID {
-	st := p.acquire(t)
-	out = p.evalAppendWith(st, t, out)
-	p.release(st)
+	out, _ = p.EvalAppendCtx(nil, t, out)
 	return out
 }
 
-// EvalAppendCtx is EvalAppend with cooperative cancellation (see
-// MatchCtx); it returns nil, ctx.Err() once the context fires. A nil
-// ctx is exactly EvalAppend.
+// EvalAppendCtx is the one body of the node-selection semantics, with
+// MatchCtx's cancellation contract: it returns nil, ctx.Err() once the
+// context fires.
 func (p *Program) EvalAppendCtx(ctx context.Context, t *jsontree.Tree, out []jsontree.NodeID) (res []jsontree.NodeID, err error) {
-	if ctx == nil {
-		return p.EvalAppend(t, out), nil
-	}
 	st := p.acquire(t)
 	st.ctx = ctx
-	defer func() {
-		st.ctx, st.steps = nil, 0
-		p.release(st)
-		if r := recover(); r != nil {
-			c, isCancel := r.(cancelErr)
-			if !isCancel {
-				panic(r)
-			}
-			res, err = nil, c.err
-		}
-	}()
-	return p.evalAppendWith(st, t, out), nil
-}
-
-// evalAppendWith is the shared body of EvalAppend and EvalAppendCtx;
-// the caller owns st's acquire/release.
-func (p *Program) evalAppendWith(st *state, t *jsontree.Tree, out []jsontree.NodeID) []jsontree.NodeID {
+	defer p.finish(st, &err)
 	n := t.Len()
 	if p.sel != nil {
 		// Enumerate into a pooled mark set, then emit in ascending node
@@ -213,7 +177,7 @@ func (p *Program) evalAppendWith(st *state, t *jsontree.Tree, out []jsontree.Nod
 			}
 		}
 		st.releaseVisited(seen)
-		return out
+		return out, nil
 	}
 	for i := 0; i < n; i++ {
 		st.step()
@@ -221,7 +185,22 @@ func (p *Program) evalAppendWith(st *state, t *jsontree.Tree, out []jsontree.Nod
 			out = append(out, jsontree.NodeID(i))
 		}
 	}
-	return out
+	return out, nil
+}
+
+// finish is the deferred tail of both entry points: it returns the
+// state to the pool and converts a cancellation panic into *err
+// (leaving the caller's other results at their zero values). Any other
+// panic propagates.
+func (p *Program) finish(st *state, err *error) {
+	p.release(st)
+	if r := recover(); r != nil {
+		c, isCancel := r.(cancelErr)
+		if !isCancel {
+			panic(r)
+		}
+		*err = c.err
+	}
 }
 
 // Describe renders the physical operator tree, the "physical plan"
@@ -700,8 +679,8 @@ type state struct {
 	// nodeBuf is the sort buffer of the uniqueness check.
 	nodeBuf []jsontree.NodeID
 
-	// ctx arms cooperative cancellation for the *Ctx entry points; nil
-	// (the Match/Eval fast paths) makes step a single branch. steps
+	// ctx arms cooperative cancellation; nil (Match/EvalAppend, which
+	// have no context) makes step a single predictable branch. steps
 	// counts checkpoints so ctx is polled once per cancelCheckEvery.
 	ctx   context.Context
 	steps int
@@ -715,9 +694,9 @@ type state struct {
 const cancelCheckEvery = 1024
 
 // cancelErr carries ctx.Err() out of the operator recursion as a
-// panic; the *Ctx entry points recover it. A panic rather than
-// threaded error returns keeps the operator signatures — and the
-// zero-allocation nil-ctx paths — untouched.
+// panic; finish recovers it. A panic rather than threaded error
+// returns keeps the operator signatures — and their zero-allocation
+// steady state — untouched.
 type cancelErr struct{ err error }
 
 // step is the cancellation checkpoint, inlined into the recursion
@@ -764,10 +743,12 @@ func (p *Program) acquire(t *jsontree.Tree) *state {
 	return st
 }
 
-// release returns the state to the program's pool. The tree reference
-// is dropped so a pooled state never keeps a tree alive.
+// release disarms the state and returns it to the program's pool. The
+// tree and context references are dropped so a pooled state never
+// keeps either alive.
 func (p *Program) release(st *state) {
 	st.t = nil
+	st.ctx, st.steps = nil, 0
 	p.pool.Put(st)
 }
 

@@ -1,6 +1,7 @@
 package qir
 
 import (
+	"context"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -13,9 +14,11 @@ import (
 
 // Allocation-regression tests for the pooled executor: once a program's
 // state pool is warm, Match and buffer-reusing EvalAppend must not
-// allocate at all. GC is disabled for the measurement so sync.Pool
-// cannot be drained mid-run (a pool drop is a re-warm, not a leak,
-// but it would make the assertion flaky).
+// allocate at all — with no context and with context.Background(),
+// the configuration the daemon's query path actually runs. GC is
+// disabled for the measurement so sync.Pool cannot be drained mid-run
+// (a pool drop is a re-warm, not a leak, but it would make the
+// assertion flaky).
 
 // allocProbeQuery exercises every pooled structure at once: a closure
 // (memo table + visited scratch on the enum side), a named recursive
@@ -53,16 +56,24 @@ func measureAllocs(t *testing.T, f func()) float64 {
 	return testing.AllocsPerRun(200, f)
 }
 
+// allocCtxs are the contexts the zero-allocation pins run under.
+var allocCtxs = []struct {
+	name string
+	ctx  context.Context
+}{{"nil", nil}, {"background", context.Background()}}
+
 func TestMatchZeroAllocs(t *testing.T) {
 	p := MustCompile(allocProbeQuery())
 	tree := allocProbeTree()
 	want := p.Match(tree)
-	if got := measureAllocs(t, func() {
-		if p.Match(tree) != want {
-			t.Fatal("verdict changed between runs")
+	for _, c := range allocCtxs {
+		if got := measureAllocs(t, func() {
+			if ok, err := p.MatchCtx(c.ctx, tree); ok != want || err != nil {
+				t.Fatalf("verdict changed between runs: %v, %v", ok, err)
+			}
+		}); got != 0 {
+			t.Fatalf("steady-state MatchCtx(%s) allocates %v objects/op, want 0", c.name, got)
 		}
-	}); got != 0 {
-		t.Fatalf("steady-state Match allocates %v objects/op, want 0", got)
 	}
 }
 
@@ -71,13 +82,15 @@ func TestEvalAppendZeroAllocs(t *testing.T) {
 	tree := allocProbeTree()
 	want := len(p.Eval(tree))
 	buf := make([]jsontree.NodeID, 0, tree.Len())
-	if got := measureAllocs(t, func() {
-		buf = p.EvalAppend(tree, buf[:0])
-		if len(buf) != want {
-			t.Fatalf("selection size changed: %d, want %d", len(buf), want)
+	for _, c := range allocCtxs {
+		if got := measureAllocs(t, func() {
+			var err error
+			if buf, err = p.EvalAppendCtx(c.ctx, tree, buf[:0]); len(buf) != want || err != nil {
+				t.Fatalf("selection changed: %d nodes, %v; want %d", len(buf), err, want)
+			}
+		}); got != 0 {
+			t.Fatalf("steady-state EvalAppendCtx(%s) allocates %v objects/op, want 0", c.name, got)
 		}
-	}); got != 0 {
-		t.Fatalf("steady-state EvalAppend allocates %v objects/op, want 0", got)
 	}
 }
 

@@ -3,8 +3,8 @@ package store
 // cancel_test.go: cooperative query cancellation. A context that
 // expires mid-query must abort the fan-out promptly (checkpoints in
 // the per-shard loops and inside the executor), surface ctx.Err() to
-// the caller, bump the cancellation counter — and a nil context must
-// keep the exact pre-cancellation fast path.
+// the caller, bump the cancellation counter — and a context that never
+// fires (or none at all) must not perturb results.
 
 import (
 	"context"
@@ -98,40 +98,59 @@ func TestExplainHonoursContext(t *testing.T) {
 	}
 }
 
-// TestNilContextUnchanged: the nil-ctx entry points answer exactly
-// like the plain ones — same results, no cancellation bookkeeping.
-func TestNilContextUnchanged(t *testing.T) {
+// TestContextKindsAgree: the pipeline has one body whatever the
+// context, so a nil ctx, context.Background() and a live deadline must
+// all answer exactly like the reference scan — in both modes, under
+// the planner's access path and under the forced scan — and book no
+// cancellation.
+func TestContextKindsAgree(t *testing.T) {
 	s := cancelStore(t, 500)
-	p := scanPlan(t, s)
-	ids, _, err := s.Find(p)
-	if err != nil {
-		t.Fatalf("find: %v", err)
-	}
-	ids2, _, err := s.FindTraced(nil, p, nil)
-	if err != nil {
-		t.Fatalf("find traced nil ctx: %v", err)
-	}
-	if len(ids) != 500 || len(ids2) != 500 {
-		t.Fatalf("scan matched %d/%d docs, want 500", len(ids), len(ids2))
-	}
-	if s.Stats().Queries.Cancellations != 0 {
-		t.Fatal("nil-ctx queries recorded cancellations")
-	}
-}
-
-// TestLiveContextCompletes: a context that never expires must not
-// perturb results.
-func TestLiveContextCompletes(t *testing.T) {
-	s := cancelStore(t, 500)
-	p := scanPlan(t, s)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	live, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	ids, _, err := s.FindTraced(ctx, p, nil)
-	if err != nil || len(ids) != 500 {
-		t.Fatalf("find with live ctx: %d ids, err %v", len(ids), err)
+	ctxs := []struct {
+		name string
+		ctx  context.Context
+	}{{"nil", nil}, {"background", context.Background()}, {"live-deadline", live}}
+	accesses := []struct {
+		name   string
+		forced *QueryPlan
+	}{{"auto", nil}, {"scan", &forcedScan}}
+	indexable, err := s.Engine().Compile(engine.LangMongoFind, `{"tag":"doc-7"}`)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
 	}
-	sels, _, err := s.SelectTraced(ctx, p, nil)
-	if err != nil || len(sels) != 500 {
-		t.Fatalf("select with live ctx: %d selections, err %v", len(sels), err)
+	for _, q := range []struct {
+		name    string
+		plan    *engine.Plan
+		want    int
+		indexed bool // the planner's verdict under "auto"
+	}{{"unindexable", scanPlan(t, s), 500, false}, {"indexable", indexable, 1, true}} {
+		wantIDs, err := s.FindScan(q.plan)
+		if err != nil || len(wantIDs) != q.want {
+			t.Fatalf("%s: reference find: %d ids, err %v; want %d", q.name, len(wantIDs), err, q.want)
+		}
+		wantSels, err := s.SelectScan(q.plan)
+		if err != nil || len(wantSels) != q.want {
+			t.Fatalf("%s: reference select: %d selections, err %v; want %d", q.name, len(wantSels), err, q.want)
+		}
+		for _, c := range ctxs {
+			for _, a := range accesses {
+				name := q.name + "/" + c.name + "/" + a.name
+				ids, indexed, err := query(c.ctx, s, q.plan, nil, a.forced, findCollector)
+				if err != nil || !sameIDs(ids, wantIDs) {
+					t.Errorf("%s: find = %d ids, err %v; want the reference's %d", name, len(ids), err, len(wantIDs))
+				}
+				if want := q.indexed && a.forced == nil; indexed != want {
+					t.Errorf("%s: find indexed = %v, want %v", name, indexed, want)
+				}
+				sels, _, err := query(c.ctx, s, q.plan, nil, a.forced, selectCollector)
+				if err != nil || !sameSelections(sels, wantSels) {
+					t.Errorf("%s: select = %d selections, err %v; want the reference's %d", name, len(sels), err, len(wantSels))
+				}
+			}
+		}
+	}
+	if n := s.Stats().Queries.Cancellations; n != 0 {
+		t.Fatalf("completed queries recorded %d cancellations", n)
 	}
 }

@@ -1,6 +1,6 @@
 package store
 
-// snapshot.go: background segment building (what "snapshot" now
+// compaction.go: background segment building (what "snapshot"
 // means). A snapshot of shard i at generation g is the segment file
 // shard-NNNN/seg-g.seg holding every document the shard owned at the
 // instant wal-g.log started: the snapshotter rotates the WAL and
@@ -14,18 +14,10 @@ package store
 // footer makes completeness verifiable independently of the rename.
 // Once the segment is durable, all earlier generations' files are
 // obsolete and removed.
-//
-// The legacy snap-*.snap writer/loader below remain: the loader so
-// directories written by earlier builds still open, the writer so
-// tests and benchmarks can produce legacy layouts to recover from.
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
-	"strconv"
 
 	"jsonlogic/internal/jsontree"
 )
@@ -158,108 +150,9 @@ func (s *Store) snapshotShard(i int) error {
 	return nil
 }
 
-// writeSnapshot writes docs as snap-<gen> in dir: temp file, fsync,
-// rename, fsync the directory. The footer carries the record count
-// (validation) and the bulk auto-ID sequence at snapshot time.
-func writeSnapshot(fs VFS, dir string, gen uint64, docs map[string]*jsontree.Tree, seq uint64) error {
-	tmp := snapTempPath(dir, gen)
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	bw.WriteString(snapMagic)
-	var buf []byte
-	for id, t := range docs {
-		buf = encodeRecord(buf[:0], walRecord{op: opPut, id: id, doc: t.String()})
-		if _, err := bw.Write(buf); err != nil {
-			f.Close()
-			fs.Remove(tmp)
-			return err
-		}
-	}
-	buf = encodeRecord(buf[:0], walRecord{op: opFooter, id: strconv.Itoa(len(docs)), doc: strconv.FormatUint(seq, 10)})
-	if _, err := bw.Write(buf); err == nil {
-		err = bw.Flush()
-	} else {
-		bw.Flush()
-	}
-	if err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, snapFilePath(dir, gen)); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	return fs.SyncDir(dir)
-}
-
-// loadSnapshot reads and fully validates snap file at path, returning
-// the documents and the persisted bulk auto-ID sequence. Every
-// record's CRC is checked and the footer's count must match; any
-// defect invalidates the whole snapshot (nil map, error) so recovery
-// can fall back to an older generation — nothing is applied from a
-// partially valid file.
-func loadSnapshot(fs VFS, path string) (map[string]*jsontree.Tree, uint64, error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	magic := make([]byte, len(snapMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != snapMagic {
-		return nil, 0, fmt.Errorf("%s: bad snapshot magic", path)
-	}
-	docs := make(map[string]*jsontree.Tree)
-	for {
-		rec, _, err := readRecord(br)
-		if err == io.EOF {
-			return nil, 0, fmt.Errorf("%s: snapshot has no footer", path)
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s: %w", path, err)
-		}
-		switch rec.op {
-		case opFooter:
-			want, aerr := strconv.Atoi(rec.id)
-			if aerr != nil || want != len(docs) {
-				return nil, 0, fmt.Errorf("%s: footer count %q does not match %d records", path, rec.id, len(docs))
-			}
-			seq, serr := strconv.ParseUint(rec.doc, 10, 64)
-			if serr != nil {
-				return nil, 0, fmt.Errorf("%s: footer sequence %q: %v", path, rec.doc, serr)
-			}
-			if _, err := br.ReadByte(); err != io.EOF {
-				return nil, 0, fmt.Errorf("%s: trailing data after snapshot footer", path)
-			}
-			return docs, seq, nil
-		case opPut:
-			t, perr := jsontree.Parse(rec.doc)
-			if perr != nil {
-				return nil, 0, fmt.Errorf("%s: document %q: %w", path, rec.id, perr)
-			}
-			docs[rec.id] = t
-		default:
-			return nil, 0, fmt.Errorf("%s: unexpected record op %d in snapshot", path, rec.op)
-		}
-	}
-}
-
-// removeObsolete deletes snapshots and WAL segments of generations
-// before keep. Best-effort: a leftover file is re-deleted by the next
-// snapshot and skipped by recovery.
+// removeObsolete deletes segment files (and stale legacy snapshots)
+// and WAL segments of generations before keep. Best-effort: a leftover
+// file is re-deleted by the next snapshot and skipped by recovery.
 func removeObsolete(fs VFS, dir string, keep uint64) {
 	entries, err := fs.ReadDir(dir)
 	if err != nil {

@@ -107,17 +107,28 @@ func sameSelections(a, b []Selection) bool {
 	return true
 }
 
+// allDocs snapshots every stored document, shard by shard — the
+// collection the reference evaluators below run over.
+func allDocs(t *testing.T, s *Store) []docPair {
+	t.Helper()
+	var out []docPair
+	for i, sh := range s.shards {
+		pairs, _, err := sh.collectCandidates(nil, false, nil, i)
+		if err != nil {
+			t.Fatalf("reference candidates: %v", err)
+		}
+		out = append(out, pairs...)
+	}
+	return out
+}
+
 // referenceFind computes Find's answer with the retired front-end
 // evaluators (Plan.ValidateReference) over every stored document — the
 // old-evaluator oracle the QIR executor must match node-for-node.
 func referenceFind(t *testing.T, s *Store, p *engine.Plan, src string) []string {
 	t.Helper()
 	var ids []string
-	pairs, err := s.candidates(nil, false)
-	if err != nil {
-		t.Fatalf("reference candidates: %v", err)
-	}
-	for _, pair := range pairs {
+	for _, pair := range allDocs(t, s) {
 		ok, err := p.ValidateReference(pair.tree)
 		if err != nil {
 			t.Fatalf("reference validate(%q): %v", src, err)
@@ -135,11 +146,7 @@ func referenceFind(t *testing.T, s *Store, p *engine.Plan, src string) []string 
 func referenceSelect(t *testing.T, s *Store, p *engine.Plan, src string) []Selection {
 	t.Helper()
 	var out []Selection
-	pairs, err := s.candidates(nil, false)
-	if err != nil {
-		t.Fatalf("reference candidates: %v", err)
-	}
-	for _, pair := range pairs {
+	for _, pair := range allDocs(t, s) {
 		nodes, err := p.EvalReference(pair.tree)
 		if err != nil {
 			t.Fatalf("reference eval(%q): %v", src, err)

@@ -10,12 +10,30 @@
 // each shard owns one pathIndex — whose dictionary is also the shard's
 // document storage — guarded by one RWMutex. Writers (Put, Delete,
 // bulk NDJSON ingest) lock only their document's shard, so unrelated
-// writes proceed in parallel; queries fan out across shards on a
-// bounded worker pool (Options.QueryWorkers), each worker taking the
-// shard read lock just long enough to snapshot candidate (id, tree)
-// pairs and evaluating outside the lock — trees are immutable, so
-// evaluation never races with writers — before the per-shard results
-// merge into one deterministically sorted answer.
+// writes proceed in parallel.
+//
+// # One query pipeline
+//
+// Every read — Find, Select, their Traced and Scan variants, Explain —
+// is the same generic function (run, in query.go): a compile-time
+// emptiness proof answers first; otherwise the cost-based planner
+// picks the access path; then the query fans out across shards on a
+// bounded worker pool (Options.QueryWorkers, capped by the shard
+// count; the calling goroutine is one of the workers), each worker
+// taking the shard read lock just long enough to snapshot candidate
+// (id, tree) pairs and evaluating outside the lock — trees are
+// immutable, so evaluation never races with writers — before the
+// per-shard results merge into one deterministically sorted answer.
+// Find and Select differ only in their collector: what one evaluated
+// candidate contributes (its ID via engine.ValidateCtx, or a
+// Selection via engine.EvalAppendCtx into a reused node buffer). The
+// exported entry points are one-line wrappers choosing the context,
+// the trace recorder, a forced access plan (the reference scans) and
+// the collector; one tail (account) books the counters, and Explain
+// runs the identical pipeline without it. A context is a parameter of
+// that one path, not a second path: nil is never polled, a live one is
+// checked before every shard, every 64 documents and inside the
+// executor, and once a shard task fails no worker starts another.
 //
 // # The inverted path index
 //
@@ -64,7 +82,7 @@
 // actual cardinalities; the estimate provably bounds the candidate
 // count.
 //
-// # Durability: write-ahead log and snapshot recovery
+// # Durability: write-ahead log and segment recovery
 //
 // New builds an in-memory store; Open adds durability under
 // Options.DataDir. Every put and delete is framed (length-prefixed,
@@ -72,13 +90,14 @@
 // is held — so log order equals apply order — and acknowledged only
 // once the configured FsyncPolicy holds: always (group-commit fsync
 // per acknowledgement), interval (background timer), or off (OS
-// write-back; Close still flushes and syncs). Background snapshotting
-// rotates a shard's WAL and writes its contents with
-// write-temp-then-rename atomicity; recovery loads the newest
-// snapshot that validates end-to-end, replays the WAL generations
-// after it, truncates torn tails, and rebuilds the inverted index by
-// re-inserting through the ordinary in-memory path. Stats exposes the
-// WAL, snapshot and recovery counters; crash-recovery tests in this
+// write-back; Close still flushes and syncs). Background compaction
+// (compaction.go) rotates a shard's WAL and merges the shard into an
+// immutable segment file with write-temp-then-rename atomicity;
+// recovery maps the newest segment that validates end-to-end, replays
+// the WAL generations from it on through the ordinary in-memory path,
+// and truncates torn tails. The record-stream snap-*.snap format of
+// pre-segment builds is refused, never skipped. Stats exposes the
+// WAL, compaction and recovery counters; crash-recovery tests in this
 // package pin a reopened store node-for-node to an in-memory
 // reference driven through the same mutations.
 //

@@ -255,7 +255,7 @@ func TestDurableCleanRestart(t *testing.T) {
 	defer s2.Close()
 	compareStores(t, s2, ref)
 	rs := s2.Stats().Durability.Recovery
-	if rs.WALRecordsReplayed == 0 || rs.TornTails != 0 || rs.SnapshotsLoaded != 0 {
+	if rs.WALRecordsReplayed == 0 || rs.TornTails != 0 || rs.SegmentsMapped != 0 {
 		t.Fatalf("unexpected recovery stats: %+v", rs)
 	}
 	// The auto-ID sequence must not collide with recovered bulk IDs.

@@ -104,7 +104,7 @@ type QueryPlan struct {
 
 // planFacts builds the access plan for a fact set against the store's
 // current statistics; pruned (may be nil) marks facts whose terms the
-// schema proved universal — see prunedFor.
+// schema proved universal — see accessPlan.
 func (s *Store) planFacts(facts []jsontree.PathFact, pruned map[string]bool) QueryPlan {
 	return planQueryPruned(s, facts, s.opts.MaxIndexDepth, pruned)
 }

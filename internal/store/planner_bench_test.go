@@ -100,13 +100,10 @@ func BenchmarkStorePlannerUnselective(b *testing.B) {
 					terms = append(terms, term)
 				}
 			}
+			forced := &QueryPlan{Access: AccessIndex, probeTerms: terms}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pairs, cerr := s.candidates(terms, true)
-				if cerr != nil {
-					b.Fatal(cerr)
-				}
-				ids, err := s.findOver(plan, pairs)
+				ids, _, _, err := run(nil, s, plan, nil, forced, findCollector)
 				if err != nil || len(ids) != n {
 					b.Fatalf("got %d docs (err %v), want %d", len(ids), err, n)
 				}

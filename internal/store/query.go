@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -25,9 +26,9 @@ type Selection struct {
 }
 
 // batchCancelDocs is how often (in documents) the per-shard evaluation
-// loops poll a non-nil ctx between documents; must be a power of two.
-// It mirrors the engine's batch poll interval so cancellation latency
-// is bounded the same way on both evaluation paths.
+// loop polls a non-nil ctx between documents; must be a power of two.
+// Within one document the executor's own step counter bounds the
+// latency, so this poll only matters for shards of tiny documents.
 const batchCancelDocs = 64
 
 // docPair is a snapshot of one stored document.
@@ -37,9 +38,9 @@ type docPair struct {
 }
 
 // execInfo aggregates one execution's counter inputs — parallelism,
-// intersection work, candidate count — returned up to the Find/Select
-// entry points, which alone bump the store's counters. Explain runs
-// the identical pipeline and simply discards it, so explaining a
+// intersection work, candidate count — returned up to the query
+// wrappers, which alone bump the store's counters (account). Explain
+// runs the identical pipeline and simply discards it, so explaining a
 // query never disturbs the statistics.
 type execInfo struct {
 	workers    int
@@ -47,8 +48,8 @@ type execInfo struct {
 	candidates int
 }
 
-// collectCandidates appends the shard's candidates for one query to
-// dst under the shard's read lock: when indexed, the union of the
+// collectCandidates snapshots the shard's candidates for one query
+// under the shard's read lock: when indexed, the union of the
 // memtable's posting intersection and the segment's (tombstone-
 // filtered), the whole shard otherwise. Trees are immutable, so
 // evaluation happens after the lock is released; each query sees a
@@ -58,7 +59,7 @@ type execInfo struct {
 // armed trace gets one "probe" span per indexed shard (posting-list
 // lengths, merge steps, gallop switches per tier, surviving
 // candidates); tr is nil on the untraced path.
-func (sh *shard) collectCandidates(terms []uint64, indexed bool, dst []docPair, tr *trace.Trace, shardIdx int) (_ []docPair, steps int, err error) {
+func (sh *shard) collectCandidates(terms []uint64, indexed bool, tr *trace.Trace, shardIdx int) (dst []docPair, steps int, err error) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if !indexed {
@@ -75,7 +76,6 @@ func (sh *shard) collectCandidates(terms []uint64, indexed bool, dst []docPair, 
 	}
 	scr := acquireProbeScratch()
 	defer releaseProbeScratch(scr)
-	before := len(dst)
 	ords, steps, gallops := sh.ix.probe(terms, scr)
 	for _, ord := range ords {
 		// The probe result may carry tombstoned ordinals; the dictionary
@@ -103,14 +103,12 @@ func (sh *shard) collectCandidates(terms []uint64, indexed bool, dst []docPair, 
 		}
 		steps += segSteps
 	}
-	if sp != trace.None {
-		tr.Attr(sp, "steps", int64(steps))
-		tr.Attr(sp, "gallops", int64(gallops))
-		tr.Attr(sp, "seg_steps", int64(segSteps))
-		tr.Attr(sp, "seg_gallops", int64(segGallops))
-		tr.Attr(sp, "candidates", int64(len(dst)-before))
-		tr.End(sp)
-	}
+	tr.Attr(sp, "steps", int64(steps))
+	tr.Attr(sp, "gallops", int64(gallops))
+	tr.Attr(sp, "seg_steps", int64(segSteps))
+	tr.Attr(sp, "seg_gallops", int64(segGallops))
+	tr.Attr(sp, "candidates", int64(len(dst)))
+	tr.End(sp)
 	return dst, steps, err
 }
 
@@ -128,92 +126,51 @@ func postingLengths(ix *pathIndex, terms []uint64) string {
 	return string(b)
 }
 
-// candidates snapshots, serially, the documents a query must evaluate
-// across all shards. The fan-out paths below collect per shard on the
-// worker pool instead; this entry point remains for the forced-access
-// benchmarks and the differential tests' reference scans.
-func (s *Store) candidates(terms []uint64, indexed bool) ([]docPair, error) {
-	var out []docPair
-	for i, sh := range s.shards {
-		var err error
-		if out, _, err = sh.collectCandidates(terms, indexed, out, nil, i); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // fanOut runs task(0 … shards-1) over at most Options.QueryWorkers
-// goroutines (work-stealing by atomic counter, like the engine's batch
+// workers (work-stealing by atomic counter, like the engine's batch
 // pool) and returns how many workers ran plus the first task error.
-// With one worker — or one shard — the tasks run inline on the calling
-// goroutine: no goroutine is spawned for a query that cannot
-// parallelize. A non-nil ctx is polled before every shard task, so a
-// cancelled query stops picking up shards; in-flight tasks notice via
-// their own checkpoints.
+// The calling goroutine is one of the workers, so a query that cannot
+// parallelize — one worker, or one shard — spawns nothing. A non-nil
+// ctx is polled before every shard task, so a cancelled query stops
+// picking up shards; in-flight tasks notice via their own checkpoints.
+// Once any task has failed no worker starts another shard.
 func (s *Store) fanOut(ctx context.Context, task func(shardIdx int) error) (int, error) {
 	n := len(s.shards)
-	workers := s.opts.QueryWorkers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx != nil {
-				if err := ctx.Err(); err != nil {
-					return 1, err
-				}
-			}
-			if err := task(i); err != nil {
-				return 1, err
-			}
-		}
-		return 1, nil
-	}
+	workers := min(s.opts.QueryWorkers, n)
 	var (
 		next     atomic.Int64
 		firstErr atomic.Pointer[error]
 		wg       sync.WaitGroup
 	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if ctx != nil {
-					if err := ctx.Err(); err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-						return
-					}
-				}
-				if err := task(i); err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-				}
+	worker := func() {
+		defer wg.Done()
+		for firstErr.Load() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}()
+			var err error
+			if ctx != nil {
+				err = ctx.Err()
+			}
+			if err == nil {
+				err = task(i)
+			}
+			if err != nil {
+				firstErr.CompareAndSwap(nil, &err)
+			}
+		}
 	}
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go worker()
+	}
+	worker()
 	wg.Wait()
 	if ep := firstErr.Load(); ep != nil {
 		return workers, *ep
 	}
 	return workers, nil
-}
-
-// noteFanout records one query's parallelism and intersection work.
-func (s *Store) noteFanout(workers int, steps uint64) {
-	if workers > 1 {
-		s.parallelQueries.Add(1)
-	} else {
-		s.serialQueries.Add(1)
-	}
-	s.fanoutWorkers.Observe(workers)
-	if steps > 0 {
-		s.intersectionSteps.Add(steps)
-	}
 }
 
 // annotatePlanSpan records the planner's verdict on the trace's plan
@@ -226,14 +183,9 @@ func annotatePlanSpan(tr *trace.Trace, sp trace.SpanID, plan *QueryPlan) {
 	tr.AttrStr(sp, "access", plan.Access.String())
 	tr.AttrStr(sp, "reason", plan.Reason)
 	tr.Attr(sp, "doc_count", int64(plan.DocCount))
-	kept := 0
-	for _, t := range plan.Terms {
-		if !t.Skipped {
-			kept++
-		}
-	}
-	tr.Attr(sp, "terms_kept", int64(kept))
-	tr.Attr(sp, "terms_skipped", int64(plan.TermsSkipped()))
+	skipped := plan.TermsSkipped()
+	tr.Attr(sp, "terms_kept", int64(len(plan.Terms)-skipped))
+	tr.Attr(sp, "terms_skipped", int64(skipped))
 	tr.Attr(sp, "est_candidates", int64(plan.EstCandidates))
 	if len(plan.Terms) > 0 {
 		tr.AttrStr(sp, "terms", renderTerms(plan.Terms))
@@ -259,327 +211,123 @@ func renderTerms(terms []TermPlan) string {
 	return string(b)
 }
 
-// semanticEmpty reports whether the plan short-circuits to an empty
-// answer from a compile-time proof: an unsatisfiable query always
-// does; a schema-unsatisfiable one only on a store that enforces the
-// schema (otherwise nonconforming resident documents could match).
-func (s *Store) semanticEmpty(p *engine.Plan) (string, bool) {
-	if p.Unsatisfiable() {
-		return "unsat", true
+// accessPlan decides how a planned query reaches its candidates and
+// records the decision on tr. A compile-time emptiness proof answers
+// first ("semantic" span, access path "semantic", nothing probed): an
+// unsatisfiable query always, a schema-unsatisfiable one only on a
+// store that enforces the schema (otherwise nonconforming resident
+// documents could match). Everything else goes to the cost-based
+// planner ("plan" span). The schema-pruned fact set is likewise
+// honoured only by a schema-enforcing store: without enforcement the
+// documents never passed conformance validation, so "universal over
+// conforming documents" promises nothing.
+func (s *Store) accessPlan(p *engine.Plan, facts []jsontree.PathFact, tr *trace.Trace) QueryPlan {
+	verdict := ""
+	switch {
+	case p.Unsatisfiable():
+		verdict = "unsat"
+	case p.SchemaUnsatisfiable() && s.opts.Schema != nil:
+		verdict = "schema_unsat"
 	}
-	if p.SchemaUnsatisfiable() && s.opts.Schema != nil {
-		return "schema_unsat", true
+	if verdict != "" {
+		sp := tr.Start(tr.Root(), "semantic")
+		tr.AttrStr(sp, "verdict", verdict)
+		tr.End(sp)
+		return QueryPlan{
+			Access:   AccessSemantic,
+			Reason:   "semantic: provably empty (" + verdict + "); no documents probed or evaluated",
+			DocCount: s.DocCount(),
+		}
 	}
-	return "", false
-}
-
-// semanticPlan records the short-circuit on the trace (a "semantic"
-// span carrying the verdict) and returns its query plan: access path
-// "semantic", zero candidates, nothing probed.
-func (s *Store) semanticPlan(verdict string, tr *trace.Trace) QueryPlan {
-	sp := tr.Start(tr.Root(), "semantic")
-	tr.AttrStr(sp, "verdict", verdict)
-	tr.End(sp)
-	return QueryPlan{
-		Access:   AccessSemantic,
-		Reason:   "semantic: provably empty (" + verdict + "); no documents probed or evaluated",
-		DocCount: s.DocCount(),
-	}
-}
-
-// prunedFor returns the plan's schema-pruned fact set when this store
-// enforces the schema that proved it. A store without the schema must
-// ignore the marks: its documents never passed conformance validation,
-// so "universal over conforming documents" promises nothing here.
-func (s *Store) prunedFor(p *engine.Plan) map[string]bool {
-	if s.opts.Schema == nil {
-		return nil
-	}
-	return p.SchemaPruned()
-}
-
-// runFind executes the whole find pipeline — plan, per-shard probe,
-// validate, sorted merge — recording spans on tr (which may be nil),
-// and returns the plan and counter inputs untouched. Find/FindTraced
-// bump the counters; Explain runs this same code and does not.
-func (s *Store) runFind(ctx context.Context, p *engine.Plan, tr *trace.Trace) ([]string, QueryPlan, execInfo, error) {
-	if verdict, ok := s.semanticEmpty(p); ok {
-		return nil, s.semanticPlan(verdict, tr), execInfo{}, nil
+	var pruned map[string]bool
+	if s.opts.Schema != nil {
+		pruned = p.SchemaPruned()
 	}
 	sp := tr.Start(tr.Root(), "plan")
-	plan := s.planFacts(p.FindFacts(), s.prunedFor(p))
+	plan := s.planFacts(facts, pruned)
 	annotatePlanSpan(tr, sp, &plan)
 	tr.End(sp)
-	ids, info, err := s.findFanout(ctx, p, plan.probeTerms, plan.Access == AccessIndex, tr)
-	return ids, plan, info, err
+	return plan
 }
 
-// Find returns the IDs of all documents matching the plan's boolean
-// semantics (engine.Validate), sorted. The cost-based planner decides
-// per query between posting-list intersection and a full scan; results
-// are identical either way — the plan's facts are necessary conditions
-// of matching. Probing and evaluation fan out across shards on the
-// bounded worker pool; the per-shard matches merge into one sorted ID
-// list, so the result is deterministic whatever the interleaving. The
-// returned indexed flag reports which access path answered the query.
-func (s *Store) Find(p *engine.Plan) (ids []string, indexed bool, err error) {
-	return s.FindTraced(nil, p, nil)
+// collector is everything that differs between find and select: which
+// of the plan's facts feed the planner, what one evaluated candidate
+// contributes to its shard's result, how the merged result is ordered,
+// and which counters the query is booked under.
+type collector[R any] struct {
+	sel   bool
+	facts func(*engine.Plan) []jsontree.PathFact
+	// collect evaluates d and appends what the query keeps of it to
+	// kept. buf is the shard task's node buffer, reused across
+	// documents so steady-state evaluation does not allocate.
+	collect func(ctx context.Context, e *engine.Engine, p *engine.Plan, d docPair, kept []R, buf []jsontree.NodeID) ([]R, []jsontree.NodeID, error)
+	sort    func([]R)
 }
 
-// FindTraced is Find recording the pipeline's spans on tr and
-// honouring ctx. A nil tr is the production fast path: the recorder
-// calls reduce to nil checks. A nil ctx disables cancellation (the
-// allocation-free path); with a non-nil ctx, evaluation checkpoints
-// cooperatively and the first ctx error aborts the fan-out, returning
-// ctx.Err() with whatever trace spans were recorded so far.
-func (s *Store) FindTraced(ctx context.Context, p *engine.Plan, tr *trace.Trace) (ids []string, indexed bool, err error) {
-	ids, plan, info, err := s.runFind(ctx, p, tr)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		s.cancellations.Add(1)
-	}
-	if plan.Access == AccessSemantic {
-		// A compile-time proof answered the query: nothing was probed,
-		// scanned or evaluated, so none of the execution counters apply.
-		s.semShortCircuits.Add(1)
-		return ids, false, err
-	}
-	s.notePlan(&plan)
-	indexed = plan.Access == AccessIndex
-	if indexed {
-		s.findIndexed.Add(1)
-	} else {
-		s.findScan.Add(1)
-	}
-	s.noteFanout(info.workers, info.steps)
-	s.noteCandidates(false, indexed, info.candidates)
-	return ids, indexed, err
+// findCollector keeps the IDs of the documents the plan's boolean
+// semantics accept.
+var findCollector = collector[string]{
+	facts: (*engine.Plan).FindFacts,
+	collect: func(ctx context.Context, e *engine.Engine, p *engine.Plan, d docPair, kept []string, buf []jsontree.NodeID) ([]string, []jsontree.NodeID, error) {
+		ok, err := e.ValidateCtx(ctx, p, d.tree)
+		if ok {
+			kept = append(kept, d.id)
+		}
+		return kept, buf, err
+	},
+	sort: sort.Strings,
 }
 
-// FindScan is Find with the planner and index disabled: the reference
-// full scan the differential tests compare against. It fans out like
-// Find — the scan's unit of parallelism is the shard.
-func (s *Store) FindScan(p *engine.Plan) ([]string, error) {
-	s.findScan.Add(1)
-	ids, info, err := s.findFanout(nil, p, nil, false, nil)
-	s.noteFanout(info.workers, info.steps)
-	s.noteCandidates(false, false, info.candidates)
-	return ids, err
-}
-
-// lowShardBatch handles the configuration where the shard count is
-// below the worker budget (a 1-shard store on a many-core host, say):
-// shard-level fan-out could not use the budget, so the candidates are
-// collected serially — the cheap phase — and evaluated on the engine's
-// per-document batch pool instead, capped at Options.QueryWorkers so
-// the configured per-query parallelism bound holds on this path too.
-// ok is false when the normal per-shard fan-out should run.
-func (s *Store) lowShardBatch(terms []uint64, indexed bool, tr *trace.Trace) (pairs []docPair, info execInfo, ok bool, err error) {
-	if s.opts.QueryWorkers <= len(s.shards) {
-		return nil, execInfo{}, false, nil
-	}
-	steps := 0
-	for i, sh := range s.shards {
-		var st int
-		if pairs, st, err = sh.collectCandidates(terms, indexed, pairs, tr, i); err != nil {
-			return nil, execInfo{}, true, err
+// selectCollector keeps, per document with at least one selected node,
+// a copy of the selected node IDs in evaluation order.
+var selectCollector = collector[Selection]{
+	sel:   true,
+	facts: (*engine.Plan).SelectFacts,
+	collect: func(ctx context.Context, e *engine.Engine, p *engine.Plan, d docPair, kept []Selection, buf []jsontree.NodeID) ([]Selection, []jsontree.NodeID, error) {
+		buf, err := e.EvalAppendCtx(ctx, p, d.tree, buf[:0])
+		if len(buf) > 0 {
+			kept = append(kept, Selection{ID: d.id, Tree: d.tree, Nodes: slices.Clone(buf)})
 		}
-		steps += st
-	}
-	info.workers = min(s.eng.Workers(), s.opts.QueryWorkers, max(len(pairs), 1))
-	info.steps = uint64(steps)
-	info.candidates = len(pairs)
-	return pairs, info, true, nil
-}
-
-// findFanout runs the find pipeline — probe, snapshot, validate —
-// per shard on the worker pool and merges the matches.
-func (s *Store) findFanout(ctx context.Context, p *engine.Plan, terms []uint64, indexed bool, tr *trace.Trace) ([]string, execInfo, error) {
-	if pairs, info, ok, err := s.lowShardBatch(terms, indexed, tr); ok {
-		if err != nil {
-			return nil, info, err
-		}
-		sp := tr.Start(tr.Root(), "eval")
-		verdicts, err := s.eng.ValidateBatchBoundedCtx(ctx, p, candidateTrees(pairs), info.workers)
-		if err != nil {
-			return nil, info, err
-		}
-		ids := make([]string, 0, len(pairs))
-		for i, match := range verdicts {
-			if match {
-				ids = append(ids, pairs[i].id)
-			}
-		}
-		if sp != trace.None {
-			tr.Attr(sp, "docs", int64(len(pairs)))
-			tr.Attr(sp, "matches", int64(len(ids)))
-			tr.End(sp)
-		}
-		msp := tr.Start(tr.Root(), "merge")
-		sort.Strings(ids)
-		tr.Attr(msp, "results", int64(len(ids)))
-		tr.End(msp)
-		return ids, info, nil
-	}
-	perShard := make([][]string, len(s.shards))
-	var candidates, steps atomic.Int64
-	workers, err := s.fanOut(ctx, func(i int) error {
-		pairs, st, cerr := s.shards[i].collectCandidates(terms, indexed, nil, tr, i)
-		if cerr != nil {
-			return cerr
-		}
-		candidates.Add(int64(len(pairs)))
-		steps.Add(int64(st))
-		sp := trace.None
-		if tr != nil {
-			sp = tr.Start(tr.Root(), "eval")
-			tr.Attr(sp, "shard", int64(i))
-		}
-		var ids []string
-		for di, pair := range pairs {
-			if ctx != nil && di&(batchCancelDocs-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			ok, verr := s.eng.ValidateCtx(ctx, p, pair.tree)
-			if verr != nil {
-				return verr
-			}
-			if ok {
-				ids = append(ids, pair.id)
-			}
-		}
-		if sp != trace.None {
-			tr.Attr(sp, "docs", int64(len(pairs)))
-			tr.Attr(sp, "matches", int64(len(ids)))
-			tr.End(sp)
-		}
-		perShard[i] = ids
-		return nil
-	})
-	info := execInfo{workers: workers, steps: uint64(steps.Load()), candidates: int(candidates.Load())}
-	if err != nil {
-		return nil, info, err
-	}
-	msp := tr.Start(tr.Root(), "merge")
-	total := 0
-	for _, ids := range perShard {
-		total += len(ids)
-	}
-	out := make([]string, 0, total)
-	for _, ids := range perShard {
-		out = append(out, ids...)
-	}
-	sort.Strings(out)
-	tr.Attr(msp, "results", int64(len(out)))
-	tr.End(msp)
-	return out, info, nil
-}
-
-// runSelect is runFind's node-selection counterpart.
-func (s *Store) runSelect(ctx context.Context, p *engine.Plan, tr *trace.Trace) ([]Selection, QueryPlan, execInfo, error) {
-	if verdict, ok := s.semanticEmpty(p); ok {
-		return nil, s.semanticPlan(verdict, tr), execInfo{}, nil
-	}
-	sp := tr.Start(tr.Root(), "plan")
-	plan := s.planFacts(p.SelectFacts(), s.prunedFor(p))
-	annotatePlanSpan(tr, sp, &plan)
-	tr.End(sp)
-	sels, info, err := s.selectFanout(ctx, p, plan.probeTerms, plan.Access == AccessIndex, tr)
-	return sels, plan, info, err
-}
-
-// Select runs the plan's node-selection semantics (engine.Eval) over
-// the collection and returns, per document with at least one selected
-// node, the selected node IDs in evaluation order. Results are sorted
-// by document ID; like Find, evaluation fans out per shard and the
-// merge is deterministic. The planner consults the plan's select
-// facts, which exist only for root-anchored selection (JSONPath); all
-// other plans scan. The returned indexed flag reports the chosen
-// access path.
-func (s *Store) Select(p *engine.Plan) (sels []Selection, indexed bool, err error) {
-	return s.SelectTraced(nil, p, nil)
-}
-
-// SelectTraced is Select recording the pipeline's spans on tr and
-// honouring ctx; nil tr is the untraced fast path, nil ctx disables
-// cancellation (see FindTraced).
-func (s *Store) SelectTraced(ctx context.Context, p *engine.Plan, tr *trace.Trace) (sels []Selection, indexed bool, err error) {
-	sels, plan, info, err := s.runSelect(ctx, p, tr)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		s.cancellations.Add(1)
-	}
-	if plan.Access == AccessSemantic {
-		s.semShortCircuits.Add(1)
-		return sels, false, err
-	}
-	s.notePlan(&plan)
-	indexed = plan.Access == AccessIndex
-	if indexed {
-		s.selectIndexed.Add(1)
-	} else {
-		s.selectScan.Add(1)
-	}
-	s.noteFanout(info.workers, info.steps)
-	s.noteCandidates(true, indexed, info.candidates)
-	return sels, indexed, err
-}
-
-// SelectScan is Select with the planner and index disabled.
-func (s *Store) SelectScan(p *engine.Plan) ([]Selection, error) {
-	s.selectScan.Add(1)
-	sels, info, err := s.selectFanout(nil, p, nil, false, nil)
-	s.noteFanout(info.workers, info.steps)
-	s.noteCandidates(true, false, info.candidates)
-	return sels, err
-}
-
-// selectFanout is findFanout's node-selection counterpart. Each worker
-// evaluates through a reused node buffer (engine.EvalAppend), copying
-// only the per-document selections that are actually returned.
-func (s *Store) selectFanout(ctx context.Context, p *engine.Plan, terms []uint64, indexed bool, tr *trace.Trace) ([]Selection, execInfo, error) {
-	if pairs, info, ok, err := s.lowShardBatch(terms, indexed, tr); ok {
-		if err != nil {
-			return nil, info, err
-		}
-		sp := tr.Start(tr.Root(), "eval")
-		selections, err := s.eng.EvalBatchBoundedCtx(ctx, p, candidateTrees(pairs), info.workers)
-		if err != nil {
-			return nil, info, err
-		}
-		out := make([]Selection, 0, len(pairs))
-		for i, nodes := range selections {
-			if len(nodes) > 0 {
-				out = append(out, Selection{ID: pairs[i].id, Tree: pairs[i].tree, Nodes: nodes})
-			}
-		}
-		if sp != trace.None {
-			tr.Attr(sp, "docs", int64(len(pairs)))
-			tr.Attr(sp, "matches", int64(len(out)))
-			tr.End(sp)
-		}
-		msp := tr.Start(tr.Root(), "merge")
+		return kept, buf, err
+	},
+	sort: func(out []Selection) {
 		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-		tr.Attr(msp, "results", int64(len(out)))
-		tr.End(msp)
-		return out, info, nil
+	},
+}
+
+// forcedScan is the access plan of FindScan and SelectScan: every
+// document, no semantic short-circuit, no planner.
+var forcedScan = QueryPlan{Access: AccessScan, Reason: "forced scan"}
+
+// run is the one query pipeline: semantic short-circuit, access plan,
+// per-shard probe and evaluation on the bounded worker pool, sorted
+// merge — recording spans on tr (which may be nil) and honouring a
+// non-nil ctx, whose first error aborts the fan-out with whatever
+// spans were recorded so far. A non-nil forced replaces the first two
+// stages with the caller's access plan (the reference scans; the
+// planner benchmarks' forced index). The merge is sorted by document
+// ID, so the result is deterministic whatever the interleaving. run
+// touches no counter; see account.
+func run[R any](ctx context.Context, s *Store, p *engine.Plan, tr *trace.Trace, forced *QueryPlan, c collector[R]) ([]R, QueryPlan, execInfo, error) {
+	var plan QueryPlan
+	if forced != nil {
+		plan = *forced
+	} else if plan = s.accessPlan(p, c.facts(p), tr); plan.Access == AccessSemantic {
+		return nil, plan, execInfo{}, nil
 	}
-	perShard := make([][]Selection, len(s.shards))
+	perShard := make([][]R, len(s.shards))
 	var candidates, steps atomic.Int64
 	workers, err := s.fanOut(ctx, func(i int) error {
-		pairs, st, cerr := s.shards[i].collectCandidates(terms, indexed, nil, tr, i)
-		if cerr != nil {
-			return cerr
+		pairs, st, err := s.shards[i].collectCandidates(plan.probeTerms, plan.Access == AccessIndex, tr, i)
+		if err != nil {
+			return err
 		}
 		candidates.Add(int64(len(pairs)))
 		steps.Add(int64(st))
-		sp := trace.None
-		if tr != nil {
-			sp = tr.Start(tr.Root(), "eval")
-			tr.Attr(sp, "shard", int64(i))
-		}
+		sp := tr.Start(tr.Root(), "eval")
+		tr.Attr(sp, "shard", int64(i))
 		var (
-			sels []Selection
+			kept []R
 			buf  []jsontree.NodeID
 		)
 		for di, pair := range pairs {
@@ -588,90 +336,46 @@ func (s *Store) selectFanout(ctx context.Context, p *engine.Plan, terms []uint64
 					return err
 				}
 			}
-			var verr error
-			buf, verr = s.eng.EvalAppendCtx(ctx, p, pair.tree, buf[:0])
-			if verr != nil {
-				return verr
-			}
-			if len(buf) > 0 {
-				nodes := make([]jsontree.NodeID, len(buf))
-				copy(nodes, buf)
-				sels = append(sels, Selection{ID: pair.id, Tree: pair.tree, Nodes: nodes})
+			if kept, buf, err = c.collect(ctx, s.eng, p, pair, kept, buf); err != nil {
+				return err
 			}
 		}
-		if sp != trace.None {
-			tr.Attr(sp, "docs", int64(len(pairs)))
-			tr.Attr(sp, "matches", int64(len(sels)))
-			tr.End(sp)
-		}
-		perShard[i] = sels
+		tr.Attr(sp, "docs", int64(len(pairs)))
+		tr.Attr(sp, "matches", int64(len(kept)))
+		tr.End(sp)
+		perShard[i] = kept
 		return nil
 	})
 	info := execInfo{workers: workers, steps: uint64(steps.Load()), candidates: int(candidates.Load())}
 	if err != nil {
-		return nil, info, err
+		return nil, plan, info, err
 	}
 	msp := tr.Start(tr.Root(), "merge")
-	total := 0
-	for _, sels := range perShard {
-		total += len(sels)
+	out := slices.Concat(perShard...)
+	if out == nil {
+		out = []R{} // an empty answer renders as [], not null
 	}
-	out := make([]Selection, 0, total)
-	for _, sels := range perShard {
-		out = append(out, sels...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	c.sort(out)
 	tr.Attr(msp, "results", int64(len(out)))
 	tr.End(msp)
-	return out, info, nil
+	return out, plan, info, nil
 }
 
-// findOver evaluates the plan's boolean semantics over an
-// already-collected candidate snapshot — the serial tail the
-// forced-access benchmarks use (the production path is findFanout).
-func (s *Store) findOver(p *engine.Plan, pairs []docPair) ([]string, error) {
-	verdicts, err := s.eng.ValidateBatch(p, candidateTrees(pairs))
-	if err != nil {
-		return nil, err
+// account is the single counter tail of every counted query: the
+// cancellation, the planner's verdict, the fan-out's parallelism and
+// intersection work, and the access path with its candidate-set size
+// (totals per path, plus a per-query histogram for indexed queries —
+// a scan's candidate count is just the collection size).
+func (s *Store) account(sel bool, plan *QueryPlan, info execInfo, err error) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		s.cancellations.Add(1)
 	}
-	ids := make([]string, 0, len(pairs))
-	for i, ok := range verdicts {
-		if ok {
-			ids = append(ids, pairs[i].id)
-		}
+	if plan.Access == AccessSemantic {
+		// A compile-time proof answered the query: nothing was probed,
+		// scanned or evaluated, so none of the execution counters apply.
+		s.semShortCircuits.Add(1)
+		return
 	}
-	sort.Strings(ids)
-	return ids, nil
-}
-
-// selOver is findOver's node-selection counterpart.
-func (s *Store) selOver(p *engine.Plan, pairs []docPair) ([]Selection, error) {
-	selections, err := s.eng.EvalBatch(p, candidateTrees(pairs))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Selection, 0, len(pairs))
-	for i, nodes := range selections {
-		if len(nodes) > 0 {
-			out = append(out, Selection{ID: pairs[i].id, Tree: pairs[i].tree, Nodes: nodes})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
-}
-
-// candidateTrees projects a candidate snapshot onto the tree slice the
-// engine's batch entry points take.
-func candidateTrees(pairs []docPair) []*jsontree.Tree {
-	trees := make([]*jsontree.Tree, len(pairs))
-	for i, pair := range pairs {
-		trees[i] = pair.tree
-	}
-	return trees
-}
-
-// notePlan records the planner's verdict in the query counters.
-func (s *Store) notePlan(plan *QueryPlan) {
 	if plan.Access == AccessScan && len(plan.Terms) > 0 {
 		s.plannerScan.Add(1)
 	}
@@ -681,22 +385,90 @@ func (s *Store) notePlan(plan *QueryPlan) {
 	if plan.prunedTerms > 0 {
 		s.termsPruned.Add(uint64(plan.prunedTerms))
 	}
+	if info.workers > 1 {
+		s.parallelQueries.Add(1)
+	} else {
+		s.serialQueries.Add(1)
+	}
+	s.fanoutWorkers.Observe(info.workers)
+	if info.steps > 0 {
+		s.intersectionSteps.Add(info.steps)
+	}
+	switch indexed := plan.Access == AccessIndex; {
+	case indexed && sel:
+		s.selectIndexed.Add(1)
+		s.selectCandidates.Observe(info.candidates)
+	case indexed:
+		s.findIndexed.Add(1)
+		s.findCandidates.Observe(info.candidates)
+	case sel:
+		s.selectScan.Add(1)
+	default:
+		s.findScan.Add(1)
+	}
+	if plan.Access == AccessIndex {
+		s.candidateDocs.Add(uint64(info.candidates))
+	} else {
+		s.scannedDocs.Add(uint64(info.candidates))
+	}
 }
 
-// noteCandidates records one query's candidate-set size: totals per
-// access path, plus a per-query histogram for indexed queries (a
-// scan's candidate count is just the collection size).
-func (s *Store) noteCandidates(sel, indexed bool, n int) {
-	if !indexed {
-		s.scannedDocs.Add(uint64(n))
-		return
-	}
-	s.candidateDocs.Add(uint64(n))
-	if sel {
-		s.selectCandidates.Observe(n)
-	} else {
-		s.findCandidates.Observe(n)
-	}
+// query is run plus account: what every public entry point except
+// Explain executes. The returned flag reports whether the index
+// answered the query.
+func query[R any](ctx context.Context, s *Store, p *engine.Plan, tr *trace.Trace, forced *QueryPlan, c collector[R]) ([]R, bool, error) {
+	out, plan, info, err := run(ctx, s, p, tr, forced, c)
+	s.account(c.sel, &plan, info, err)
+	return out, plan.Access == AccessIndex, err
+}
+
+// Find returns the IDs of all documents matching the plan's boolean
+// semantics (engine.Validate), sorted. The cost-based planner decides
+// per query between posting-list intersection and a full scan; results
+// are identical either way — the plan's facts are necessary conditions
+// of matching. The returned indexed flag reports which access path
+// answered the query.
+func (s *Store) Find(p *engine.Plan) (ids []string, indexed bool, err error) {
+	return query(nil, s, p, nil, nil, findCollector)
+}
+
+// FindTraced is Find recording the pipeline's spans on tr and
+// honouring ctx. A nil tr reduces the recorder calls to nil checks; a
+// nil ctx is never polled. With a non-nil ctx, evaluation checkpoints
+// cooperatively and the first ctx error aborts the query, returning
+// ctx.Err().
+func (s *Store) FindTraced(ctx context.Context, p *engine.Plan, tr *trace.Trace) (ids []string, indexed bool, err error) {
+	return query(ctx, s, p, tr, nil, findCollector)
+}
+
+// FindScan is Find with the planner, the semantic short-circuit and
+// the index disabled: the reference full scan the differential tests
+// compare against.
+func (s *Store) FindScan(p *engine.Plan) ([]string, error) {
+	ids, _, err := query(nil, s, p, nil, &forcedScan, findCollector)
+	return ids, err
+}
+
+// Select runs the plan's node-selection semantics (engine.Eval) over
+// the collection and returns, per document with at least one selected
+// node, the selected node IDs in evaluation order, sorted by document
+// ID. The planner consults the plan's select facts, which exist only
+// for root-anchored selection (JSONPath); all other plans scan. The
+// returned indexed flag reports the chosen access path.
+func (s *Store) Select(p *engine.Plan) (sels []Selection, indexed bool, err error) {
+	return query(nil, s, p, nil, nil, selectCollector)
+}
+
+// SelectTraced is Select recording the pipeline's spans on tr and
+// honouring ctx (see FindTraced).
+func (s *Store) SelectTraced(ctx context.Context, p *engine.Plan, tr *trace.Trace) (sels []Selection, indexed bool, err error) {
+	return query(ctx, s, p, tr, nil, selectCollector)
+}
+
+// SelectScan is Select with the planner and index disabled.
+func (s *Store) SelectScan(p *engine.Plan) ([]Selection, error) {
+	sels, _, err := query(nil, s, p, nil, &forcedScan, selectCollector)
+	return sels, err
 }
 
 // Explanation is the full story of one query against this store: the
@@ -735,14 +507,14 @@ type Explanation struct {
 // Explain plans and executes the query in the given mode ("find" or
 // "select") under an always-armed trace recorder, reporting the
 // logical and physical trees, estimated and actual cardinalities, and
-// the recorded per-stage span tree. It runs the real fan-out pipeline
-// (runFind/runSelect — exactly what Find and Select execute) but does
-// not disturb the store's query counters.
+// the recorded per-stage span tree. It runs the real pipeline (run —
+// exactly what Find and Select execute) but does not disturb the
+// store's query counters.
 func (s *Store) Explain(ctx context.Context, p *engine.Plan, mode string) (Explanation, error) {
 	switch mode {
-	case "", "find":
+	case "":
 		mode = "find"
-	case "select":
+	case "find", "select":
 	default:
 		return Explanation{}, fmt.Errorf("store: explain: unknown mode %q", mode)
 	}
@@ -752,19 +524,19 @@ func (s *Store) Explain(ctx context.Context, p *engine.Plan, mode string) (Expla
 		plan    QueryPlan
 		info    execInfo
 		results int
+		err     error
 	)
 	if mode == "find" {
-		ids, pl, inf, err := s.runFind(ctx, p, tr)
-		if err != nil {
-			return Explanation{}, err
-		}
-		plan, info, results = pl, inf, len(ids)
+		var ids []string
+		ids, plan, info, err = run(ctx, s, p, tr, nil, findCollector)
+		results = len(ids)
 	} else {
-		sels, pl, inf, err := s.runSelect(ctx, p, tr)
-		if err != nil {
-			return Explanation{}, err
-		}
-		plan, info, results = pl, inf, len(sels)
+		var sels []Selection
+		sels, plan, info, err = run(ctx, s, p, tr, nil, selectCollector)
+		results = len(sels)
+	}
+	if err != nil {
+		return Explanation{}, err
 	}
 	for i := range plan.Terms {
 		plan.Terms[i].Classes = s.ClassHistogram(plan.Terms[i].steps).Map()

@@ -7,15 +7,17 @@ package store
 // the allocation pin on the compressed probe path.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"jsonlogic/internal/engine"
 	"jsonlogic/internal/gen"
-	"jsonlogic/internal/jsontree"
 )
 
 // measureAllocs reports steady-state allocations per call with GC
@@ -144,77 +146,80 @@ func TestSegmentCrashMatrix(t *testing.T) {
 	})
 }
 
-// TestSegmentLegacySnapshotCompat: a directory whose base is a legacy
-// snap-*.snap (written by a pre-segment build) still opens — via the
-// slow replay path — and the next Snapshot converts the shard to a
-// segment and removes the snapshot.
-func TestSegmentLegacySnapshotCompat(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Shards: 1, DataDir: dir, Fsync: FsyncAlways, SnapshotEvery: -1}
-	s := openDurable(t, opts)
-	ref := New(Options{Shards: 1})
-	base := make(map[string]*jsontree.Tree)
-	for i := 0; i < 30; i++ {
-		id := fmt.Sprintf("k%02d", i)
-		doc := fmt.Sprintf(`{"i":%d,"k":"v%d"}`, i, i%5)
-		if err := s.Put(id, doc); err != nil {
+// TestSegmentLegacySnapshotRefused: this build no longer reads the
+// snap-*.snap record streams pre-segment builds wrote. A shard whose
+// newest usable base would be one must fail Open with the specific
+// conversion error — opening without it would silently drop every
+// document only that file holds — while a stale one below a valid
+// segment is harmless and goes with the next compaction.
+func TestSegmentLegacySnapshotRefused(t *testing.T) {
+	seed := func(t *testing.T) (Options, string) {
+		opts := Options{Shards: 1, DataDir: t.TempDir(), Fsync: FsyncAlways, SnapshotEvery: -1}
+		s := openDurable(t, opts)
+		for i := 0; i < 30; i++ {
+			if err := s.Put(fmt.Sprintf("k%02d", i), fmt.Sprintf(`{"i":%d}`, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Snapshot(); err != nil { // seg-1 + wal-1
 			t.Fatal(err)
 		}
-		ref.Put(id, doc)
-		tr, err := jsontree.Parse(doc)
-		if err != nil {
+		if err := s.Put("late", `{"late":1}`); err != nil { // a WAL tail past the base
 			t.Fatal(err)
 		}
-		base[id] = tr
+		sd := s.dur.shardDir(0)
+		s.crashForTest()
+		return opts, sd
 	}
-	if err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 30; i < 35; i++ { // a WAL tail past the base
-		id := fmt.Sprintf("k%02d", i)
-		if err := s.Put(id, `{"late":1}`); err != nil {
+	legacy := func(t *testing.T, sd string, gen int) string {
+		path := filepath.Join(sd, fmt.Sprintf("snap-%010d.snap", gen))
+		if err := os.WriteFile(path, []byte("JLSNAP1\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ref.Put(id, `{"late":1}`)
+		return path
 	}
-	sd := s.dur.shardDir(0)
-	s.crashForTest()
-
-	// Rewrite generation 1 in the legacy layout and drop the segment:
-	// exactly what a directory written by an older build looks like.
-	if err := writeSnapshot(osFS{}, sd, 1, base, 0); err != nil {
-		t.Fatal(err)
+	refused := func(t *testing.T, opts Options) {
+		t.Helper()
+		s, err := Open(opts)
+		if err == nil {
+			s.Close()
+			t.Fatal("Open succeeded over a legacy snapshot base")
+		}
+		if !errors.Is(err, errLegacySnapshot) || !strings.Contains(err.Error(), "legacy snapshot, convert with a pre-segment build") {
+			t.Fatalf("Open error = %v, want the legacy-snapshot conversion error", err)
+		}
 	}
-	if err := os.Remove(segFilePath(sd, 1)); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openDurable(t, opts)
-	rs := s2.Stats().Durability.Recovery
-	if rs.SnapshotsLoaded != 1 || rs.SegmentsMapped != 0 || rs.SnapshotDocs != 30 {
-		t.Fatalf("recovery stats = %+v, want the legacy snapshot loaded", rs)
-	}
-	compareStores(t, s2, ref)
-
-	// The next snapshot upgrades the shard to the segment layout.
-	if err := s2.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(segFilePath(sd, 2)); err != nil {
-		t.Fatalf("conversion did not produce a segment: %v", err)
-	}
-	if _, err := os.Stat(snapFilePath(sd, 1)); !os.IsNotExist(err) {
-		t.Fatal("legacy snapshot survived its conversion")
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3 := openDurable(t, opts)
-	defer s3.Close()
-	if rs := s3.Stats().Durability.Recovery; rs.SegmentsMapped != 1 {
-		t.Fatalf("recovery stats = %+v, want the converted segment mapped", rs)
-	}
-	compareStores(t, s3, ref)
+	t.Run("newest base is legacy", func(t *testing.T) {
+		opts, sd := seed(t)
+		legacy(t, sd, 1)
+		if err := os.Remove(segFilePath(sd, 1)); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, opts)
+	})
+	t.Run("corrupt segment falls back onto legacy", func(t *testing.T) {
+		opts, sd := seed(t)
+		legacy(t, sd, 1)
+		if err := os.WriteFile(segFilePath(sd, 1), []byte("not a segment"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, opts)
+	})
+	t.Run("stale legacy below a valid segment", func(t *testing.T) {
+		opts, sd := seed(t)
+		stale := legacy(t, sd, 0)
+		s := openDurable(t, opts)
+		defer s.Close()
+		if rs := s.Stats().Durability.Recovery; rs.SegmentsMapped != 1 || s.Len() != 31 {
+			t.Fatalf("recovery stats = %+v, len %d; want the segment mapped over the stale snapshot", rs, s.Len())
+		}
+		if err := s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(stale); !os.IsNotExist(err) {
+			t.Fatal("stale legacy snapshot survived the next compaction")
+		}
+	})
 }
 
 // TestSegmentDifferentialChurn is the tier-boundary differential:

@@ -131,6 +131,14 @@ type Store struct {
 	cancellations atomic.Uint64
 }
 
+// MetricsHistograms exposes the store's live per-query histograms for
+// scraping — the same counters Stats snapshots, but as histogram
+// handles the Prometheus exposition can render with cumulative
+// buckets and sums.
+func (s *Store) MetricsHistograms() (findCandidates, selectCandidates, fanoutWorkers *metrics.Histogram) {
+	return &s.findCandidates, &s.selectCandidates, &s.fanoutWorkers
+}
+
 // shard owns a partition of the documents: a mutable memtable (the
 // pathIndex — dictionary plus inverted index) layered over an
 // immutable mmap'd segment. The two tiers are disjoint by invariant —
@@ -562,15 +570,15 @@ type QueryStats struct {
 	// FindCandidates / SelectCandidates are per-query histograms of
 	// candidate-set sizes on indexed queries, replacing the old single
 	// running counter as the pruning-power signal.
-	FindCandidates   []HistogramBucket `json:"find_candidates,omitempty"`
-	SelectCandidates []HistogramBucket `json:"select_candidates,omitempty"`
+	FindCandidates   []metrics.Bucket `json:"find_candidates,omitempty"`
+	SelectCandidates []metrics.Bucket `json:"select_candidates,omitempty"`
 	// ParallelQueries / SerialQueries split queries by whether the
 	// shard fan-out ran on more than one worker; FanoutWorkers is the
 	// per-query histogram of workers actually used (bounded by
 	// Options.QueryWorkers and the shard count).
-	ParallelQueries uint64            `json:"parallel_queries"`
-	SerialQueries   uint64            `json:"serial_queries"`
-	FanoutWorkers   []HistogramBucket `json:"fanout_workers,omitempty"`
+	ParallelQueries uint64           `json:"parallel_queries"`
+	SerialQueries   uint64           `json:"serial_queries"`
+	FanoutWorkers   []metrics.Bucket `json:"fanout_workers,omitempty"`
 	// IntersectionSteps totals the posting-list merge steps (element
 	// comparisons and gallop probes) taken by indexed queries — the
 	// work the dictionary-encoded intersection actually performs, per

@@ -3,7 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"jsonlogic/internal/engine"
@@ -290,52 +292,97 @@ func TestDeepFactPartialPruning(t *testing.T) {
 	}
 }
 
-// TestLowShardBatchFallback pins the worker-budget fallback: with
-// fewer shards than query workers, Find/Select route through the
-// engine's per-document batch pool (shard fan-out could not use the
-// budget) and must return exactly the per-shard path's results, with
-// every query still accounted in the fan-out counters.
-func TestLowShardBatchFallback(t *testing.T) {
-	batch := New(Options{Shards: 1, QueryWorkers: 8})
+// TestFewShardsManyWorkers: a worker budget above the shard count is
+// simply capped by it — there is one fan-out, no side path. A 1-shard
+// store with QueryWorkers 8 must answer, and account, exactly like the
+// same store with QueryWorkers 1.
+func TestFewShardsManyWorkers(t *testing.T) {
+	wide := New(Options{Shards: 1, QueryWorkers: 8})
 	ref := New(Options{Shards: 1, QueryWorkers: 1})
 	for i := 0; i < 40; i++ {
 		doc := fmt.Sprintf(`{"g":"g%d","n":%d}`, i%4, i)
-		for _, s := range []*Store{batch, ref} {
+		for _, s := range []*Store{wide, ref} {
 			if err := s.Put(fmt.Sprintf("d%02d", i), doc); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	queries := 0
 	for _, src := range []string{`{"g":"g1","n":{"$lte":20}}`, `{"n":{"$gte":0}}`} {
-		p, err := batch.Engine().Compile(engine.LangMongoFind, src)
+		p, err := wide.Engine().Compile(engine.LangMongoFind, src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := batch.Find(p)
+		got, gotIndexed, err := wide.Find(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := ref.Find(p)
+		want, wantIndexed, err := ref.Find(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameIDs(got, want) {
-			t.Fatalf("batch fallback Find(%s) = %v, per-shard path = %v", src, got, want)
+		if !sameIDs(got, want) || gotIndexed != wantIndexed {
+			t.Fatalf("Find(%s): 8 workers = %v (indexed %v), 1 worker = %v (indexed %v)", src, got, gotIndexed, want, wantIndexed)
 		}
-		scan, err := batch.FindScan(p)
+		gotSels, _, err := wide.Select(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameIDs(got, scan) {
-			t.Fatalf("batch fallback Find(%s) = %v, scan = %v", src, got, scan)
+		wantSels, _, err := ref.Select(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		queries += 2 // Find + FindScan on batch
+		if !sameSelections(gotSels, wantSels) {
+			t.Fatalf("Select(%s): 8 workers = %d selections, 1 worker = %d", src, len(gotSels), len(wantSels))
+		}
+		for _, s := range []*Store{wide, ref} {
+			scan, err := s.FindScan(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameIDs(got, scan) {
+				t.Fatalf("Find(%s) = %v, scan = %v", src, got, scan)
+			}
+		}
 	}
-	q := batch.Stats().Queries
-	if q.ParallelQueries+q.SerialQueries != uint64(queries) {
-		t.Fatalf("fan-out counters cover %d queries, ran %d: %+v",
-			q.ParallelQueries+q.SerialQueries, queries, q)
+	gq, wq := wide.Stats().Queries, ref.Stats().Queries
+	if gq.ParallelQueries != 0 || gq.SerialQueries != 6 {
+		t.Fatalf("fan-out counters = %d parallel / %d serial, want all 6 queries serial (one shard)", gq.ParallelQueries, gq.SerialQueries)
+	}
+	if !reflect.DeepEqual(gq, wq) {
+		t.Fatalf("query counters diverge:\n 8 workers: %+v\n 1 worker:  %+v", gq, wq)
+	}
+}
+
+// TestFanOutStopsAfterFailure: once a shard task has failed, no worker
+// starts another shard — the serial loop and the parallel workers obey
+// the same rule. Shards 0 and 1 succeed and every later one fails (the
+// injected fault), so a worker's first failure is its last task: the
+// serial fan-out runs exactly shards 0..2, and W parallel workers can
+// start at most W failing shards after the two good ones.
+func TestFanOutStopsAfterFailure(t *testing.T) {
+	const shards, good = 16, 2
+	boom := errors.New("injected shard failure")
+	for _, workers := range []int{1, 4} {
+		s := New(Options{Shards: shards, QueryWorkers: workers})
+		var started [shards]atomic.Bool
+		ran, err := s.fanOut(nil, func(i int) error {
+			started[i].Store(true)
+			if i < good {
+				return nil
+			}
+			return boom
+		})
+		if !errors.Is(err, boom) || ran != workers {
+			t.Fatalf("workers=%d: fanOut = (%d, %v), want (%d, the injected failure)", workers, ran, err, workers)
+		}
+		for i := range started {
+			switch on := started[i].Load(); {
+			case on && i >= good+workers:
+				t.Errorf("workers=%d: shard %d was started after a failure was recorded", workers, i)
+			case !on && i <= good && workers == 1:
+				t.Errorf("workers=1: shard %d never ran; the serial fan-out must reach the failing shard", i)
+			}
+		}
 	}
 }
 
