@@ -8,9 +8,9 @@ BENCH_JSON ?= BENCH_8.json
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= $(BENCH_JSON)
 
-.PHONY: all build vet fmt-check test race race-core alloc-check chaos fuzz bench bench-engine bench-store bench-smoke bench-json bench-diff benchmark-check docs-check loc run-daemon loadtest-smoke loadgrid
+.PHONY: all build vet fmt-check test race race-core alloc-check chaos fuzz bench bench-engine bench-store bench-smoke bench-json bench-diff benchmark-check docs-check deps-check loc run-daemon loadtest-smoke loadgrid
 
-all: vet fmt-check build test docs-check
+all: vet fmt-check build test docs-check deps-check
 
 build:
 	$(GO) build ./...
@@ -44,8 +44,9 @@ race-core:
 # at zero allocations, with no context and with context.Background() —
 # the one the daemon passes), the untraced compile path — including
 # cache-hit compiles with the semantic pass enabled — the
-# disabled/pooled trace recorder, and the store's steady-state segment
-# probe. The
+# disabled/pooled trace recorder, the store's steady-state segment
+# probe, and the durable write path (PutTree: index insert plus one WAL
+# frame rendered straight from the tree arena). The
 # theory packages are included so any future alloc pins there are
 # picked up without editing this target.
 # -count=1 defeats the test cache so the numbers are measured, not
@@ -69,10 +70,13 @@ chaos:
 # witness-soundness targets for the semantic planner's decision
 # procedures (a SAT witness must satisfy the query through the real
 # engine; containment refutations must separate the pair under the
-# production evaluator), and the segment posting-list codec (round-
-# trip fidelity; hostile bytes must error, never panic or over-read).
+# production evaluator), the segment posting-list codec (round-
+# trip fidelity; hostile bytes must error, never panic or over-read),
+# and the two ingest parsers (jsontree.Parse and the tokenizer→Builder
+# route accept the same documents and build the same trees).
 fuzz:
 	$(GO) test ./internal/engine/ -run FuzzPlanCache -fuzz FuzzPlanCache -fuzztime 20s
+	$(GO) test ./internal/engine/ -run FuzzParsersAgree -fuzz FuzzParsersAgree -fuzztime 20s
 	$(GO) test ./internal/jauto/ -run FuzzJNLSat -fuzz FuzzJNLSat -fuzztime 30s
 	$(GO) test ./internal/containment/ -run FuzzContainment -fuzz FuzzContainment -fuzztime 30s
 	$(GO) test ./internal/store/ -run FuzzPostingsCodec -fuzz FuzzPostingsCodec -fuzztime 20s
@@ -113,6 +117,12 @@ loc:
 # resolve, and every package (including examples/) compiles via vet.
 docs-check:
 	sh scripts/docs-check.sh
+
+# Fences around the serving binary: jsonstored's import graph stays
+# clear of the research-only packages, and the store and the HTTP
+# layer render trees only through the one encoder.
+deps-check:
+	sh scripts/deps-check.sh
 
 # Run the daemon durably against a throwaway data directory — the
 # quickest way to poke the HTTP API (and kill-and-recover: rerun with

@@ -46,7 +46,6 @@
 //	           [-query-workers N] [-data-dir DIR]
 //	           [-fsync always|interval|off] [-fsync-interval 100ms]
 //	           [-snapshot-every 10000]
-//	           [-segment-block-size 128] [-segment-no-mmap]
 //	           [-schema FILE] [-semantic-budget 50000]
 //	           [-slow-query 200ms] [-trace-sample N] [-trace-ring 64]
 //	           [-query-timeout 0] [-max-concurrent-queries 0]
@@ -113,8 +112,6 @@ func main() {
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval or off")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "sync period under -fsync interval")
 	snapshotEvery := flag.Int("snapshot-every", 10000, "snapshot a shard once its WAL segment holds this many records (negative: manual snapshots only)")
-	segmentBlockSize := flag.Int("segment-block-size", 0, "ordinals per compressed posting block in segment files (0: default 128)")
-	segmentNoMmap := flag.Bool("segment-no-mmap", false, "read segment files into the heap instead of mmap'ing them")
 	slowQuery := flag.Duration("slow-query", 200*time.Millisecond, "slow-query threshold: queries at or over it are traced, logged and kept in /debug/queries (0: every query; negative: disabled)")
 	traceSample := flag.Int("trace-sample", 0, "additionally trace 1 in N queries (0: no sampling)")
 	traceRing := flag.Int("trace-ring", trace.DefaultRingSize, "kept traces retained for /debug/queries")
@@ -177,18 +174,16 @@ func main() {
 		Schema:         schemaInfo,
 	})
 	opts := store.Options{
-		Shards:           *shards,
-		MaxIndexDepth:    *indexDepth,
-		Engine:           eng,
-		QueryWorkers:     *queryWorkers,
-		DataDir:          *dataDir,
-		Fsync:            policy,
-		FsyncInterval:    *fsyncInterval,
-		SnapshotEvery:    *snapshotEvery,
-		SegmentBlockSize: *segmentBlockSize,
-		SegmentNoMmap:    *segmentNoMmap,
-		Schema:           schemaInfo,
-		DegradedRetry:    *degradedRetry,
+		Shards:        *shards,
+		MaxIndexDepth: *indexDepth,
+		Engine:        eng,
+		QueryWorkers:  *queryWorkers,
+		DataDir:       *dataDir,
+		Fsync:         policy,
+		FsyncInterval: *fsyncInterval,
+		SnapshotEvery: *snapshotEvery,
+		Schema:        schemaInfo,
+		DegradedRetry: *degradedRetry,
 	}
 	var st *store.Store
 	if *dataDir == "" {

@@ -490,6 +490,7 @@ func (s *server) query(w http.ResponseWriter, r *http.Request) {
 			Values []string `json:"values,omitempty"`
 		}
 		out := make([]docSelection, len(sels))
+		var buf []byte // one rendered value at a time, reused
 		for i, sel := range sels {
 			ds := docSelection{ID: sel.ID, Nodes: make([]int, len(sel.Nodes))}
 			for j, n := range sel.Nodes {
@@ -501,7 +502,8 @@ func (s *server) query(w http.ResponseWriter, r *http.Request) {
 				// have been replaced concurrently.
 				ds.Values = make([]string, len(sel.Nodes))
 				for j, n := range sel.Nodes {
-					ds.Values[j] = sel.Tree.Value(n).String()
+					buf = sel.Tree.AppendJSON(buf[:0], n)
+					ds.Values[j] = string(buf)
 				}
 			}
 			out[i] = ds

@@ -90,3 +90,26 @@ func TestGetDocStreams(t *testing.T) {
 		t.Fatalf("content type = %q", ct)
 	}
 }
+
+// TestDeepNestingIs400 pins the bugfix for hostile nesting on every
+// route that takes a document: a few megabytes of '[' must answer 400
+// — /validate's inline doc used to recurse once per bracket until the
+// goroutine stack overflowed, a fatal error that killed the daemon —
+// and the server must still be serving afterwards.
+func TestDeepNestingIs400(t *testing.T) {
+	ts := newTestServer(t)
+	deep := strings.Repeat("[", 4_000_000)
+	for _, rt := range []struct{ name, method, path, body string }{
+		{"validate-deep", "POST", "/validate", `{"lang":"jsl","query":"array","doc":"` + deep + `"}`},
+		{"put-deep", "PUT", "/docs/deep", deep},
+	} {
+		t.Run(rt.name, func(t *testing.T) {
+			if code, body := do(t, rt.method, ts.URL+rt.path, rt.body); code != http.StatusBadRequest {
+				t.Fatalf("%s %s: got %d %v, want 400", rt.method, rt.path, code, body)
+			}
+		})
+	}
+	if code, body := do(t, "POST", ts.URL+"/validate", `{"lang":"jsl","query":"array","doc":"[[1]]"}`); code != 200 || body["valid"] != true {
+		t.Fatalf("validate after the hostile requests: %d %v", code, body)
+	}
+}

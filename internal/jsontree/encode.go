@@ -1,101 +1,102 @@
 package jsontree
 
 import (
-	"bufio"
 	"io"
 	"strconv"
 
 	"jsonlogic/internal/jsonval"
 )
 
-// WriteTo writes the compact JSON rendering of the tree to w,
-// node-at-a-time straight out of the arena — no jsonval.Value
-// materialization and no whole-document string, so serving a large
-// document costs a 4KiB buffer instead of an allocation the size of
-// the document. The output is byte-for-byte Tree.String() (pinned by
-// a property test against randomized trees); object members appear in
-// the tree's key-sorted child order, exactly as String renders them.
+// AppendJSON appends the compact JSON rendering of json(n), the value
+// of the subtree rooted at n, to dst and returns the extended slice.
+// It is the one tree→text encoder: String and WriteTo wrap it, and the
+// store's WAL payloads and segment documents and the daemon's selected
+// values render through it, straight out of the arena with no
+// jsonval.Value materialization. Object members appear in the tree's
+// key-sorted child order. The output is byte-for-byte
+// Value(n).String() (pinned by a property test against randomized
+// trees and subtrees).
+func (t *Tree) AppendJSON(dst []byte, n NodeID) []byte {
+	e := encoder{t: t, buf: dst}
+	e.node(n)
+	return e.buf
+}
+
+// String renders the tree as compact JSON.
+func (t *Tree) String() string { return string(t.AppendJSON(nil, t.Root())) }
+
+// writeToChunk is how much rendered text WriteTo accumulates between
+// writes to its sink.
+const writeToChunk = 4096
+
+// WriteTo writes String() to w in writeToChunk pieces, so serving a
+// large document costs a small buffer instead of an allocation the
+// size of the document.
 //
 // WriteTo implements io.WriterTo: it returns the number of bytes
 // written to w and the first write error. On error the output is
 // truncated mid-document; encoding stops at the next node boundary.
 func (t *Tree) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	enc := encoder{t: t, bw: bufio.NewWriterSize(cw, 4096), cw: cw}
-	enc.node(t.Root())
-	err := enc.bw.Flush()
-	return cw.n, err
+	e := encoder{t: t, buf: make([]byte, 0, writeToChunk), w: w}
+	e.node(t.Root())
+	e.flush()
+	return e.written, e.err
 }
 
-// encoder is the streaming serializer's state: the buffered sink and
-// a number scratch buffer reused across nodes.
+// encoder is the serializer's state: the output buffer and, when
+// streaming, the sink it drains to with the byte count and first error
+// of those writes.
 type encoder struct {
-	t       *Tree
-	bw      *bufio.Writer
-	cw      *countWriter
-	scratch [20]byte // fits a uint64 in decimal
+	t   *Tree
+	buf []byte
+
+	w       io.Writer // nil: everything stays in buf
+	written int64
+	err     error
+}
+
+// flush drains buf to the sink; after a write error it only discards.
+func (e *encoder) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		n, err := e.w.Write(e.buf)
+		e.written += int64(n)
+		e.err = err
+	}
+	e.buf = e.buf[:0]
 }
 
 func (e *encoder) node(n NodeID) {
+	if e.w != nil && len(e.buf) >= writeToChunk {
+		e.flush()
+	}
+	if e.err != nil {
+		return
+	}
 	nd := &e.t.nodes[n]
 	switch nd.kind {
 	case NumberNode:
-		e.bw.Write(strconv.AppendUint(e.scratch[:0], nd.num, 10))
+		e.buf = strconv.AppendUint(e.buf, nd.num, 10)
 	case StringNode:
-		jsonval.WriteQuoted(e.bw, nd.str)
+		e.buf = jsonval.AppendQuoted(e.buf, nd.str)
 	case ArrayNode:
-		if len(nd.children) == 0 {
-			e.bw.WriteString("[]")
-			return
-		}
-		e.bw.WriteByte('[')
+		e.buf = append(e.buf, '[')
 		for i, c := range nd.children {
 			if i > 0 {
-				e.bw.WriteByte(',')
+				e.buf = append(e.buf, ',')
 			}
 			e.node(c)
-			if e.cw.err != nil {
-				return
-			}
 		}
-		e.bw.WriteByte(']')
+		e.buf = append(e.buf, ']')
 	case ObjectNode:
-		if len(nd.children) == 0 {
-			e.bw.WriteString("{}")
-			return
-		}
-		e.bw.WriteByte('{')
+		e.buf = append(e.buf, '{')
 		for i, c := range nd.children {
 			if i > 0 {
-				e.bw.WriteByte(',')
+				e.buf = append(e.buf, ',')
 			}
-			jsonval.WriteQuoted(e.bw, e.t.nodes[c].key)
-			e.bw.WriteByte(':')
+			e.buf = jsonval.AppendQuoted(e.buf, e.t.nodes[c].key)
+			e.buf = append(e.buf, ':')
 			e.node(c)
-			if e.cw.err != nil {
-				return
-			}
 		}
-		e.bw.WriteByte('}')
+		e.buf = append(e.buf, '}')
 	}
-}
-
-// countWriter counts the bytes that actually reached the underlying
-// writer and holds the first error sticky, so the encoder can stop
-// descending once the sink is gone (bufio keeps the error but does
-// not expose it until Flush).
-type countWriter struct {
-	w   io.Writer
-	n   int64
-	err error
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	if cw.err != nil {
-		return 0, cw.err
-	}
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	cw.err = err
-	return n, err
 }

@@ -11,24 +11,38 @@ import (
 	"jsonlogic/internal/jsonval"
 )
 
-// TestWriteToMatchesString is the property test pinning the streaming
-// encoder to the reference serializer: on randomized trees (and a set
-// of nasty hand-built edge cases) WriteTo must produce String()
-// byte-for-byte and report exactly that many bytes written.
+// TestWriteToMatchesString is the property test pinning the one tree
+// encoder to the reference serializer, the jsonval.Value detour
+// Value(n).String(): on randomized trees (and a set of nasty hand-built
+// edge cases) AppendJSON must reproduce it byte-for-byte at the root
+// and at random subtrees — appending after whatever dst already holds
+// — and String and WriteTo, its two wrappers, must agree at the root,
+// WriteTo reporting exactly that many bytes written.
 func TestWriteToMatchesString(t *testing.T) {
+	sub := rand.New(rand.NewSource(72))
 	check := func(t *testing.T, tr *jsontree.Tree) {
 		t.Helper()
-		want := tr.String()
+		want := tr.Value(tr.Root()).String()
+		if got := tr.String(); got != want {
+			t.Fatalf("String = %q, reference = %q", got, want)
+		}
 		var sb strings.Builder
 		n, err := tr.WriteTo(&sb)
 		if err != nil {
 			t.Fatalf("WriteTo: %v", err)
 		}
 		if sb.String() != want {
-			t.Fatalf("WriteTo = %q, String = %q", sb.String(), want)
+			t.Fatalf("WriteTo = %q, reference = %q", sb.String(), want)
 		}
 		if n != int64(len(want)) {
 			t.Fatalf("WriteTo reported %d bytes, wrote %d", n, len(want))
+		}
+		for i := 0; i < 8; i++ {
+			node := jsontree.NodeID(sub.Intn(tr.Len()))
+			want := "prefix" + tr.Value(node).String()
+			if got := string(tr.AppendJSON([]byte("prefix"), node)); got != want {
+				t.Fatalf("AppendJSON(node %d) = %q, reference = %q", node, got, want)
+			}
 		}
 	}
 
@@ -49,6 +63,7 @@ func TestWriteToMatchesString(t *testing.T) {
 		jsonval.Str(""),
 		jsonval.Str("line\nbreak\ttab\rret \"quoted\" back\\slash"),
 		jsonval.Str("control\x01\x1f bytes"),
+		jsonval.Str("invalid \xff utf-8 \xc3"),
 		jsonval.Str("ünïcödé ☃ 日本語"),
 		jsonval.Arr(),
 		jsonval.MustObj(),

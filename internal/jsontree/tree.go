@@ -493,9 +493,6 @@ func (t *Tree) UniqueChildrenNaive(n NodeID) bool {
 	return true
 }
 
-// String renders the subtree at the root as compact JSON.
-func (t *Tree) String() string { return t.Value(t.Root()).String() }
-
 // Dump renders the tree structure with one line per node, useful in
 // tests and debugging: address, kind, edge label and value.
 func (t *Tree) Dump() string {

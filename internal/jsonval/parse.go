@@ -18,11 +18,20 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("jsonval: syntax error at offset %d: %s", e.Offset, e.Msg)
 }
 
+// MaxDepth bounds how many containers a document may nest: Parse and
+// ParsePrefix recurse once per open container, and without a bound a
+// few megabytes of '[' overflow the goroutine stack — a fatal error no
+// caller can recover from. The streaming tokenizer defaults to the
+// same constant, so every ingest route accepts the same documents.
+const MaxDepth = 10000
+
 // Parse parses a JSON document per the paper's restricted grammar:
 // objects, arrays, strings and natural numbers. It rejects duplicate
 // object keys (the paper's key-uniqueness requirement), negative and
 // fractional numbers, and the literals true, false and null, each with a
-// descriptive error. Trailing non-whitespace input is an error.
+// descriptive error, as are strings that are not valid UTF-8 and
+// nesting deeper than MaxDepth. Trailing non-whitespace input is an
+// error.
 func Parse(input string) (*Value, error) {
 	p := &parser{in: input}
 	p.skipSpace()
@@ -64,8 +73,9 @@ func MustParse(input string) *Value {
 }
 
 type parser struct {
-	in  string
-	pos int
+	in    string
+	pos   int
+	depth int // open containers around pos
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -88,9 +98,15 @@ func (p *parser) value() (*Value, error) {
 		return nil, p.errf("unexpected end of input, want a value")
 	}
 	switch c := p.in[p.pos]; {
-	case c == '{':
-		return p.object()
-	case c == '[':
+	case c == '{' || c == '[':
+		if p.depth >= MaxDepth {
+			return nil, p.errf("nesting depth exceeds %d", MaxDepth)
+		}
+		p.depth++
+		defer func() { p.depth-- }()
+		if c == '{' {
+			return p.object()
+		}
 		return p.array()
 	case c == '"':
 		s, err := p.string()
@@ -296,7 +312,13 @@ func (p *parser) string() (string, error) {
 			return "", p.errf("raw control character in string")
 		default:
 			r, size := utf8.DecodeRuneInString(p.in[p.pos:])
-			sb = utf8.AppendRune(sb, r)
+			if r == utf8.RuneError && size <= 1 {
+				// Rejected, not replaced (matching the streaming
+				// tokenizer): a U+FFFD substitution would make the
+				// stored tree differ from its own serialization.
+				return "", p.errf("invalid UTF-8 in string")
+			}
+			sb = append(sb, p.in[p.pos:p.pos+size]...)
 			p.pos += size
 		}
 	}

@@ -12,10 +12,10 @@ package jsonval
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind identifies one of the four JSON value kinds of the paper's model.
@@ -484,50 +484,60 @@ func (v *Value) write(sb *strings.Builder, canonical bool, prefix, indent string
 	}
 }
 
+// writeQuoted renders the string literal through a stack scratch, so
+// short strings cost no allocation.
 func writeQuoted(sb *strings.Builder, s string) {
-	WriteQuoted(sb, s)
+	var scratch [64]byte
+	sb.Write(AppendQuoted(scratch[:0], s))
 }
 
-// QuoteWriter is the sink WriteQuoted renders into. *strings.Builder
-// and *bufio.Writer both satisfy it.
-type QuoteWriter interface {
-	io.Writer
-	WriteString(s string) (int, error)
-	WriteByte(b byte) error
-	WriteRune(r rune) (int, error)
-}
+const hexDigits = "0123456789abcdef"
 
-// WriteQuoted writes the JSON string literal for s — the exact bytes
-// Value.String produces for a string value. It is the one quoting
-// implementation shared by the value serializers here and the
-// streaming tree encoder (jsontree.Tree.WriteTo), so the two cannot
-// drift. Write errors are the sink's to report (a strings.Builder
-// never fails; a bufio.Writer holds the error until Flush).
-func WriteQuoted(w QuoteWriter, s string) {
-	w.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			w.WriteString(`\"`)
-		case '\\':
-			w.WriteString(`\\`)
-		case '\n':
-			w.WriteString(`\n`)
-		case '\r':
-			w.WriteString(`\r`)
-		case '\t':
-			w.WriteString(`\t`)
-		case '\b':
-			w.WriteString(`\b`)
-		case '\f':
-			w.WriteString(`\f`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(w, `\u%04x`, r)
-			} else {
-				w.WriteRune(r)
+// AppendQuoted appends the JSON string literal for s to dst — the
+// exact bytes Value.String produces for a string value. It is the one
+// quoting implementation shared by the value serializers here and the
+// tree encoder (jsontree.Tree.AppendJSON), so the two cannot drift.
+// Runs of bytes that need no escaping are copied whole; a byte that is
+// not valid UTF-8 renders as U+FFFD.
+func AppendQuoted(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && size == 1 {
+				dst = append(dst, s[start:i]...)
+				dst = utf8.AppendRune(dst, utf8.RuneError)
+				start = i + 1
 			}
+			i += size
+			continue
 		}
+		if c >= 0x20 && c != '"' && c != '\\' {
+			i++
+			continue
+		}
+		dst = append(dst, s[start:i]...)
+		switch c {
+		case '"', '\\':
+			dst = append(dst, '\\', c)
+		case '\n':
+			dst = append(dst, '\\', 'n')
+		case '\r':
+			dst = append(dst, '\\', 'r')
+		case '\t':
+			dst = append(dst, '\\', 't')
+		case '\b':
+			dst = append(dst, '\\', 'b')
+		case '\f':
+			dst = append(dst, '\\', 'f')
+		default:
+			dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+		}
+		i++
+		start = i
 	}
-	w.WriteByte('"')
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }

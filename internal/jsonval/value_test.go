@@ -1,6 +1,8 @@
 package jsonval
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -125,6 +127,10 @@ func TestParseErrors(t *testing.T) {
 		{`"\u00g0"`, "invalid hex"},
 		{"\"a\x01b\"", "control character"},
 		{`18446744073709551616`, "out of range"},
+		{"\"\xff\"", "invalid UTF-8"},
+		{"\"caf\xc3\"", "invalid UTF-8"},
+		{"{\"k\x80\":1}", "invalid UTF-8"},
+		{"\"\xed\xa0\x80\"", "invalid UTF-8"}, // a surrogate, UTF-8 encoded
 	}
 	for _, tc := range tests {
 		_, err := Parse(tc.in)
@@ -313,6 +319,106 @@ func TestStringEscaping(t *testing.T) {
 	}
 	if !Equal(MustParse(got), v) {
 		t.Error("escaped string does not round-trip")
+	}
+}
+
+// referenceQuoted is the rune-at-a-time quoting AppendQuoted replaced,
+// kept as the oracle its byte-run implementation is pinned against.
+func referenceQuoted(s string) string {
+	var sb strings.Builder
+	sb.WriteByte('"')
+	for _, r := range s {
+		switch r {
+		case '"':
+			sb.WriteString(`\"`)
+		case '\\':
+			sb.WriteString(`\\`)
+		case '\n':
+			sb.WriteString(`\n`)
+		case '\r':
+			sb.WriteString(`\r`)
+		case '\t':
+			sb.WriteString(`\t`)
+		case '\b':
+			sb.WriteString(`\b`)
+		case '\f':
+			sb.WriteString(`\f`)
+		default:
+			if r < 0x20 {
+				fmt.Fprintf(&sb, `\u%04x`, r)
+			} else {
+				sb.WriteRune(r)
+			}
+		}
+	}
+	sb.WriteByte('"')
+	return sb.String()
+}
+
+func TestAppendQuotedMatchesReference(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		if got, want := string(AppendQuoted([]byte("x"), s)), "x"+referenceQuoted(s); got != want {
+			t.Fatalf("AppendQuoted(%q) = %q, reference = %q", s, got, want)
+		}
+	}
+	var every []byte
+	for b := 0; b < 256; b++ {
+		check(string([]byte{byte(b)}))
+		check("a" + string([]byte{byte(b)}) + "z")
+		every = append(every, byte(b))
+	}
+	check(string(every))
+	for _, s := range []string{"", "plain", "ünïcödé ☃ 日本語 😀", "\ufffd", "\xe2\x82", "\xed\xa0\x80", "end\\", `"`} {
+		check(s)
+	}
+	// Random byte soup over an alphabet dense in the interesting bytes.
+	alphabet := []byte("ab\"\\\n\t\x00\x1f \x7f\x80\xbf\xc3\xa9\xe2\x98\x83\xf0\x9f\xff")
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		b := make([]byte, r.Intn(24))
+		for j := range b {
+			b[j] = alphabet[r.Intn(len(alphabet))]
+		}
+		check(string(b))
+	}
+}
+
+// TestParseDepthBound: nesting up to MaxDepth parses, one more is a
+// SyntaxError — and far beyond it is still an error, not the fatal
+// stack overflow unbounded recursion used to end in.
+func TestParseDepthBound(t *testing.T) {
+	nest := func(open, close string, n int) string {
+		return strings.Repeat(open, n) + close + strings.Repeat(close, n-1)
+	}
+	for _, c := range []struct {
+		name string
+		in   string
+		ok   bool
+	}{
+		{"arrays at the bound", nest("[", "]", MaxDepth), true},
+		{"arrays past the bound", nest("[", "]", MaxDepth+1), false},
+		{"objects at the bound", strings.Repeat(`{"k":`, MaxDepth-1) + "{}" + strings.Repeat("}", MaxDepth-1), true},
+		{"objects past the bound", strings.Repeat(`{"k":`, MaxDepth) + "{}" + strings.Repeat("}", MaxDepth), false},
+		{"unclosed, far past the bound", strings.Repeat("[", 4_000_000), false},
+	} {
+		v, err := Parse(c.in)
+		if c.ok {
+			if err != nil || v.Height() != MaxDepth-1 {
+				t.Errorf("%s: err %v, want a value of height %d", c.name, err, MaxDepth-1)
+			}
+			if _, n, err := ParsePrefix(c.in + " trailing"); err != nil || n != len(c.in) {
+				t.Errorf("%s: ParsePrefix consumed %d of %d bytes, err %v", c.name, n, len(c.in), err)
+			}
+			continue
+		}
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "nesting depth") {
+			t.Errorf("%s: err = %v, want a nesting-depth SyntaxError", c.name, err)
+		}
+		if _, _, err := ParsePrefix(c.in); !errors.As(err, &se) {
+			t.Errorf("%s: ParsePrefix err = %v, want a SyntaxError", c.name, err)
+		}
 	}
 }
 

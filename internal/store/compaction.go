@@ -18,6 +18,7 @@ package store
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"jsonlogic/internal/jsontree"
 )
@@ -71,10 +72,7 @@ func (s *Store) snapshotShard(i int) error {
 		d.snapshotErrors.Add(1)
 		return err
 	}
-	b := &segBuild{old: sh.seg}
-	if sh.seg != nil {
-		b.oldDead = append([]uint64(nil), sh.segDead...)
-	}
+	b := &segBuild{old: sh.seg.r, oldDead: slices.Clone(sh.seg.dead)}
 	n := sh.ix.live()
 	b.memIDs = make([]string, 0, n)
 	b.memTree = make([]*jsontree.Tree, 0, n)
@@ -93,7 +91,7 @@ func (s *Store) snapshotShard(i int) error {
 		d.snapshotErrors.Add(1)
 		return fmt.Errorf("store: snapshot shard %d: %w", i, err)
 	}
-	sr, err := openSegment(d.fs, segFilePath(dir, gen), gen, s.opts.SegmentNoMmap)
+	sr, err := openSegment(d.fs, segFilePath(dir, gen), gen, false)
 	if err != nil {
 		d.snapshotErrors.Add(1)
 		return fmt.Errorf("store: snapshot shard %d: %w", i, err)
@@ -106,17 +104,19 @@ func (s *Store) snapshotShard(i int) error {
 	// new segment, the new version stays in the memtable) and a delete
 	// of a captured one (tombstoned, nothing retained).
 	sh.mu.Lock()
-	newDead := newBitmap(sr.n)
-	newLive := sr.n
+	next, old := newSegTier(sr), sh.seg
+	tombstone := func(newOrd int) {
+		bitSet(next.dead, ordinal(newOrd))
+		next.live--
+	}
 	migrated := make(map[string]bool, len(b.memIDs))
 	for newOrd, src := range b.sources {
 		if src.fromSeg {
-			if bitGet(sh.segDead, src.oldOrd) {
+			if bitGet(old.dead, src.oldOrd) {
 				// Tombstoned since the capture (b.oldDead ordinals were
 				// never written into the new segment at all).
-				bitSet(newDead, ordinal(newOrd))
-				newLive--
-			} else if cached := sh.seg.cache[src.oldOrd].Load(); cached != nil {
+				tombstone(newOrd)
+			} else if cached := old.r.cache[src.oldOrd].Load(); cached != nil {
 				sr.cache[newOrd].Store(cached)
 			}
 			continue
@@ -124,10 +124,9 @@ func (s *Store) snapshotShard(i int) error {
 		id := b.memIDs[src.memIdx]
 		if cur, ok := sh.ix.get(id); ok && cur == b.memTree[src.memIdx] {
 			migrated[id] = true
-			sr.cache[newOrd].Store(&segDoc{id: id, tree: cur})
+			sr.cache[newOrd].Store(&docPair{id: id, tree: cur})
 		} else {
-			bitSet(newDead, ordinal(newOrd))
-			newLive--
+			tombstone(newOrd)
 		}
 	}
 	newIx := newPathIndex(s.opts.MaxIndexDepth)
@@ -136,13 +135,9 @@ func (s *Store) snapshotShard(i int) error {
 			newIx.add(id, t)
 		}
 	})
-	oldSeg := sh.seg
-	sh.seg, sh.segDead, sh.segLive = sr, newDead, newLive
-	sh.ix = newIx
+	sh.seg, sh.ix = next, newIx
 	sh.mu.Unlock()
-	if oldSeg != nil {
-		oldSeg.close()
-	}
+	old.r.close()
 
 	d.snapshots.Add(1)
 	d.compactions.Add(1)

@@ -8,9 +8,18 @@
 // A Store holds N shards (N a power of two, chosen at construction).
 // A document ID is hashed (FNV-1a) and the low bits pick the shard;
 // each shard owns one pathIndex — whose dictionary is also the shard's
-// document storage — guarded by one RWMutex. Writers (Put, Delete,
-// bulk NDJSON ingest) lock only their document's shard, so unrelated
-// writes proceed in parallel.
+// document storage — guarded by one RWMutex. Writers lock only their
+// document's shard, so unrelated writes proceed in parallel.
+//
+// # One write pipeline
+//
+// Every mutation — Put, PutTree, Delete, each bulk NDJSON line, each
+// replayed WAL record — is the same function (write, in store.go):
+// degraded gate, WAL frame rendered outside the lock by the one tree
+// encoder (jsontree.Tree.AppendJSON), shard lock, precondition, WAL
+// append, apply, unlock, commit. Its mode flags are all the callers
+// differ in: ifAbsent (bulk auto-IDs never clobber), deferCommit (bulk
+// forces once per batch) and noLog (replay).
 //
 // # One query pipeline
 //
@@ -85,7 +94,7 @@
 // # Durability: write-ahead log and segment recovery
 //
 // New builds an in-memory store; Open adds durability under
-// Options.DataDir. Every put and delete is framed (length-prefixed,
+// Options.DataDir. Every mutation is framed (length-prefixed,
 // CRC-protected) and appended to its shard's log while the shard lock
 // is held — so log order equals apply order — and acknowledged only
 // once the configured FsyncPolicy holds: always (group-commit fsync
@@ -93,13 +102,15 @@
 // write-back; Close still flushes and syncs). Background compaction
 // (compaction.go) rotates a shard's WAL and merges the shard into an
 // immutable segment file with write-temp-then-rename atomicity;
-// recovery maps the newest segment that validates end-to-end, replays
-// the WAL generations from it on through the ordinary in-memory path,
-// and truncates torn tails. The record-stream snap-*.snap format of
-// pre-segment builds is refused, never skipped. Stats exposes the
-// WAL, compaction and recovery counters; crash-recovery tests in this
-// package pin a reopened store node-for-node to an in-memory
-// reference driven through the same mutations.
+// recovery maps the newest segment that validates end-to-end — it
+// becomes the shard's segTier, one concrete struct (reader, tombstone
+// bitmap, live count) under the memtable — replays the WAL generations
+// from it on through write, and truncates torn tails. The
+// record-stream snap-*.snap format of pre-segment builds is refused,
+// never skipped. Stats exposes the WAL, compaction and recovery
+// counters; crash-recovery tests in this package pin a reopened store
+// node-for-node to an in-memory reference driven through the same
+// mutations.
 //
 // Package cmd/jsonstored serves a Store over HTTP; see
 // examples/storequery for a walkthrough and docs/ARCHITECTURE.md for

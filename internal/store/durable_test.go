@@ -21,6 +21,7 @@ import (
 	"jsonlogic/internal/engine"
 	"jsonlogic/internal/gen"
 	"jsonlogic/internal/jsontree"
+	"jsonlogic/internal/jsonval"
 )
 
 func openDurable(t *testing.T, opts Options) *Store {
@@ -64,28 +65,27 @@ func termCardinalities(t *testing.T, s *Store) map[uint64]int {
 				out[term] += n
 			}
 		}
-		if sh.seg != nil {
-			for i := 0; i < sh.seg.termCount; i++ {
-				hash := binary.LittleEndian.Uint64(sh.seg.termDir[i*termDirEntry:])
-				pl, ok := sh.seg.termList(hash)
-				if !ok {
-					sh.mu.RUnlock()
-					t.Fatalf("segment term directory entry %d unreadable", i)
+		sr, dead := sh.seg.r, sh.seg.dead
+		for i := 0; i < sr.termCount; i++ {
+			hash := binary.LittleEndian.Uint64(sr.termDir[i*termDirEntry:])
+			pl, ok := sr.termList(hash)
+			if !ok {
+				sh.mu.RUnlock()
+				t.Fatalf("segment term directory entry %d unreadable", i)
+			}
+			ords, err := pl.decodeAll(nil)
+			if err != nil {
+				sh.mu.RUnlock()
+				t.Fatalf("decode segment term %#x: %v", hash, err)
+			}
+			n := 0
+			for _, ord := range ords {
+				if !bitGet(dead, ord) {
+					n++
 				}
-				ords, err := pl.decodeAll(nil)
-				if err != nil {
-					sh.mu.RUnlock()
-					t.Fatalf("decode segment term %#x: %v", hash, err)
-				}
-				n := 0
-				for _, ord := range ords {
-					if !bitGet(sh.segDead, ord) {
-						n++
-					}
-				}
-				if n > 0 {
-					out[hash] += n
-				}
+			}
+			if n > 0 {
+				out[hash] += n
 			}
 		}
 		sh.mu.RUnlock()
@@ -675,10 +675,10 @@ func TestWALRejectsOversizedRecord(t *testing.T) {
 	}
 	defer w.close()
 	big := strings.Repeat("x", maxRecordPayload)
-	if _, err := w.append(walRecord{op: opPut, id: "big", doc: big}); err == nil {
+	if _, err := w.append(encodeRecord("big", jsontree.FromValue(jsonval.Str(big)))); err == nil {
 		t.Fatal("oversized record accepted; it would be lost as a torn tail on replay")
 	}
-	if _, err := w.append(walRecord{op: opPut, id: "ok", doc: `{"a":1}`}); err != nil {
+	if _, err := w.append(encodeRecord("ok", jsontree.MustParse(`{"a":1}`))); err != nil {
 		t.Fatalf("rejected record poisoned the WAL: %v", err)
 	}
 }
@@ -693,7 +693,7 @@ func TestWALCommitAfterCloseSucceeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := w.append(walRecord{op: opPut, id: "a", doc: `{"x":1}`})
+		seq, err := w.append(encodeRecord("a", jsontree.MustParse(`{"x":1}`)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -703,7 +703,7 @@ func TestWALCommitAfterCloseSucceeds(t *testing.T) {
 		if err := w.commit(seq); err != nil {
 			t.Fatalf("%v: commit of a record close made durable failed: %v", policy, err)
 		}
-		if _, err := w.append(walRecord{op: opPut, id: "b", doc: `{"x":2}`}); err == nil {
+		if _, err := w.append(encodeRecord("b", jsontree.MustParse(`{"x":2}`))); err == nil {
 			t.Fatalf("%v: append after close succeeded", policy)
 		}
 	}

@@ -56,6 +56,18 @@ type BulkResult struct {
 // documents ingested so far reported in the result.
 func (s *Store) BulkNDJSON(r io.Reader) (BulkResult, error) {
 	var res BulkResult
+	// abort ends the batch on err, first forcing the shards' buffered
+	// records durable: the result's IDs are promised to be "already
+	// stored", which must survive a crash. A failure of that force
+	// matters just as much, so it travels with err; only on a clean
+	// force is the applied prefix known durable.
+	abort := func(err error) error {
+		if cerr := s.commitBulk(); cerr != nil {
+			return errors.Join(err, cerr)
+		}
+		res.Durable = len(res.IDs)
+		return err
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), engine.MaxNDJSONLine)
 	b := jsontree.NewBuilder()
@@ -73,8 +85,8 @@ func (s *Store) BulkNDJSON(r io.Reader) (BulkResult, error) {
 		}
 		// Schema enforcement is per line, like parse errors: one
 		// nonconforming document is rejected without aborting the batch.
-		if err := s.validateSchema(fmt.Sprintf("bulk line %d", lineNo), t); err != nil {
-			res.Errors = append(res.Errors, BulkError{Line: lineNo, Err: err})
+		if err := s.validateSchema(t); err != nil {
+			res.Errors = append(res.Errors, BulkError{Line: lineNo, Err: fmt.Errorf("store: bulk line %d: %w", lineNo, err)})
 			continue
 		}
 		// Draw sequence IDs until one inserts: taken IDs (user-chosen
@@ -83,19 +95,9 @@ func (s *Store) BulkNDJSON(r io.Reader) (BulkResult, error) {
 		var id string
 		for {
 			id = fmt.Sprintf("d%08d", s.seq.Add(1)-1)
-			ok, err := s.putTreeIfAbsent(id, t)
+			ok, err := s.write(id, t, ifAbsent|deferCommit)
 			if err != nil {
-				// Force the other shards' buffered records durable
-				// before reporting: the result's IDs are promised to
-				// be "already stored", which must survive a crash. A
-				// failure of that force matters just as much, so it
-				// travels with the original error. Only on a clean
-				// force is the applied prefix known durable.
-				if cerr := s.commitBulk(); cerr != nil {
-					err = errors.Join(err, cerr)
-				} else {
-					res.Durable = len(res.IDs)
-				}
+				err = abort(err)
 				return res, fmt.Errorf("bulk line %d (after %d durable): %w", lineNo, res.Durable, err)
 			}
 			if ok {
@@ -105,14 +107,7 @@ func (s *Store) BulkNDJSON(r io.Reader) (BulkResult, error) {
 		res.IDs = append(res.IDs, id)
 	}
 	if err := sc.Err(); err != nil {
-		// Keep what was applied durable; a failed force travels with
-		// the reader error.
-		if cerr := s.commitBulk(); cerr != nil {
-			err = errors.Join(err, cerr)
-		} else {
-			res.Durable = len(res.IDs)
-		}
-		return res, err
+		return res, abort(err)
 	}
 	if err := s.commitBulk(); err != nil {
 		return res, fmt.Errorf("bulk commit (0 of %d lines known durable): %w", len(res.IDs), err)

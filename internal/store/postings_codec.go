@@ -33,14 +33,14 @@ import (
 )
 
 const (
-	// defaultSegmentBlockSize is the postings block length when
-	// Options.SegmentBlockSize is zero. 128 keeps a decoded block in
-	// two cache lines of uint32s while amortizing the skip entry to
-	// under a bit per posting.
-	defaultSegmentBlockSize = 128
-	// maxSegmentBlockSize bounds configured block sizes; a block must
-	// decode into a small pooled buffer.
-	maxSegmentBlockSize = 1 << 15
+	// segmentBlockSize is the postings block length of every segment
+	// this build writes. 128 keeps a decoded block in two cache lines
+	// of uint32s while amortizing the skip entry to under a bit per
+	// posting. Readers take the block size from the segment's footer.
+	segmentBlockSize = 128
+	// maxBlockSize bounds the block size a footer may declare; a block
+	// must decode into a small pooled buffer.
+	maxBlockSize = 1 << 15
 	// skipEntrySize is the fixed width of one skip-table entry.
 	skipEntrySize = 8
 )
@@ -127,7 +127,7 @@ func (pl postingList) skipOff(b int) int {
 // count within bounds, a whole skip table present, offsets inside raw
 // and monotone, first ordinals strictly increasing across blocks.
 func (pl postingList) valid() error {
-	if pl.count < 0 || pl.blockSize < 1 || pl.blockSize > maxSegmentBlockSize {
+	if pl.count < 0 || pl.blockSize < 1 || pl.blockSize > maxBlockSize {
 		return fmt.Errorf("%w: count %d blockSize %d", errCorruptPostings, pl.count, pl.blockSize)
 	}
 	if pl.count == 0 {

@@ -41,7 +41,7 @@ func TestPostingsRoundTrip(t *testing.T) {
 	}
 	cases = append(cases, long)
 	for _, ords := range cases {
-		for _, bs := range []int{1, 2, 3, 127, 128, maxSegmentBlockSize} {
+		for _, bs := range []int{1, 2, 3, 127, 128, maxBlockSize} {
 			pl := roundTrip(t, ords, bs)
 			got, err := pl.decodeAll(nil)
 			if err != nil {
@@ -147,7 +147,7 @@ func FuzzPostingsCodec(f *testing.F) {
 	f.Add(appendPostings(nil, []ordinal{1, 5, 9, 1 << 20}, 2), uint16(2))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x80, 0x80}, uint16(128))
 	f.Fuzz(func(t *testing.T, data []byte, bsRaw uint16) {
-		blockSize := int(bsRaw)%maxSegmentBlockSize + 1
+		blockSize := int(bsRaw)%maxBlockSize + 1
 
 		// Round-trip: derive a sorted unique list from the data bytes
 		// (each byte is a strictly positive gap, so the list is valid by

@@ -88,21 +88,15 @@ func (sh *shard) collectCandidates(terms []uint64, indexed bool, tr *trace.Trace
 	// buffers, which is safe exactly because the memtable result was
 	// just consumed into dst. The tiers are disjoint, so appending
 	// cannot duplicate an ID.
-	segSteps, segGallops := 0, 0
-	if sh.seg != nil {
-		var segOrds []ordinal
-		segOrds, segSteps, segGallops, err = sh.seg.probe(terms, scr, sh.segDead)
-		if err == nil {
-			for _, ord := range segOrds {
-				var d *segDoc
-				if d, err = sh.seg.resolve(ord); err != nil {
-					break
-				}
-				dst = append(dst, docPair{id: d.id, tree: d.tree})
-			}
+	segOrds, segSteps, segGallops, err := sh.seg.probe(terms, scr)
+	for _, ord := range segOrds {
+		var d *docPair
+		if d, err = sh.seg.doc(ord); err != nil {
+			break
 		}
-		steps += segSteps
+		dst = append(dst, *d)
 	}
+	steps += segSteps
 	tr.Attr(sp, "steps", int64(steps))
 	tr.Attr(sp, "gallops", int64(gallops))
 	tr.Attr(sp, "seg_steps", int64(segSteps))

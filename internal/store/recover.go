@@ -23,11 +23,9 @@ package store
 // rather than opened without the documents only that file holds.
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -220,18 +218,20 @@ func Open(opts Options) (*Store, error) {
 		closedCh:      make(chan struct{}),
 	}
 	s.dur = d
-
-	var rs RecoveryStats
-	var maxSeq uint64
-	for i := range s.shards {
-		if err := s.recoverShard(i, &rs, &maxSeq); err != nil {
-			// Close whatever WALs are already open; the store is not
-			// returned.
+	defer func() {
+		if locked { // failed: close whatever WALs are already open
 			for _, w := range d.wals {
 				if w != nil {
 					w.close()
 				}
 			}
+		}
+	}()
+
+	var rs RecoveryStats
+	var maxSeq uint64
+	for i := range s.shards {
+		if err := s.recoverShard(i, &rs, &maxSeq); err != nil {
 			return nil, err
 		}
 	}
@@ -253,7 +253,9 @@ func Open(opts Options) (*Store, error) {
 				if verr != nil {
 					return
 				}
-				verr = s.validateSchema(fmt.Sprintf("recovered document %q", id), t)
+				if err := s.validateSchema(t); err != nil {
+					verr = fmt.Errorf("store: recovered document %q: %w", id, err)
+				}
 			})
 			if verr == nil {
 				verr = eerr
@@ -263,9 +265,6 @@ func Open(opts Options) (*Store, error) {
 			}
 		}
 		if verr != nil {
-			for _, w := range d.wals {
-				w.close()
-			}
 			return nil, fmt.Errorf("store: open: %w", verr)
 		}
 	}
@@ -273,9 +272,6 @@ func Open(opts Options) (*Store, error) {
 	// Make the shard-directory entries themselves durable (the files
 	// inside were synced as they were created).
 	if err := fs.SyncDir(opts.DataDir); err != nil {
-		for _, w := range d.wals {
-			w.close()
-		}
 		return nil, fmt.Errorf("store: open: sync data dir: %w", err)
 	}
 
@@ -382,14 +378,12 @@ func (s *Store) recoverShard(i int, rs *RecoveryStats, maxSeq *uint64) error {
 			// open the shard without them.
 			return fmt.Errorf("store: recover shard %d: %s: %w", i, filepath.Join(dir, c.name), errLegacySnapshot)
 		}
-		sr, err := openSegment(d.fs, segFilePath(dir, c.gen), c.gen, s.opts.SegmentNoMmap)
+		sr, err := openSegment(d.fs, segFilePath(dir, c.gen), c.gen, false)
 		if err != nil {
 			rs.InvalidSegments++
 			continue
 		}
-		sh.seg = sr
-		sh.segDead = newBitmap(sr.n)
-		sh.segLive = sr.n
+		sh.seg = newSegTier(sr)
 		if sr.seq > *maxSeq {
 			*maxSeq = sr.seq
 		}
@@ -481,83 +475,42 @@ func parseGenName(name string) (gen uint64, kind string) {
 	return 0, ""
 }
 
-// replayWAL applies one segment's records to the in-memory store,
-// raising *maxSeq past replayed auto-assigned IDs (puts of since-
-// deleted documents included). A torn tail of the active (last)
-// segment is truncated off the file so it can be appended to again;
-// a torn non-last segment is reported but left untouched — the caller
-// refuses recovery, and the evidence must survive for the next
-// attempt to refuse too. records is the count applied, cut the bytes
-// past the last whole record.
+// replayWAL applies one segment's records to the in-memory store
+// through the one mutation body, raising *maxSeq past replayed
+// auto-assigned IDs (puts of since-deleted documents included). A torn
+// tail of the active (last) segment is truncated off the file so it
+// can be appended to again; a torn non-last segment is reported but
+// left untouched — the caller refuses recovery, and the evidence must
+// survive for the next attempt to refuse too. records is the count
+// applied, cut the bytes past the last whole record.
 func (s *Store) replayWAL(path string, last bool, maxSeq *uint64) (records int, torn bool, cut int64, err error) {
-	fs := s.dur.fs
-	f, err := fs.Open(path)
-	if err != nil {
-		return 0, false, 0, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return 0, false, 0, err
-	}
-	size := st.Size()
-	br := bufio.NewReaderSize(f, walBufSize)
-
-	truncateAt := func(off int64) error {
-		f.Close()
-		if !last {
-			return nil // leave the evidence; the caller refuses recovery
-		}
-		if err := fs.Truncate(path, off); err != nil {
-			return fmt.Errorf("%s: truncate torn tail: %w", path, err)
-		}
-		return nil
-	}
-
-	magic := make([]byte, len(walMagic))
-	if n, rerr := io.ReadFull(br, magic); rerr != nil || string(magic) != walMagic {
-		if n == 0 && rerr == io.EOF {
-			// Empty file: a segment created but never flushed.
-			f.Close()
-			return 0, false, 0, nil
-		}
-		// A torn header: nothing in the file is trustworthy.
-		return 0, true, size, truncateAt(0)
-	}
-	offset := int64(len(walMagic))
-	for {
-		rec, n, rerr := readRecord(br)
-		if rerr == io.EOF {
-			f.Close()
-			return records, false, 0, nil
-		}
-		if errors.Is(rerr, errTorn) {
-			return records, true, size - offset, truncateAt(offset)
-		}
-		if rerr != nil {
-			f.Close()
-			return records, false, 0, fmt.Errorf("%s: %w", path, rerr)
-		}
+	records, good, size, err := scanWAL(s.dur.fs, path, func(rec walRecord) error {
 		switch rec.op {
 		case opPut:
-			t, perr := jsontree.Parse(rec.doc)
-			if perr != nil {
+			t, err := jsontree.Parse(rec.doc)
+			if err != nil {
 				// The CRC passed but the payload is not a document we
 				// ever wrote: format corruption, not a torn write.
-				f.Close()
-				return records, false, 0, fmt.Errorf("%s: record %d: %w", path, records, perr)
+				return err
 			}
-			s.memPut(rec.id, t)
+			s.write(rec.id, t, noLog)
 			noteAutoID(rec.id, maxSeq)
 		case opDelete:
-			s.memDelete(rec.id)
+			s.write(rec.id, nil, noLog)
 		default:
-			f.Close()
-			return records, false, 0, fmt.Errorf("%s: record %d: unknown op %d", path, records, rec.op)
+			return fmt.Errorf("unknown op %d", rec.op)
 		}
-		records++
-		offset += n
+		return nil
+	})
+	if err != nil || good == size {
+		return records, false, 0, err
 	}
+	if last {
+		if err := s.dur.fs.Truncate(path, good); err != nil {
+			return records, true, size - good, fmt.Errorf("%s: truncate torn tail: %w", path, err)
+		}
+	}
+	return records, true, size - good, nil
 }
 
 // maintain is the background loop of a durable store: the periodic

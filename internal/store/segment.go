@@ -63,13 +63,6 @@ func segTempPath(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("seg-%010d.tmp", gen))
 }
 
-// segDoc is one resolved segment document: the ID string and the
-// parsed tree, cached per ordinal after first access.
-type segDoc struct {
-	id   string
-	tree *jsontree.Tree
-}
-
 // segmentReader serves one shard's immutable segment. All methods are
 // safe for concurrent use: the underlying bytes never change and the
 // resolve cache is a slice of atomic pointers. Close (munmap) must
@@ -91,14 +84,16 @@ type segmentReader struct {
 
 	// cache holds lazily resolved documents; openSegment sizes it but
 	// resolves nothing, so open cost stays independent of parse cost.
-	cache []atomic.Pointer[segDoc]
+	cache []atomic.Pointer[docPair]
 }
 
-// openSegment maps (or, with noMmap or on platforms without mmap,
-// reads) the segment at path and validates it end-to-end: magic,
-// footer, whole-file CRC, section bounds and index monotonicity. Any
-// defect fails the open with nothing trusted — recovery treats it
-// like an invalid snapshot and falls back.
+// openSegment maps (or, on platforms without mmap, reads) the segment
+// at path and validates it end-to-end: magic, footer, whole-file CRC,
+// section bounds and index monotonicity. Any defect fails the open
+// with nothing trusted — recovery treats it like an invalid snapshot
+// and falls back. The store always passes noMmap false — which path
+// runs is mapFile's build-time choice — and the differential tests
+// pass true to run the read-into-heap path on a platform that maps.
 func openSegment(fs VFS, path string, gen uint64, noMmap bool) (*segmentReader, error) {
 	f, err := fs.Open(path)
 	if err != nil {
@@ -128,13 +123,12 @@ func openSegment(fs VFS, path string, gen uint64, noMmap bool) (*segmentReader, 
 		sr.close()
 		return nil, err
 	}
-	sr.cache = make([]atomic.Pointer[segDoc], sr.n)
+	sr.cache = make([]atomic.Pointer[docPair], sr.n)
 	return sr, nil
 }
 
-// readSegmentIntoHeap is the forced fallback shared by every
-// platform: -segment-no-mmap and the differential tests use it on
-// unix, and the !unix mapFile builds on the same idea.
+// readSegmentIntoHeap is the no-mmap path: the !unix mapFile, and
+// openSegment's noMmap on any platform.
 func readSegmentIntoHeap(f File, size int64) ([]byte, error) {
 	data := make([]byte, size)
 	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), data); err != nil {
@@ -179,7 +173,7 @@ func (sr *segmentReader) validate() error {
 			return fmt.Errorf("%s: segment section offsets out of order", sr.path)
 		}
 	}
-	if sr.n < 0 || sr.blockSize < 1 || sr.blockSize > maxSegmentBlockSize {
+	if sr.n < 0 || sr.blockSize < 1 || sr.blockSize > maxBlockSize {
 		return fmt.Errorf("%s: implausible segment header (docs %d, block %d)", sr.path, sr.n, sr.blockSize)
 	}
 	if docIdxOff+uint64(sr.n+1)*8 != idsOff || idIdxOff+uint64(sr.n+1)*8 != postingsOff {
@@ -235,9 +229,6 @@ func (sr *segmentReader) close() error {
 	return unmapFile(data, sr.mapped)
 }
 
-// sizeBytes is the mapped (or heap-resident) file size.
-func (sr *segmentReader) sizeBytes() int64 { return int64(len(sr.data)) }
-
 func (sr *segmentReader) idBytes(ord ordinal) []byte {
 	le := binary.LittleEndian
 	return sr.ids[le.Uint64(sr.idIdx[ord*8:]):le.Uint64(sr.idIdx[(ord+1)*8:])]
@@ -270,7 +261,7 @@ func (sr *segmentReader) lookup(id string) (ordinal, bool) {
 // first access. Concurrent first accesses may parse twice; exactly
 // one result wins the cache and trees are immutable, so either is
 // correct.
-func (sr *segmentReader) resolve(ord ordinal) (*segDoc, error) {
+func (sr *segmentReader) resolve(ord ordinal) (*docPair, error) {
 	if d := sr.cache[ord].Load(); d != nil {
 		return d, nil
 	}
@@ -280,7 +271,7 @@ func (sr *segmentReader) resolve(ord ordinal) (*segDoc, error) {
 		// bytes changed underneath the map or a writer bug.
 		return nil, fmt.Errorf("%s: document %q: %w", sr.path, string(sr.idBytes(ord)), err)
 	}
-	d := &segDoc{id: string(sr.idBytes(ord)), tree: t}
+	d := &docPair{id: string(sr.idBytes(ord)), tree: t}
 	if !sr.cache[ord].CompareAndSwap(nil, d) {
 		d = sr.cache[ord].Load()
 	}
@@ -318,17 +309,6 @@ func (sr *segmentReader) termList(hash uint64) (postingList, bool) {
 		return postingList{}, false
 	}
 	return postingList{raw: sr.postings[off:end], count: count, blockSize: sr.blockSize}, true
-}
-
-// termCardinality returns the term's posting count (0 if absent).
-// Like the memtable's statistic it may include tombstoned documents,
-// so it is an upper bound on live carriers.
-func (sr *segmentReader) termCardinality(hash uint64) int {
-	pl, ok := sr.termList(hash)
-	if !ok {
-		return 0
-	}
-	return pl.count
 }
 
 // probe intersects the segment's posting lists for terms, smallest
@@ -405,22 +385,6 @@ func (sr *segmentReader) probe(terms []uint64, scr *probeScratch, dead []uint64)
 	return cur, steps, gallops, nil
 }
 
-// each calls fn for every live (per dead) document in the segment in
-// ID order, resolving each through the cache.
-func (sr *segmentReader) each(dead []uint64, fn func(id string, t *jsontree.Tree)) error {
-	for ord := 0; ord < sr.n; ord++ {
-		if bitGet(dead, ordinal(ord)) {
-			continue
-		}
-		d, err := sr.resolve(ordinal(ord))
-		if err != nil {
-			return err
-		}
-		fn(d.id, d.tree)
-	}
-	return nil
-}
-
 // Tombstone bitmap helpers: one bit per segment ordinal, owned by the
 // shard and guarded by its lock.
 
@@ -436,6 +400,84 @@ func bitSet(bm []uint64, i ordinal) {
 func newBitmap(n int) []uint64 {
 	return make([]uint64, (n+63)/64)
 }
+
+// segTier is a shard's immutable tier: the mapped segment plus the two
+// pieces of state the shard layers over it — the tombstone bitmap a
+// shadowing put or a delete sets, and the count of ordinals still live
+// — which only ever change together (compaction and recovery install
+// all three at once). Until its first snapshot or recovery maps a
+// segment a shard holds the tier of the zero segmentReader, the empty
+// segment — no documents, no terms, no bytes, so every lookup misses
+// and every list is empty — and nothing, here or in the callers,
+// branches on whether a segment exists. The tombstones mutate only
+// under the shard's write lock; everything else is safe under the read
+// lock.
+type segTier struct {
+	r    *segmentReader
+	dead []uint64 // one bit per ordinal
+	live int      // ordinals not tombstoned
+}
+
+// newSegTier layers a clean tombstone bitmap over a segment.
+func newSegTier(r *segmentReader) *segTier {
+	return &segTier{r: r, dead: newBitmap(r.n), live: r.n}
+}
+
+// find returns id's ordinal when id is live in the tier.
+func (tier *segTier) find(id string) (ordinal, bool) {
+	ord, ok := tier.r.lookup(id)
+	return ord, ok && !bitGet(tier.dead, ord)
+}
+
+// kill tombstones id and reports whether it was live — a delete, or
+// the write half of the tiers' disjointness invariant when a put
+// shadows a segment document.
+func (tier *segTier) kill(id string) bool {
+	ord, ok := tier.find(id)
+	if ok {
+		bitSet(tier.dead, ord)
+		tier.live--
+	}
+	return ok
+}
+
+// doc resolves an ordinal find or probe returned.
+func (tier *segTier) doc(ord ordinal) (*docPair, error) { return tier.r.resolve(ord) }
+
+// probe is the reader's posting intersection filtered through the
+// tombstones (see segmentReader.probe for the scratch contract).
+func (tier *segTier) probe(terms []uint64, scr *probeScratch) (_ []ordinal, steps, gallops int, err error) {
+	return tier.r.probe(terms, scr, tier.dead)
+}
+
+// each calls fn for every live document in ID order, resolving each
+// through the cache.
+func (tier *segTier) each(fn func(id string, t *jsontree.Tree)) error {
+	for ord := ordinal(0); int(ord) < tier.r.n; ord++ {
+		if bitGet(tier.dead, ord) {
+			continue
+		}
+		d, err := tier.r.resolve(ord)
+		if err != nil {
+			return err
+		}
+		fn(d.id, d.tree)
+	}
+	return nil
+}
+
+// cardinality returns the term's posting count (0 if absent), read
+// from the term directory without decoding a block. Like the
+// memtable's statistic it may include tombstoned documents, so it is
+// an upper bound on live carriers.
+func (tier *segTier) cardinality(term uint64) int {
+	pl, _ := tier.r.termList(term)
+	return pl.count
+}
+
+// sizeBytes is the mapped (or heap-resident) file size; 0 exactly when
+// no segment is mapped.
+func (tier *segTier) sizeBytes() int64 { return int64(len(tier.r.data)) }
 
 // ---------------------------------------------------------------------
 // Segment construction: merge of the previous segment and the frozen
@@ -453,7 +495,7 @@ type segSource struct {
 // segBuild is the frozen input of one segment build, captured under
 // the shard lock at WAL rotation, plus the outputs the swap needs.
 type segBuild struct {
-	old     *segmentReader // previous segment (immutable; nil if none)
+	old     *segmentReader // previous segment (immutable)
 	oldDead []uint64       // tombstones at rotation (copy)
 	memIDs  []string       // live memtable documents at rotation
 	memTree []*jsontree.Tree
@@ -488,10 +530,7 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 // rename, so a crash mid-build leaves only a swept .tmp. On return
 // b.sources maps every new ordinal to its origin.
 func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) error {
-	oldN := 0
-	if b.old != nil {
-		oldN = b.old.n
-	}
+	oldN := b.old.n
 	// Survivor set, sorted by ID. Live memtable IDs and live old-
 	// segment IDs are disjoint: a put that shadows a segment document
 	// tombstones its ordinal.
@@ -554,7 +593,6 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 		sort.Slice(post, func(i, j int) bool { return post[i] < post[j] })
 	}
 
-	blockSize := s.opts.SegmentBlockSize
 	fs := s.dur.fs
 	tmp := segTempPath(dir, gen)
 	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -572,49 +610,42 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 		return fail(err)
 	}
 
-	// Docs section, offsets accumulated for the index that follows.
-	docsOff := cw.off
-	offsets := make([]uint64, n+1)
-	for i, sv := range survivors {
-		offsets[i] = cw.off - docsOff
-		var err error
-		if sv.src.fromSeg {
-			_, err = cw.Write(b.old.docBytes(sv.src.oldOrd))
-		} else {
-			_, err = io.WriteString(cw, b.memTree[sv.src.memIdx].String())
+	// blobs writes a section of n byte strings back to back, then the
+	// (n+1)-entry offset index that delimits them, and returns where
+	// each of the two began. The docs and ids sections are both this.
+	idx := make([]byte, (n+1)*8)
+	blobs := func(blob func(i int) []byte) (secOff, idxOff uint64, err error) {
+		secOff = cw.off
+		for i := 0; i < n; i++ {
+			le.PutUint64(idx[i*8:], cw.off-secOff)
+			if _, err := cw.Write(blob(i)); err != nil {
+				return 0, 0, err
+			}
 		}
-		if err != nil {
-			return fail(err)
-		}
+		le.PutUint64(idx[n*8:], cw.off-secOff)
+		idxOff = cw.off
+		_, err = cw.Write(idx)
+		return secOff, idxOff, err
 	}
-	offsets[n] = cw.off - docsOff
-	docIdxOff := cw.off
-	var u64buf [8]byte
-	writeU64 := func(v uint64) error {
-		le.PutUint64(u64buf[:], v)
-		_, err := cw.Write(u64buf[:])
-		return err
-	}
-	for _, off := range offsets {
-		if err := writeU64(off); err != nil {
-			return fail(err)
+	var buf []byte // one blob at a time, reused
+	docsOff, docIdxOff, err := blobs(func(i int) []byte {
+		src := survivors[i].src
+		if src.fromSeg {
+			return b.old.docBytes(src.oldOrd)
 		}
+		t := b.memTree[src.memIdx]
+		buf = t.AppendJSON(buf[:0], t.Root())
+		return buf
+	})
+	if err != nil {
+		return fail(err)
 	}
-
-	// IDs section + index.
-	idsOff := cw.off
-	for i, sv := range survivors {
-		offsets[i] = cw.off - idsOff
-		if _, err := io.WriteString(cw, sv.id); err != nil {
-			return fail(err)
-		}
-	}
-	offsets[n] = cw.off - idsOff
-	idIdxOff := cw.off
-	for _, off := range offsets {
-		if err := writeU64(off); err != nil {
-			return fail(err)
-		}
+	idsOff, idIdxOff, err := blobs(func(i int) []byte {
+		buf = append(buf[:0], survivors[i].id...)
+		return buf
+	})
+	if err != nil {
+		return fail(err)
 	}
 
 	// Postings: one ordered merge of the old segment's term directory
@@ -622,7 +653,8 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 	// stream and both are sorted, so this is a plain two-pointer merge;
 	// a shared hash merges the two remapped ordinal lists.
 	postingsOff := cw.off
-	termDir := make([]byte, 0, (b.oldSegTerms()+len(memTerms))*termDirEntry)
+	oldTerms := b.old.termCount
+	termDir := make([]byte, 0, (oldTerms+len(memTerms))*termDirEntry)
 	var encBuf []byte
 	var listBuf, decBuf []ordinal
 	entries := 0
@@ -636,7 +668,7 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 		le.PutUint32(e[16:], uint32(len(ords)))
 		termDir = append(termDir, e[:]...)
 		entries += len(ords)
-		encBuf = appendPostings(encBuf[:0], ords, blockSize)
+		encBuf = appendPostings(encBuf[:0], ords, segmentBlockSize)
 		_, err := cw.Write(encBuf)
 		return err
 	}
@@ -660,7 +692,6 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 		return listBuf, nil
 	}
 	oi, mi := 0, 0
-	oldTerms := b.oldSegTerms()
 	for oi < oldTerms || mi < len(memTerms) {
 		var oldHash uint64
 		var oldPl postingList
@@ -715,7 +746,7 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 	le.PutUint64(ft[56:], seq)
 	le.PutUint32(ft[64:], uint32(n))
 	le.PutUint32(ft[68:], uint32(len(termDir)/termDirEntry))
-	le.PutUint32(ft[72:], uint32(blockSize))
+	le.PutUint32(ft[72:], segmentBlockSize)
 	crcEnd := segFooterSize - len(segFooterMagic) - 4
 	if _, err := cw.Write(ft[:crcEnd]); err != nil {
 		return fail(err)
@@ -741,14 +772,6 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 	}
 	b.entries = n
 	return fs.SyncDir(dir)
-}
-
-// oldSegTerms is the previous segment's term count (0 when none).
-func (b *segBuild) oldSegTerms() int {
-	if b.old == nil {
-		return 0
-	}
-	return b.old.termCount
 }
 
 // mergeSorted merges two sorted duplicate-free ordinal lists. The

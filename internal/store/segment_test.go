@@ -270,14 +270,26 @@ func TestSegmentDifferentialChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same directory on the forced read-into-heap fallback: identical
-	// answers with no mapping involved.
-	noMmap := opts
-	noMmap.SegmentNoMmap = true
-	s2 := openDurable(t, noMmap)
+	// Same directory on the read-into-heap path (the only one platforms
+	// without mmap have): every shard's reader is reopened with noMmap
+	// before anything resolves, and the answers must be identical with
+	// no mapping involved.
+	s2 := openDurable(t, opts)
 	defer s2.Close()
 	if rs := s2.Stats().Durability.Recovery; rs.SegmentsMapped != 4 {
-		t.Fatalf("recovery stats = %+v, want 4 segments on the heap path", rs)
+		t.Fatalf("recovery stats = %+v, want 4 segments", rs)
+	}
+	for _, sh := range s2.shards {
+		mapped := sh.seg.r
+		heap, err := openSegment(osFS{}, mapped.path, mapped.gen, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if heap.mapped {
+			t.Fatal("noMmap reader is mapped")
+		}
+		sh.seg.r = heap
+		mapped.close()
 	}
 	compareStores(t, s2, ref)
 	diffQueries(t, r, s2, ref, 120)
@@ -313,14 +325,14 @@ func TestSegmentProbeZeroAllocs(t *testing.T) {
 		t.Fatalf("expected at least 2 probe terms, got %d", len(terms))
 	}
 	sh := s.shards[0]
-	if sh.seg == nil || sh.seg.n != 2000 {
+	if sh.seg.live != 2000 {
 		t.Fatal("documents did not land in the segment tier")
 	}
 	scr := acquireProbeScratch()
 	defer releaseProbeScratch(scr)
 	n := measureAllocs(func() {
 		sh.mu.RLock()
-		ords, _, _, err := sh.seg.probe(terms, scr, sh.segDead)
+		ords, _, _, err := sh.seg.probe(terms, scr)
 		sh.mu.RUnlock()
 		if err != nil || len(ords) == 0 {
 			t.Fatalf("probe: %d ordinals, err %v", len(ords), err)

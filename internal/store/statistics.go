@@ -54,10 +54,7 @@ func (s *Store) TermCardinality(term uint64) int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		n += len(sh.ix.postings[term])
-		if sh.seg != nil {
-			n += sh.seg.termCardinality(term)
-		}
+		n += len(sh.ix.postings[term]) + sh.seg.cardinality(term)
 		sh.mu.RUnlock()
 	}
 	return n

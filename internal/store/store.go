@@ -56,16 +56,6 @@ type Options struct {
 	// active WAL segment holds that many records (default 10000).
 	// Negative disables automatic snapshots; Snapshot still works.
 	SnapshotEvery int
-	// SegmentBlockSize is the posting-list block length for newly
-	// written segment files (default 128, capped at 32768). Existing
-	// segments carry their own block size in the footer, so the option
-	// only shapes future writes.
-	SegmentBlockSize int
-	// SegmentNoMmap reads segment files into the heap instead of
-	// mapping them — the forced portability fallback (platforms
-	// without mmap always use it). Correctness is identical; the
-	// kernel just stops managing residency.
-	SegmentNoMmap bool
 	// VFS is the filesystem the durable layers (WAL, snapshots,
 	// segments, recovery) perform their file operations through. Nil
 	// selects the real OS filesystem; the chaos tests inject a
@@ -141,26 +131,24 @@ func (s *Store) MetricsHistograms() (findCandidates, selectCandidates, fanoutWor
 
 // shard owns a partition of the documents: a mutable memtable (the
 // pathIndex — dictionary plus inverted index) layered over an
-// immutable mmap'd segment. The two tiers are disjoint by invariant —
-// a put that shadows a segment document tombstones its segment
-// ordinal — so a lookup consults the memtable first and the segment's
-// live remainder second, and a probe unions two per-tier
-// intersections. One RWMutex guards the whole shard; segDead and
-// segLive mutate only under the write lock, while the segment's bytes
-// and its resolve cache are safe under the read lock (immutable bytes,
-// atomic cache).
+// immutable mmap'd segment tier (the empty segment until the first
+// snapshot or recovery maps one; see segTier). The two tiers are
+// disjoint by invariant — a put that shadows a segment document
+// tombstones its segment ordinal — so a lookup consults the memtable
+// first and the segment's live remainder second, and a probe unions
+// two per-tier intersections. One RWMutex guards the whole shard; the
+// segment's tombstones mutate only under the write lock, while its
+// bytes and its resolve cache are safe under the read lock (immutable
+// bytes, atomic cache).
 type shard struct {
-	mu sync.RWMutex
-	ix *pathIndex
-
-	seg     *segmentReader // nil until the first snapshot/recovery maps one
-	segDead []uint64       // tombstone bitmap over seg ordinals
-	segLive int            // segment docs not tombstoned
+	mu  sync.RWMutex
+	ix  *pathIndex
+	seg *segTier
 }
 
 // live is the shard's document count: memtable plus the segment's
 // untombstoned remainder. Caller holds the lock (either mode).
-func (sh *shard) live() int { return sh.ix.live() + sh.segLive }
+func (sh *shard) live() int { return sh.ix.live() + sh.seg.live }
 
 // getDoc looks id up across both tiers. A segment resolve failure
 // (impossible short of the mapping changing under us) reads as
@@ -170,12 +158,8 @@ func (sh *shard) getDoc(id string) (*jsontree.Tree, bool) {
 	if t, ok := sh.ix.get(id); ok {
 		return t, true
 	}
-	if sh.seg != nil {
-		if ord, ok := sh.seg.lookup(id); ok && !bitGet(sh.segDead, ord) {
-			d, err := sh.seg.resolve(ord)
-			if err != nil {
-				return nil, false
-			}
+	if ord, ok := sh.seg.find(id); ok {
+		if d, err := sh.seg.doc(ord); err == nil {
 			return d.tree, true
 		}
 	}
@@ -187,25 +171,16 @@ func (sh *shard) has(id string) bool {
 	if _, ok := sh.ix.get(id); ok {
 		return true
 	}
-	if sh.seg != nil {
-		if ord, ok := sh.seg.lookup(id); ok && !bitGet(sh.segDead, ord) {
-			return true
-		}
-	}
-	return false
+	_, ok := sh.seg.find(id)
+	return ok
 }
 
-// shadowSeg tombstones id's segment ordinal if it is live there — the
-// write half of the disjointness invariant. Caller holds the write
-// lock.
-func (sh *shard) shadowSeg(id string) {
-	if sh.seg == nil {
-		return
-	}
-	if ord, ok := sh.seg.lookup(id); ok && !bitGet(sh.segDead, ord) {
-		bitSet(sh.segDead, ord)
-		sh.segLive--
-	}
+// put applies an insert/replace; the caller holds the write lock. A
+// put that shadows a segment document tombstones its segment ordinal,
+// keeping the tiers disjoint.
+func (sh *shard) put(id string, t *jsontree.Tree) {
+	sh.seg.kill(id)
+	sh.ix.put(id, t)
 }
 
 // del removes id from whichever tier holds it and reports whether it
@@ -214,14 +189,7 @@ func (sh *shard) del(id string) bool {
 	if _, ok := sh.ix.remove(id); ok {
 		return true
 	}
-	if sh.seg != nil {
-		if ord, ok := sh.seg.lookup(id); ok && !bitGet(sh.segDead, ord) {
-			bitSet(sh.segDead, ord)
-			sh.segLive--
-			return true
-		}
-	}
-	return false
+	return sh.seg.kill(id)
 }
 
 // each calls fn for every live document in the shard: memtable first,
@@ -229,10 +197,7 @@ func (sh *shard) del(id string) bool {
 // therefore fail). Caller holds the lock (either mode).
 func (sh *shard) each(fn func(id string, t *jsontree.Tree)) error {
 	sh.ix.each(fn)
-	if sh.seg == nil {
-		return nil
-	}
-	return sh.seg.each(sh.segDead, fn)
+	return sh.seg.each(fn)
 }
 
 // New returns an empty in-memory Store. See Open for the durable
@@ -267,12 +232,6 @@ func normalizeOptions(opts Options) Options {
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery
 	}
-	if opts.SegmentBlockSize <= 0 {
-		opts.SegmentBlockSize = defaultSegmentBlockSize
-	}
-	if opts.SegmentBlockSize > maxSegmentBlockSize {
-		opts.SegmentBlockSize = maxSegmentBlockSize
-	}
 	if opts.VFS == nil {
 		opts.VFS = osFS{}
 	}
@@ -291,7 +250,7 @@ func newStore(opts Options) *Store {
 		opts:   opts,
 	}
 	for i := range s.shards {
-		s.shards[i] = &shard{ix: newPathIndex(opts.MaxIndexDepth)}
+		s.shards[i] = &shard{ix: newPathIndex(opts.MaxIndexDepth), seg: newSegTier(&segmentReader{})}
 	}
 	return s
 }
@@ -318,32 +277,6 @@ func (s *Store) shardIndex(id string) uint64 {
 	return fnvString(fnvOffset, id) & s.mask
 }
 
-func (s *Store) shardFor(id string) *shard {
-	return s.shards[s.shardIndex(id)]
-}
-
-// memPut applies a put to the in-memory maps and index only (no WAL):
-// the shared tail of PutTree and recovery replay. Callers either hold
-// the shard lock's equivalent (Open is single-threaded) or lock here.
-func (s *Store) memPut(id string, t *jsontree.Tree) {
-	sh := s.shardFor(id)
-	sh.put(id, t)
-}
-
-// memDelete is memPut's delete counterpart.
-func (s *Store) memDelete(id string) {
-	s.shardFor(id).del(id)
-}
-
-// put applies an insert/replace to one shard; the caller holds the
-// shard lock (or is the single-threaded recovery path). A put that
-// shadows a segment document tombstones its segment ordinal, keeping
-// the tiers disjoint.
-func (sh *shard) put(id string, t *jsontree.Tree) {
-	sh.shadowSeg(id)
-	sh.ix.put(id, t)
-}
-
 // ErrSchema rejects a write whose document does not conform to the
 // store's configured schema (Options.Schema). Wrapped errors carry the
 // document ID; match with errors.Is.
@@ -359,31 +292,21 @@ var ErrSchema = errors.New("document does not conform to the configured schema")
 // fault. Match with errors.Is.
 var ErrDegraded = errors.New("shard degraded (write-ahead log failure): read-only until the log heals")
 
-// degradedErr gates a write on w's degraded flag, returning the
-// 503-mapped refusal when the shard is read-only. Checked before the
-// shard lock: degraded writes shed without contending with readers.
-func degradedErr(w *shardWAL, what string) error {
-	if w != nil && w.degraded.Load() {
-		return fmt.Errorf("store: %s: shard %d: %w", what, w.shard, ErrDegraded)
-	}
-	return nil
-}
-
 // validateSchema enforces the configured schema on a write, counting
-// and refusing nonconforming documents; what describes the write for
-// the error message (`put "id"`, `bulk line 3`). A nil Options.Schema
-// accepts everything.
-func (s *Store) validateSchema(what string, t *jsontree.Tree) error {
+// and refusing nonconforming documents; the caller prefixes the error
+// with what it was writing (`put "id"`, `bulk line 3`). A nil
+// Options.Schema accepts everything.
+func (s *Store) validateSchema(t *jsontree.Tree) error {
 	if s.opts.Schema == nil {
 		return nil
 	}
 	ok, err := s.eng.Validate(s.opts.Schema.Plan(), t)
 	if err != nil {
-		return fmt.Errorf("store: %s: schema validation: %w", what, err)
+		return fmt.Errorf("schema validation: %w", err)
 	}
 	if !ok {
 		s.schemaRejects.Add(1)
-		return fmt.Errorf("store: %s: %w", what, ErrSchema)
+		return ErrSchema
 	}
 	return nil
 }
@@ -409,74 +332,84 @@ func (s *Store) Put(id, doc string) error {
 // then refuses every further write, so memory cannot silently diverge
 // further.
 func (s *Store) PutTree(id string, t *jsontree.Tree) error {
-	if err := s.validateSchema(fmt.Sprintf("put %q", id), t); err != nil {
-		return err
+	if err := s.validateSchema(t); err != nil {
+		return fmt.Errorf("store: put %q: %w", id, err)
 	}
-	var (
-		w   *shardWAL
-		seq uint64
-		rec walRecord
-	)
-	if s.dur != nil {
-		w = s.dur.wals[s.shardIndex(id)]
-		if err := degradedErr(w, fmt.Sprintf("put %q", id)); err != nil {
-			return err
-		}
-		// Render outside the lock; trees are immutable.
-		rec = walRecord{op: opPut, id: id, doc: t.String()}
-	}
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	if w != nil {
-		var err error
-		if seq, err = w.append(rec); err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-	}
-	sh.put(id, t)
-	sh.mu.Unlock()
-	if w != nil {
-		return w.commit(seq)
-	}
-	return nil
+	_, err := s.write(id, t, 0)
+	return err
 }
 
-// putTreeIfAbsent stores t under id only when the ID is free, with the
-// existence check and the insert under one shard lock — the atomicity
-// bulk ingest's auto-ID assignment relies on to never clobber a
-// concurrently stored document. The WAL record is buffered but not
-// forced durable: the only caller, bulk ingest, batches the force
-// (commitBulk) at the end of the stream.
-func (s *Store) putTreeIfAbsent(id string, t *jsontree.Tree) (bool, error) {
+// writeMode adjusts the one mutation body for its callers.
+type writeMode uint8
+
+const (
+	// ifAbsent makes a put a no-op when the ID is live, with the check
+	// and the insert under one shard lock — the atomicity bulk ingest's
+	// auto-ID assignment relies on to never clobber a concurrently
+	// stored document.
+	ifAbsent writeMode = 1 << iota
+	// deferCommit buffers the WAL record without forcing it durable:
+	// bulk ingest batches the force (commitBulk) at the end of the
+	// stream.
+	deferCommit
+	// noLog applies the mutation without logging it: recovery replaying
+	// records the log already holds.
+	noLog
+)
+
+// write is the one mutation body — every put, delete, bulk line and
+// replayed WAL record goes through it: degraded gate → WAL frame
+// rendered outside the lock (trees are immutable) → shard lock →
+// precondition → WAL append → apply → unlock → commit. A nil t deletes
+// id, and a delete's precondition is that id is live (an absent ID is
+// neither logged nor applied). applied reports whether the
+// precondition held and the mutation was applied in memory; a commit
+// failure returns (true, err).
+//
+// Degraded shards shed before the shard lock, without contending with
+// readers.
+func (s *Store) write(id string, t *jsontree.Tree, mode writeMode) (applied bool, err error) {
+	i := s.shardIndex(id)
 	var (
-		w   *shardWAL
-		rec walRecord
+		w     *shardWAL
+		frame []byte
+		seq   uint64
 	)
-	if s.dur != nil {
-		w = s.dur.wals[s.shardIndex(id)]
-		if err := degradedErr(w, fmt.Sprintf("bulk put %q", id)); err != nil {
-			return false, err
+	if s.dur != nil && mode&noLog == 0 {
+		w = s.dur.wals[i]
+		if w.degraded.Load() {
+			verb := "put"
+			if t == nil {
+				verb = "delete"
+			}
+			return false, fmt.Errorf("store: %s %q: shard %d: %w", verb, id, w.shard, ErrDegraded)
 		}
-		// Render outside the lock (as PutTree does); on the rare
-		// ID-collision retry the render is wasted, which is cheaper
-		// than serializing it against the shard's readers.
-		rec = walRecord{op: opPut, id: id, doc: t.String()}
+		frame = encodeRecord(id, t)
 	}
-	sh := s.shardFor(id)
+	sh := s.shards[i]
 	sh.mu.Lock()
-	if sh.has(id) {
-		sh.mu.Unlock()
-		return false, nil
+	if t == nil || mode&ifAbsent != 0 {
+		// A delete needs id live; an ifAbsent put needs it free.
+		if sh.has(id) != (t == nil) {
+			sh.mu.Unlock()
+			return false, nil
+		}
 	}
 	if w != nil {
-		if _, err := w.append(rec); err != nil {
+		if seq, err = w.append(frame); err != nil {
 			sh.mu.Unlock()
 			return false, err
 		}
 	}
-	sh.ix.add(id, t)
+	if t != nil {
+		sh.put(id, t)
+	} else {
+		sh.del(id)
+	}
 	sh.mu.Unlock()
+	if w != nil && mode&deferCommit == 0 {
+		return true, w.commit(seq)
+	}
 	return true, nil
 }
 
@@ -484,7 +417,7 @@ func (s *Store) putTreeIfAbsent(id string, t *jsontree.Tree) (bool, error) {
 // tier (a segment-resident document parses and caches on first
 // access).
 func (s *Store) Get(id string) (*jsontree.Tree, bool) {
-	sh := s.shardFor(id)
+	sh := s.shards[s.shardIndex(id)]
 	sh.mu.RLock()
 	t, ok := sh.getDoc(id)
 	sh.mu.RUnlock()
@@ -498,35 +431,7 @@ func (s *Store) Get(id string) (*jsontree.Tree, bool) {
 // (true, err) with the delete applied in memory but not provably
 // durable (further writes are then refused, as with PutTree).
 func (s *Store) Delete(id string) (bool, error) {
-	var (
-		w   *shardWAL
-		seq uint64
-	)
-	if s.dur != nil {
-		w = s.dur.wals[s.shardIndex(id)]
-		if err := degradedErr(w, fmt.Sprintf("delete %q", id)); err != nil {
-			return false, err
-		}
-	}
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	if !sh.has(id) {
-		sh.mu.Unlock()
-		return false, nil
-	}
-	if w != nil {
-		var err error
-		if seq, err = w.append(walRecord{op: opDelete, id: id}); err != nil {
-			sh.mu.Unlock()
-			return false, err
-		}
-	}
-	sh.del(id)
-	sh.mu.Unlock()
-	if w != nil {
-		return true, w.commit(seq)
-	}
-	return true, nil
+	return s.write(id, nil, 0)
 }
 
 // Len returns the number of stored documents across both tiers.
@@ -670,11 +575,11 @@ func (s *Store) Stats() Stats {
 			Terms:    len(sh.ix.postings),
 			Postings: sh.ix.entries,
 		}
-		if sh.seg != nil {
+		if n := sh.seg.sizeBytes(); n > 0 {
 			segments++
-			segBytes += sh.seg.sizeBytes()
-			segDocs += sh.segLive
+			segBytes += n
 		}
+		segDocs += sh.seg.live
 		memDocs += sh.ix.live()
 		sh.mu.RUnlock()
 		st.Shards[i] = ss

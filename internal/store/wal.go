@@ -21,6 +21,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"jsonlogic/internal/jsontree"
 )
 
 // FsyncPolicy selects when the WAL is fsynced to stable storage.
@@ -90,24 +92,30 @@ const (
 	walBufSize = 256 << 10
 )
 
-// walRecord is one logged mutation.
+// walRecord is one logged mutation as replay reads it back.
 type walRecord struct {
 	op  byte
 	id  string
 	doc string
 }
 
-// encodeRecord appends the framed record to buf and returns the
-// extended slice.
-func encodeRecord(buf []byte, rec walRecord) []byte {
-	payloadLen := 1 + 4 + len(rec.id) + len(rec.doc)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(payloadLen))
-	payloadStart := len(buf)
-	buf = append(buf, rec.op)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.id)))
-	buf = append(buf, rec.id...)
-	buf = append(buf, rec.doc...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[payloadStart:]))
+// encodeRecord frames one mutation: a put of t under id, or — t nil —
+// a delete of id. The document is rendered straight into the frame.
+func encodeRecord(id string, t *jsontree.Tree) []byte {
+	op, docHint := opDelete, 0
+	if t != nil {
+		op, docHint = opPut, 16*t.Len()
+	}
+	le := binary.LittleEndian
+	buf := make([]byte, 4, 4+1+4+len(id)+docHint+4)
+	buf = append(buf, op)
+	buf = le.AppendUint32(buf, uint32(len(id)))
+	buf = append(buf, id...)
+	if t != nil {
+		buf = t.AppendJSON(buf, t.Root())
+	}
+	le.PutUint32(buf, uint32(len(buf)-4))
+	return le.AppendUint32(buf, crc32.ChecksumIEEE(buf[4:]))
 }
 
 // errTorn marks a record that cannot be trusted: a short read, an
@@ -189,7 +197,6 @@ type shardWAL struct {
 	bw   *bufio.Writer
 	gen  uint64
 	err  error // sticky: first I/O failure (or errWALClosed)
-	tmp  []byte
 
 	// Group commit: writeSeq counts buffered records, syncSeq records
 	// proven durable. While syncing is set one goroutine owns the
@@ -255,34 +262,33 @@ func (w *shardWAL) setErr(err error) {
 	w.degraded.Store(true)
 }
 
-// append frames rec into the buffered writer and returns its commit
-// sequence number. The caller holds the owning shard's lock, which is
-// what orders the log; append itself never blocks on I/O beyond a
-// buffer spill.
-func (w *shardWAL) append(rec walRecord) (uint64, error) {
+// append writes one encodeRecord frame into the buffered writer and
+// returns its commit sequence number. The caller holds the owning
+// shard's lock, which is what orders the log; append itself never
+// blocks on I/O beyond a buffer spill.
+func (w *shardWAL) append(frame []byte) (uint64, error) {
 	// Enforce the replay-side frame bound at write time: a larger
 	// record would be fsynced, acknowledged, and then rejected as a
 	// torn tail on reopen — truncating it and everything after it.
 	// Rejecting here is a per-record error, not a WAL failure.
 	// Deliberately not an ErrWAL: the input is the problem (the log is
 	// healthy), so the daemon's 400-vs-500 classification stays honest.
-	if payload := 1 + 4 + len(rec.id) + len(rec.doc); payload > maxRecordPayload {
-		return 0, fmt.Errorf("store: wal shard %d: document %q: record payload %d bytes exceeds the %d-byte bound", w.shard, rec.id, payload, maxRecordPayload)
+	if payload := len(frame) - 8; payload > maxRecordPayload {
+		return 0, fmt.Errorf("store: wal shard %d: record payload %d bytes exceeds the %d-byte bound", w.shard, payload, maxRecordPayload)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return 0, w.err
 	}
-	w.tmp = encodeRecord(w.tmp[:0], rec)
-	if _, err := w.bw.Write(w.tmp); err != nil {
+	if _, err := w.bw.Write(frame); err != nil {
 		w.setErr(fmt.Errorf("store: wal shard %d: append: %w: %w", w.shard, ErrWAL, err))
 		return 0, w.err
 	}
 	w.writeSeq++
 	w.segRecords++
 	w.appends++
-	w.bytes += uint64(len(w.tmp))
+	w.bytes += uint64(len(frame))
 	return w.writeSeq, nil
 }
 
@@ -513,43 +519,58 @@ func (w *shardWAL) reset() error {
 	return nil
 }
 
-// truncateTornTail scans the frames of the WAL at path and truncates
-// everything past the last whole, CRC-valid record — the repair
-// replayWAL performs on the active generation at recovery, applied
-// eagerly when a failed generation is about to stop being the last.
-func truncateTornTail(fs VFS, path string) error {
+// scanWAL reads the log at path frame by frame, handing each whole,
+// CRC-valid record to apply (nil: just scan). good is the offset past
+// the last such record and size the file's length, so good < size
+// means the file ends in a torn tail — from a short or foreign header
+// (good 0) to a short frame, an implausible length or a CRC mismatch —
+// which is the caller's to truncate or to refuse. An error from apply
+// aborts the scan.
+func scanWAL(fs VFS, path string, apply func(walRecord) error) (records int, good, size int64, err error) {
 	f, err := fs.Open(path)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	size = st.Size()
+	br := bufio.NewReaderSize(f, walBufSize)
+	magic := make([]byte, len(walMagic))
+	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != walMagic {
+		// An empty file is a segment created but never flushed (nothing
+		// torn: good = size = 0); in any other, nothing is trustworthy.
+		return 0, 0, size, nil
+	}
+	good = int64(len(walMagic))
+	for {
+		rec, n, err := readRecord(br)
+		if err != nil { // io.EOF at a frame boundary, errTorn anywhere else
+			return records, good, size, nil
+		}
+		if apply != nil {
+			if err := apply(rec); err != nil {
+				return records, good, size, fmt.Errorf("%s: record %d: %w", path, records, err)
+			}
+		}
+		records++
+		good += n
+	}
+}
+
+// truncateTornTail cuts the WAL at path back to its last whole record
+// — the repair replayWAL performs on the active generation at
+// recovery, applied eagerly when a failed generation is about to stop
+// being the last.
+func truncateTornTail(fs VFS, path string) error {
+	_, good, size, err := scanWAL(fs, path, nil)
 	if os.IsNotExist(err) {
 		return nil
 	}
-	if err != nil {
+	if err != nil || good == size {
 		return err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	size := st.Size()
-	br := bufio.NewReaderSize(f, walBufSize)
-	magic := make([]byte, len(walMagic))
-	good := int64(0)
-	if n, rerr := io.ReadFull(br, magic); rerr == nil && string(magic) == walMagic {
-		good = int64(len(walMagic))
-		for {
-			_, n, rerr := readRecord(br)
-			if rerr != nil {
-				break
-			}
-			good += n
-		}
-	} else if n == 0 && rerr == io.EOF {
-		f.Close()
-		return nil // empty file: created but never flushed
-	}
-	f.Close()
-	if good == size {
-		return nil
 	}
 	return fs.Truncate(path, good)
 }

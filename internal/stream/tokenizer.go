@@ -20,6 +20,8 @@ import (
 	"io"
 	"strings"
 	"unicode/utf8"
+
+	"jsonlogic/internal/jsonval"
 )
 
 // TokenKind discriminates stream tokens.
@@ -90,7 +92,8 @@ type TokenizerOptions struct {
 	// (memory proportional to the open ancestors' fanout); disabling it
 	// makes tokenization memory proportional to the nesting depth only.
 	AllowDuplicateKeys bool
-	// MaxDepth bounds the nesting depth (0 means the default of 10000).
+	// MaxDepth bounds the nesting depth (0 means jsonval.MaxDepth, the
+	// bound the recursive parser enforces).
 	MaxDepth int
 }
 
@@ -128,7 +131,7 @@ func NewTokenizer(rd io.Reader) *Tokenizer {
 // NewTokenizerOptions returns a Tokenizer with explicit options.
 func NewTokenizerOptions(rd io.Reader, opts TokenizerOptions) *Tokenizer {
 	if opts.MaxDepth == 0 {
-		opts.MaxDepth = 10000
+		opts.MaxDepth = jsonval.MaxDepth
 	}
 	return &Tokenizer{r: bufio.NewReader(rd), opts: opts, expectValue: true}
 }
