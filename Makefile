@@ -85,7 +85,7 @@ fuzz:
 bench:
 	$(GO) test -run xxx -bench . -benchtime 2x ./...
 
-# Just the engine layer: plan-cache hit/miss and batch parallelism.
+# Just the engine layer: plan-cache hit/miss and NDJSON validation.
 bench-engine:
 	$(GO) test -run xxx -bench 'BenchmarkEngine' ./...
 
@@ -114,7 +114,8 @@ loc:
 	@sh scripts/loc.sh
 
 # Documentation checks: required docs exist, relative markdown links
-# resolve, and every package (including examples/) compiles via vet.
+# resolve, examples/ compiles via vet, and jsonstored's flag set,
+# usage blocks and README flag table agree.
 docs-check:
 	sh scripts/docs-check.sh
 

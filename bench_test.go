@@ -680,43 +680,6 @@ func BenchmarkEngineSemanticCompile(b *testing.B) {
 	}
 }
 
-// engineBatchTrees builds the document corpus shared by the batch
-// benchmarks: many mid-size random documents.
-func engineBatchTrees(count, size int) []*jsontree.Tree {
-	trees := make([]*jsontree.Tree, count)
-	for i := range trees {
-		trees[i] = jsontree.FromValue(gen.SizedDocument(int64(i+1), size))
-	}
-	return trees
-}
-
-// BenchmarkEngineEvalBatch compares a sequential evaluation loop
-// against the engine's worker-pool EvalBatch over the same shared plan.
-// On a multi-core host the parallel series divides by the worker count;
-// ns/op is per batch.
-func BenchmarkEngineEvalBatch(b *testing.B) {
-	plan := engine.MustCompile(engine.LangJNL, `[/~"k.*" /~"k.*"] || eq(/k1, 7)`)
-	trees := engineBatchTrees(64, 4000)
-	seq := engine.New(engine.Options{Workers: 1})
-	par := engine.New(engine.Options{}) // GOMAXPROCS workers
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := seq.EvalBatch(plan, trees); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("parallel/workers=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := par.EvalBatch(plan, trees); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkEngineEvalZeroAlloc pins the pooled-executor acceptance
 // criterion: with the plan cached and the result buffer reused, a
 // steady-state Validate and a predicate-path Eval perform zero
@@ -760,9 +723,9 @@ func BenchmarkEngineEvalZeroAlloc(b *testing.B) {
 }
 
 // BenchmarkEngineValidateNDJSON measures the end-to-end NDJSON path —
-// tokenize, build trees through the pooled builders, validate — at one
-// and at GOMAXPROCS workers. B/op covers parsing and evaluation for the
-// whole batch.
+// tokenize, build trees through the pooled builders, validate — on the
+// engine's GOMAXPROCS reader workers. B/op covers parsing and
+// evaluation for the whole batch.
 func BenchmarkEngineValidateNDJSON(b *testing.B) {
 	plan := engine.MustCompile(engine.LangMongoFind, `{"value": {"$lte": 4096}, "sensor": {"$type": "string"}}`)
 	var sb strings.Builder
@@ -770,26 +733,20 @@ func BenchmarkEngineValidateNDJSON(b *testing.B) {
 		fmt.Fprintf(&sb, `{"sensor":"s%d","value":%d,"status":"ok","seq":%d}`+"\n", i%32, i%4000, i)
 	}
 	input := sb.String()
-	workerCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, workers := range workerCounts {
-		e := engine.New(engine.Options{Workers: workers})
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(input)))
-			for i := 0; i < b.N; i++ {
-				results, err := e.ValidateReader(plan, strings.NewReader(input))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(results) != 2000 {
-					b.Fatalf("got %d results", len(results))
-				}
+	e := engine.New(engine.Options{})
+	b.Run(fmt.Sprintf("workers=%d", runtime.GOMAXPROCS(0)), func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(input)))
+		for i := 0; i < b.N; i++ {
+			results, err := e.ValidateReader(plan, strings.NewReader(input))
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if len(results) != 2000 {
+				b.Fatalf("got %d results", len(results))
+			}
+		}
+	})
 }
 
 // BenchmarkStreamValidate measures the §6 streaming validator: a wide

@@ -2,9 +2,10 @@
 // (internal/store) over HTTP, with query evaluation through the shared
 // plan-caching engine (internal/engine) and optional durability: with
 // -data-dir every put and delete is written ahead to a per-shard log
-// before it is acknowledged, shards are snapshotted in the background,
-// and a restart recovers the collection (snapshot + WAL tail replay,
-// torn tails truncated, index rebuilt).
+// before it is acknowledged, shards are compacted into immutable
+// segment files in the background, and a restart recovers the
+// collection (newest valid segment mapped, WAL tail replayed into the
+// memtable, torn tails truncated).
 //
 // The HTTP surface itself lives in internal/httpapi so tests and the
 // load generator (cmd/jsonload) can assemble an in-process daemon;
@@ -42,18 +43,19 @@
 //
 // Usage:
 //
-//	jsonstored [-addr :8080] [-shards 16] [-cache 256] [-index-depth 16]
-//	           [-query-workers N] [-data-dir DIR]
-//	           [-fsync always|interval|off] [-fsync-interval 100ms]
+//	jsonstored [-addr :8080] [-shards 16] [-index-depth 16]
+//	           [-data-dir DIR] [-fsync always|interval|off]
 //	           [-snapshot-every 10000]
 //	           [-schema FILE] [-semantic-budget 50000]
-//	           [-slow-query 200ms] [-trace-sample N] [-trace-ring 64]
+//	           [-slow-query 200ms] [-trace-sample N]
 //	           [-query-timeout 0] [-max-concurrent-queries 0]
-//	           [-max-queued-queries 0] [-max-bulk-bytes 0]
-//	           [-degraded-retry 500ms]
+//	           [-max-bulk-bytes 0]
 //	           [-debug-addr :6060] [-log-format text|json]
 //
 // Without -data-dir the store is in-memory and dies with the process.
+// Fixed settings: queries fan out over GOMAXPROCS shard workers,
+// -fsync interval syncs every 100ms, the plan cache holds 256 plans and
+// /debug/queries the 64 newest kept traces.
 // The semantic pass (on by default, budget 50000 automaton steps per
 // plan-cache miss; -semantic-budget 0 disables) proves queries
 // unsatisfiable at compile time — they answer empty without touching
@@ -69,18 +71,18 @@
 //
 // -query-timeout bounds each /query and /explain execution server-side
 // (a request overrides it with an X-Timeout-Ms header; expiry returns
-// 504 with the partial trace preserved). -max-concurrent-queries and
-// -max-queued-queries bound in-flight query work: excess requests wait
-// in the bounded queue and are shed with 429 + Retry-After once it
-// fills. -max-bulk-bytes bounds the bytes of concurrently admitted
-// bulk uploads the same way. If a shard's WAL fails (disk full, I/O
-// error) the shard degrades to read-only — writes return 503 while
-// reads keep serving — and a background probe retries with backoff
-// (starting at -degraded-retry, doubling to 30s) until the shard
-// heals. On SIGINT/SIGTERM the daemon stops accepting
-// connections, answers new requests 503 (drain mode), drains in-flight
-// requests, flushes and fsyncs the WAL, and exits; a second SIGINT
-// during the drain kills the process immediately.
+// 504 with the partial trace preserved). -max-concurrent-queries bounds
+// in-flight query work: excess requests wait in a queue twice that
+// deep and are shed with 429 + Retry-After once it fills.
+// -max-bulk-bytes bounds the bytes of concurrently admitted bulk
+// uploads the same way. If a shard's WAL fails (disk full, I/O error)
+// the shard degrades to read-only — writes return 503 while reads keep
+// serving — and a background probe retries with backoff (starting at
+// 500ms, doubling to 30s) until the shard heals. On SIGINT/SIGTERM the
+// daemon stops accepting connections, answers new requests 503 (drain
+// mode), drains in-flight requests, flushes and fsyncs the WAL, and
+// exits; a second SIGINT during the drain kills the process
+// immediately.
 package main
 
 import (
@@ -105,25 +107,19 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.Int("shards", 16, "shard count (rounded up to a power of two; pinned by the manifest of an existing -data-dir)")
-	cache := flag.Int("cache", 256, "plan cache capacity")
 	indexDepth := flag.Int("index-depth", 16, "maximum indexed path depth")
-	queryWorkers := flag.Int("query-workers", 0, "shards probed and evaluated concurrently per query (0: GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty: in-memory only)")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always, interval or off")
-	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "sync period under -fsync interval")
 	snapshotEvery := flag.Int("snapshot-every", 10000, "snapshot a shard once its WAL segment holds this many records (negative: manual snapshots only)")
 	slowQuery := flag.Duration("slow-query", 200*time.Millisecond, "slow-query threshold: queries at or over it are traced, logged and kept in /debug/queries (0: every query; negative: disabled)")
 	traceSample := flag.Int("trace-sample", 0, "additionally trace 1 in N queries (0: no sampling)")
-	traceRing := flag.Int("trace-ring", trace.DefaultRingSize, "kept traces retained for /debug/queries")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty: disabled)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	schemaFile := flag.String("schema", "", "JSON Schema file every stored document must conform to; also drives semantic term pruning (empty: no schema)")
 	semanticBudget := flag.Int("semantic-budget", 50000, "automaton-step budget for the semantic pass (satisfiability, containment dedup, schema pruning) per plan-cache miss (0: disabled)")
 	queryTimeout := flag.Duration("query-timeout", 0, "server-side bound on each /query and /explain execution, overridable per request with X-Timeout-Ms (0: none)")
-	maxConcurrentQueries := flag.Int("max-concurrent-queries", 0, "in-flight /query and /explain bound; excess requests queue briefly then shed with 429 (0: unbounded)")
-	maxQueuedQueries := flag.Int("max-queued-queries", 0, "admission-queue depth behind -max-concurrent-queries (0: twice the concurrency bound)")
+	maxConcurrentQueries := flag.Int("max-concurrent-queries", 0, "in-flight /query and /explain bound; excess requests queue (twice this deep) then shed with 429 (0: unbounded)")
 	maxBulkBytes := flag.Int64("max-bulk-bytes", 0, "total bytes of concurrently admitted /bulk uploads; excess uploads shed with 429 (0: unbounded)")
-	degradedRetry := flag.Duration("degraded-retry", 0, "initial backoff between heal attempts on a degraded shard and retries of a failed snapshot, doubling to 30s (0: default 500ms)")
 	flag.Parse()
 
 	var handler slog.Handler
@@ -169,7 +165,6 @@ func main() {
 		}
 	}
 	eng := engine.New(engine.Options{
-		PlanCacheSize:  *cache,
 		SemanticBudget: *semanticBudget,
 		Schema:         schemaInfo,
 	})
@@ -177,13 +172,10 @@ func main() {
 		Shards:        *shards,
 		MaxIndexDepth: *indexDepth,
 		Engine:        eng,
-		QueryWorkers:  *queryWorkers,
 		DataDir:       *dataDir,
 		Fsync:         policy,
-		FsyncInterval: *fsyncInterval,
 		SnapshotEvery: *snapshotEvery,
 		Schema:        schemaInfo,
-		DegradedRetry: *degradedRetry,
 	}
 	var st *store.Store
 	if *dataDir == "" {
@@ -208,7 +200,6 @@ func main() {
 	tracer := trace.New(trace.Options{
 		SampleEvery: *traceSample,
 		SlowQuery:   *slowQuery,
-		RingSize:    *traceRing,
 		Logger:      logger,
 	})
 
@@ -216,7 +207,6 @@ func main() {
 		Tracer:               tracer,
 		QueryTimeout:         *queryTimeout,
 		MaxConcurrentQueries: *maxConcurrentQueries,
-		MaxQueuedQueries:     *maxQueuedQueries,
 		MaxBulkBytes:         *maxBulkBytes,
 	})
 	srv := &http.Server{
@@ -254,7 +244,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	logger.Info("listening",
-		"addr", *addr, "shards", st.NumShards(), "plan_cache", *cache,
+		"addr", *addr, "shards", st.NumShards(), "plan_cache", eng.CacheStats().Capacity,
 		"semantic_budget", *semanticBudget, "schema", *schemaFile,
 		"slow_query", slowQuery.String(), "trace_sample", *traceSample)
 

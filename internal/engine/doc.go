@@ -1,7 +1,7 @@
 // Package engine is the production-oriented evaluation layer over the
 // formal core: it compiles query sources once into immutable, shareable
-// plans, caches them, and evaluates one plan over many documents
-// concurrently.
+// plans, caches them, and evaluates one plan over an NDJSON stream of
+// documents concurrently.
 //
 // # Architecture
 //
@@ -39,16 +39,15 @@
 // versus the per-document structures (node sets, equality classes, edge
 // marks) that evaluation builds in O(|J|·|φ|).
 //
-// # Batch and streaming entry points
+// # Streaming entry points
 //
-// EvalBatch and ValidateBatch fan a single plan out over a slice of
-// trees with a bounded worker pool, preserving input order; once one
-// tree fails no worker starts another. The NDJSON
-// path (EvalReader, ValidateReader) accepts an io.Reader holding one
-// JSON document per line; lines are tokenized with internal/stream's
-// tokenizer and materialized through jsontree.Builder — one pooled
-// Builder per worker, reset between documents — then evaluated in
-// parallel. A malformed line fails that line only, not the batch.
+// The NDJSON path (EvalReader, ValidateReader) accepts an io.Reader
+// holding one JSON document per line; lines are tokenized with
+// internal/stream's tokenizer and materialized through
+// jsontree.Builder — one pooled Builder per worker, GOMAXPROCS
+// workers, reset between documents — then evaluated in parallel. A
+// malformed line fails that line only, not the batch. Fanning a plan
+// out over stored documents is internal/store's job (Find, Select).
 //
 // # Relation to the reference semantics
 //

@@ -3,8 +3,6 @@ package engine
 import (
 	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"jsonlogic/internal/jauto"
 	"jsonlogic/internal/jsontree"
@@ -12,12 +10,10 @@ import (
 )
 
 // Options configure an Engine. The zero value selects sensible
-// defaults: a 256-plan cache, one worker per CPU and no semantic pass.
+// defaults: a 256-plan cache and no semantic pass.
 type Options struct {
 	// PlanCacheSize bounds the LRU plan cache (default 256).
 	PlanCacheSize int
-	// Workers bounds batch parallelism (default runtime.GOMAXPROCS(0)).
-	Workers int
 
 	// SemanticBudget enables the compile-time semantic pass (see
 	// semantic.go): positive values bound each solver invocation's step
@@ -30,10 +26,6 @@ type Options struct {
 	// any effect. Stores that enforce the same schema on writes may
 	// additionally short-circuit schema-unsatisfiable queries.
 	Schema *SchemaInfo
-	// SemanticDedupScan bounds how many resident plans a cache miss
-	// compares against for containment-based dedup (default 8 when the
-	// pass is enabled; negative disables the scan).
-	SemanticDedupScan int
 }
 
 // DefaultPlanCacheSize is the plan-cache bound used when Options leaves
@@ -41,12 +33,12 @@ type Options struct {
 const DefaultPlanCacheSize = 256
 
 // Engine is the shared, goroutine-safe query service: it owns the plan
-// cache and the batch worker configuration. One Engine is intended to
+// cache and the NDJSON readers' worker count. One Engine is intended to
 // be shared process-wide; all methods may be called concurrently.
 type Engine struct {
-	opts  Options
-	cache *planCache
-	sem   *semantics // nil when the semantic pass is disabled
+	workers int // NDJSON reader pool size: GOMAXPROCS at New
+	cache   *planCache
+	sem     *semantics // nil when the semantic pass is disabled
 }
 
 // New returns an Engine with the given options.
@@ -54,21 +46,11 @@ func New(opts Options) *Engine {
 	if opts.PlanCacheSize <= 0 {
 		opts.PlanCacheSize = DefaultPlanCacheSize
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	e := &Engine{opts: opts, cache: newPlanCache(opts.PlanCacheSize)}
+	e := &Engine{workers: runtime.GOMAXPROCS(0), cache: newPlanCache(opts.PlanCacheSize)}
 	if opts.SemanticBudget > 0 {
 		caps := jauto.DefaultCaps()
 		caps.MaxSteps = opts.SemanticBudget
-		scan := opts.SemanticDedupScan
-		if scan == 0 {
-			scan = defaultSemanticDedupScan
-		}
-		if scan < 0 {
-			scan = 0
-		}
-		e.sem = &semantics{caps: caps, dedupScan: scan, schema: opts.Schema}
+		e.sem = &semantics{caps: caps, schema: opts.Schema}
 	}
 	return e
 }
@@ -181,66 +163,4 @@ func (e *Engine) ValidateCtx(ctx context.Context, p *Plan, t *jsontree.Tree) (bo
 // store's per-shard query workers are the intended users.
 func (e *Engine) EvalAppendCtx(ctx context.Context, p *Plan, t *jsontree.Tree, out []jsontree.NodeID) ([]jsontree.NodeID, error) {
 	return p.prog.EvalAppendCtx(ctx, t, out)
-}
-
-// EvalBatch evaluates one plan over many trees with a worker pool,
-// returning per-tree node selections in input order. The first
-// evaluation error (if any) is returned alongside the partial results.
-func (e *Engine) EvalBatch(p *Plan, trees []*jsontree.Tree) ([][]jsontree.NodeID, error) {
-	out := make([][]jsontree.NodeID, len(trees))
-	err := e.forEach(len(trees), func(i int) error {
-		nodes, err := e.Eval(p, trees[i])
-		out[i] = nodes
-		return err
-	})
-	return out, err
-}
-
-// ValidateBatch validates many trees against one plan with a worker
-// pool, returning per-tree verdicts in input order.
-func (e *Engine) ValidateBatch(p *Plan, trees []*jsontree.Tree) ([]bool, error) {
-	out := make([]bool, len(trees))
-	err := e.forEach(len(trees), func(i int) error {
-		ok, err := e.Validate(p, trees[i])
-		out[i] = ok
-		return err
-	})
-	return out, err
-}
-
-// forEach runs fn(0..n-1) over the engine's worker pool; the calling
-// goroutine is one of the workers, so a batch that cannot parallelize
-// spawns nothing. Work is distributed by an atomic counter so long and
-// short items interleave without static partitioning skew. The first
-// error is kept, and once one is recorded no worker starts another
-// item.
-func (e *Engine) forEach(n int, fn func(i int) error) error {
-	workers := max(min(e.opts.Workers, n), 1)
-	var (
-		next     atomic.Int64
-		firstErr atomic.Pointer[error]
-		wg       sync.WaitGroup
-	)
-	worker := func() {
-		defer wg.Done()
-		for firstErr.Load() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := fn(i); err != nil {
-				firstErr.CompareAndSwap(nil, &err)
-			}
-		}
-	}
-	wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go worker()
-	}
-	worker()
-	wg.Wait()
-	if ep := firstErr.Load(); ep != nil {
-		return *ep
-	}
-	return nil
 }

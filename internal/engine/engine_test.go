@@ -1,10 +1,8 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"jsonlogic/internal/jsontree"
@@ -163,57 +161,9 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestBatchMatchesSequential(t *testing.T) {
-	e := New(Options{Workers: 4})
-	p := MustCompile(LangJNL, `[/k1] || eq(/k2, 7)`)
-	trees := make([]*jsontree.Tree, 37)
-	for i := range trees {
-		trees[i] = jsontree.MustParse(fmt.Sprintf(`{"k1": %d, "k2": %d, "pad%d": [%d]}`, i, i%9, i, i))
-	}
-	batch, err := e.EvalBatch(p, trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verdicts, err := e.ValidateBatch(p, trees)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tr := range trees {
-		seq, err := e.Eval(p, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(seq) != len(batch[i]) {
-			t.Fatalf("tree %d: batch %v != sequential %v", i, batch[i], seq)
-		}
-		for j := range seq {
-			if seq[j] != batch[i][j] {
-				t.Fatalf("tree %d: batch %v != sequential %v", i, batch[i], seq)
-			}
-		}
-		ok, err := e.Validate(p, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok != verdicts[i] {
-			t.Fatalf("tree %d: batch verdict %v != sequential %v", i, verdicts[i], ok)
-		}
-	}
-}
-
-func TestEmptyBatch(t *testing.T) {
-	e := New(Options{})
-	p := MustCompile(LangJNL, `true`)
-	if out, err := e.EvalBatch(p, nil); err != nil || len(out) != 0 {
-		t.Errorf("empty EvalBatch = (%v, %v)", out, err)
-	}
-	if out, err := e.ValidateBatch(p, nil); err != nil || len(out) != 0 {
-		t.Errorf("empty ValidateBatch = (%v, %v)", out, err)
-	}
-}
-
 func TestNDJSONValidateReader(t *testing.T) {
-	e := New(Options{Workers: 4})
+	e := New(Options{})
+	e.workers = 4
 	p := MustCompile(LangMongoFind, `{"v": {"$gte": 10}}`)
 	var sb strings.Builder
 	want := make([]bool, 0, 100)
@@ -245,7 +195,8 @@ func TestNDJSONValidateReader(t *testing.T) {
 }
 
 func TestNDJSONEvalReaderAndBadLines(t *testing.T) {
-	e := New(Options{Workers: 3})
+	e := New(Options{})
+	e.workers = 3
 	p := MustCompile(LangJSONPath, `$.items[*]`)
 	input := `{"items": [1, 2, 3]}
 {"items": []}
@@ -291,38 +242,5 @@ func TestLanguageNames(t *testing.T) {
 	}
 	if _, err := ParseLanguage("sql"); err == nil {
 		t.Error("ParseLanguage(sql): want error")
-	}
-}
-
-// TestForEachStopsAfterFailure: once an item has failed, no worker
-// starts another — the serial loop and the parallel pool obey the same
-// rule. Items 0 and 1 succeed and every later one fails, so a worker's
-// first failure is its last item: the serial pool runs exactly items
-// 0..2, and W parallel workers can start at most W failing items after
-// the two good ones.
-func TestForEachStopsAfterFailure(t *testing.T) {
-	const items, good = 64, 2
-	boom := errors.New("injected item failure")
-	for _, workers := range []int{1, 4} {
-		e := New(Options{Workers: workers})
-		var started [items]atomic.Bool
-		err := e.forEach(items, func(i int) error {
-			started[i].Store(true)
-			if i < good {
-				return nil
-			}
-			return boom
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: forEach = %v, want the injected failure", workers, err)
-		}
-		for i := range started {
-			switch on := started[i].Load(); {
-			case on && i >= good+workers:
-				t.Errorf("workers=%d: item %d was started after a failure was recorded", workers, i)
-			case !on && i <= good && workers == 1:
-				t.Errorf("workers=1: item %d never ran; the serial pool must reach the failing item", i)
-			}
-		}
 	}
 }

@@ -64,7 +64,7 @@ type ndjsonItem struct {
 }
 
 func (e *Engine) runNDJSON(p *Plan, r io.Reader, validate bool) ([]DocResult, error) {
-	items := make(chan ndjsonItem, e.opts.Workers*2)
+	items := make(chan ndjsonItem, e.workers*2)
 	scanErr := make(chan error, 1)
 	go func() {
 		defer close(items)
@@ -88,9 +88,8 @@ func (e *Engine) runNDJSON(p *Plan, r io.Reader, validate bool) ([]DocResult, er
 		results []DocResult
 		wg      sync.WaitGroup
 	)
-	workers := e.opts.Workers
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(e.workers)
+	for w := 0; w < e.workers; w++ {
 		go func() {
 			defer wg.Done()
 			b := jsontree.NewBuilder()

@@ -12,7 +12,8 @@ import (
 // results of the complete lines alongside the error.
 
 func TestNDJSONMalformedMidStream(t *testing.T) {
-	e := New(Options{Workers: 2})
+	e := New(Options{})
+	e.workers = 2
 	p := MustCompile(LangJNL, `[/k]`)
 	input := "{\"k\":1}\n{\"k\":oops}\n\n{\"k\":2}\n{\n"
 	results, err := e.EvalReader(p, strings.NewReader(input))
@@ -90,7 +91,8 @@ func (r *failingReader) Read(p []byte) (int, error) {
 }
 
 func TestNDJSONEarlyClose(t *testing.T) {
-	e := New(Options{Workers: 2})
+	e := New(Options{})
+	e.workers = 2
 	p := MustCompile(LangMongoFind, `{"k":{"$gte":1}}`)
 	boom := errors.New("connection reset")
 	// Two complete lines, then a third cut off by the failure. The

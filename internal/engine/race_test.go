@@ -99,19 +99,22 @@ func TestSharedPlanConcurrentEval(t *testing.T) {
 
 // TestConcurrentCompileEvictAndBatch stresses the cache's concurrency:
 // many goroutines compile an overlapping working set larger than the
-// cache (forcing concurrent evictions and recompiles) while others run
-// batch and NDJSON evaluations. Counters must balance afterwards.
+// cache (forcing concurrent evictions and recompiles) while others
+// validate against one shared plan — directly and through the NDJSON
+// readers' worker pool — and run NDJSON evaluations. Counters must
+// balance afterwards.
 func TestConcurrentCompileEvictAndBatch(t *testing.T) {
-	e := New(Options{PlanCacheSize: 8, Workers: 4})
+	e := New(Options{PlanCacheSize: 8})
+	e.workers = 4
 	sources := make([]string, 24)
 	for i := range sources {
 		sources[i] = fmt.Sprintf(`[/k%d] || eq(/k%d, %d)`, i%12, (i+5)%12, i)
 	}
 	tr := jsontree.MustParse(`{"k1": 7, "k5": [1, 2, 3], "k9": {"k1": 7}}`)
 
-	const compilers = 8
+	const compilers, validators = 8, 4
 	var wg sync.WaitGroup
-	errs := make(chan error, compilers+2)
+	errs := make(chan error, compilers+validators+2)
 	for g := 0; g < compilers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -135,23 +138,44 @@ func TestConcurrentCompileEvictAndBatch(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Add(2)
+	p := MustCompile(LangMongoFind, `{"k1": {"$gte": 5}}`)
+	trees := make([]*jsontree.Tree, 32)
+	var docs strings.Builder
+	for i := range trees {
+		doc := fmt.Sprintf(`{"k1": %d}`, i)
+		trees[i] = jsontree.MustParse(doc)
+		docs.WriteString(doc + "\n")
+	}
+	wg.Add(validators + 2)
+	for g := 0; g < validators; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				for j, tr := range trees {
+					ok, err := e.Validate(p, tr)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if ok != (j >= 5) {
+						errs <- fmt.Errorf("verdict %d = %v under concurrency", j, ok)
+						return
+					}
+				}
+			}
+		}()
+	}
 	go func() {
 		defer wg.Done()
-		p := MustCompile(LangMongoFind, `{"k1": {"$gte": 5}}`)
-		trees := make([]*jsontree.Tree, 32)
-		for i := range trees {
-			trees[i] = jsontree.MustParse(fmt.Sprintf(`{"k1": %d}`, i))
-		}
 		for i := 0; i < 20; i++ {
-			verdicts, err := e.ValidateBatch(p, trees)
+			results, err := e.ValidateReader(p, strings.NewReader(docs.String()))
 			if err != nil {
 				errs <- err
 				return
 			}
-			for j, ok := range verdicts {
-				if ok != (j >= 5) {
-					errs <- fmt.Errorf("batch verdict %d = %v under concurrency", j, ok)
+			for _, res := range results {
+				if res.Err != nil || res.Valid != (res.Index >= 5) {
+					errs <- fmt.Errorf("NDJSON verdict %d = %v (err %v) under concurrency", res.Index, res.Valid, res.Err)
 					return
 				}
 			}

@@ -50,9 +50,8 @@ import (
 // semantics is the engine's semantic-pass state: solver bounds, the
 // optional compiled schema, and the pass's counters.
 type semantics struct {
-	caps      jauto.Caps
-	dedupScan int
-	schema    *SchemaInfo
+	caps   jauto.Caps
+	schema *SchemaInfo
 
 	checks   atomic.Uint64 // plans analyzed (cache misses)
 	unsat    atomic.Uint64 // plans proved unsatisfiable
@@ -62,9 +61,8 @@ type semantics struct {
 	pruned   atomic.Uint64 // facts the schema proved universal
 }
 
-// defaultSemanticDedupScan bounds the resident plans examined per
-// cache miss when Options.SemanticDedupScan is zero.
-const defaultSemanticDedupScan = 8
+// semanticDedupScan bounds the resident plans examined per cache miss.
+const semanticDedupScan = 8
 
 // Semantic verdicts, as recorded on plans and trace spans.
 const (
@@ -292,10 +290,10 @@ func (e *Engine) analyzeSchema(p *Plan) {
 // skips the candidate.
 func (e *Engine) dedup(p *Plan) *Plan {
 	s := e.sem
-	if s.dedupScan <= 0 || p.lang == LangJSONPath || p.semJSL == nil || p.sem.unsat || p.sem.schemaUnsat {
+	if p.lang == LangJSONPath || p.semJSL == nil || p.sem.unsat || p.sem.schemaUnsat {
 		return nil
 	}
-	for _, q := range e.cache.recent(s.dedupScan) {
+	for _, q := range e.cache.recent(semanticDedupScan) {
 		if q.lang == LangJSONPath || q.semJSL == nil || q.sem.unsat || q.sem.schemaUnsat {
 			continue
 		}

@@ -6,13 +6,14 @@ package httpapi
 // request out. Two independent limiters:
 //
 //   - gate bounds in-flight queries (POST /query and /explain): a
-//     semaphore of execution slots plus a bounded wait queue. A query
+//     semaphore of execution slots plus a wait queue twice as deep
+//     (NewHandler derives it; tests build other shapes). A query
 //     that cannot get a slot reserves a queue place and blocks until a
 //     slot frees or its context expires; when the queue is full too,
 //     the request is shed immediately.
 //   - byteGate bounds the bytes of bulk-ingest bodies in flight, by
 //     Content-Length, so concurrent large uploads cannot multiply the
-//     per-request MaxBody bound into an OOM.
+//     per-request DefaultMaxBody bound into an OOM.
 //
 // Both are nil/zero-disabled: the default configuration admits
 // everything, matching the pre-gate behaviour.
@@ -46,9 +47,6 @@ type gate struct {
 func newGate(slots, queue int) *gate {
 	if slots <= 0 {
 		return nil
-	}
-	if queue < 0 {
-		queue = 0
 	}
 	return &gate{
 		slots: make(chan struct{}, slots),
@@ -104,7 +102,7 @@ func newByteGate(max int64) *byteGate {
 
 // acquire admits n bytes, returning the release function or
 // errBulkShed. A request larger than the whole budget is still
-// admitted when the gate is idle — MaxBody bounds it individually —
+// admitted when the gate is idle — maxBody bounds it individually —
 // so a generous single upload cannot deadlock against a tight gate.
 // A nil gate admits everything.
 func (b *byteGate) acquire(n int64) (func(), error) {

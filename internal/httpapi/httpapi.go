@@ -28,17 +28,13 @@ import (
 	"jsonlogic/internal/trace"
 )
 
-// DefaultMaxBody bounds one request body when Options.MaxBody is zero
-// (64 MiB; covers bulk uploads).
+// DefaultMaxBody bounds one request body (64 MiB; covers bulk
+// uploads). Oversized bodies fail with 413, never truncate silently.
 const DefaultMaxBody = 64 << 20
 
 // Options configure the handler. The zero value is the production
 // configuration.
 type Options struct {
-	// MaxBody caps one request body in bytes (default DefaultMaxBody).
-	// Oversized bodies fail with 413, never truncate silently. Tests
-	// shrink it to exercise the limit without 64MiB uploads.
-	MaxBody int64
 	// Tracer arms per-query traces on POST /query and feeds the
 	// slow-query ring GET /debug/queries serves. nil disables tracing
 	// entirely (the endpoint then reports an empty ring).
@@ -48,17 +44,14 @@ type Options struct {
 	// header. Zero means no server-side timeout.
 	QueryTimeout time.Duration
 	// MaxConcurrentQueries bounds in-flight /query and /explain
-	// executions; excess requests wait in a bounded queue and are shed
-	// with 429 once it fills. Zero disables admission control.
+	// executions; excess requests wait in a queue of twice that depth
+	// and are shed with 429 once it fills. Zero disables admission
+	// control.
 	MaxConcurrentQueries int
-	// MaxQueuedQueries bounds the admission queue (default: twice
-	// MaxConcurrentQueries). Only meaningful with a positive
-	// MaxConcurrentQueries.
-	MaxQueuedQueries int
 	// MaxBulkBytes bounds the total Content-Length of concurrently
 	// admitted /bulk uploads; excess uploads are shed with 429. Zero
 	// disables the bound (each body is still individually capped by
-	// MaxBody).
+	// DefaultMaxBody).
 	MaxBulkBytes int64
 }
 
@@ -66,7 +59,7 @@ type Options struct {
 type server struct {
 	store        *store.Store
 	eng          *engine.Engine
-	maxBody      int64
+	maxBody      int64 // DefaultMaxBody; tests shrink it
 	tracer       *trace.Tracer
 	http         *metrics.HTTPMetrics
 	runtime      *metrics.RuntimeMetrics
@@ -94,22 +87,15 @@ func (h *Handler) SetDraining(v bool) { h.s.draining.Store(v) }
 
 // NewHandler returns the daemon's handler over st.
 func NewHandler(st *store.Store, opts Options) *Handler {
-	if opts.MaxBody <= 0 {
-		opts.MaxBody = DefaultMaxBody
-	}
-	queue := opts.MaxQueuedQueries
-	if queue == 0 {
-		queue = 2 * opts.MaxConcurrentQueries
-	}
 	s := &server{
 		store:        st,
 		eng:          st.Engine(),
-		maxBody:      opts.MaxBody,
+		maxBody:      DefaultMaxBody,
 		tracer:       opts.Tracer,
 		http:         &metrics.HTTPMetrics{},
 		runtime:      &metrics.RuntimeMetrics{},
 		queryTimeout: opts.QueryTimeout,
-		qgate:        newGate(opts.MaxConcurrentQueries, queue),
+		qgate:        newGate(opts.MaxConcurrentQueries, 2*opts.MaxConcurrentQueries),
 		bulkBytes:    newByteGate(opts.MaxBulkBytes),
 	}
 	mux := http.NewServeMux()

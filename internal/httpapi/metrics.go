@@ -97,8 +97,7 @@ func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
 		e.Counter(promPrefix+"wal_bytes_total", "WAL bytes framed since open.", d.WALBytes)
 		e.Counter(promPrefix+"wal_syncs_total", "WAL fsyncs issued since open.", d.WALSyncs)
 		e.Gauge(promPrefix+"wal_segment_records", "Records across active WAL segments: the replay debt a crash now would incur.", float64(d.WALSegmentRecords))
-		e.Counter(promPrefix+"snapshots_total", "Snapshot attempts since open.", d.Snapshots)
-		e.Counter(promPrefix+"snapshot_errors_total", "Failed snapshot attempts since open.", d.SnapshotErrors)
+		e.Counter(promPrefix+"snapshot_errors_total", "Failed snapshot attempts since open (successful ones are compactions_total).", d.SnapshotErrors)
 		walFailed := uint64(0)
 		if d.LastError != "" {
 			walFailed = 1

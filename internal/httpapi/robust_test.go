@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -44,10 +43,8 @@ const robustQuery = `{"lang":"mongo","query":"{\"k\":1}"}`
 // query arriving while the slot is held is shed immediately with 429
 // and Retry-After; once the slot frees, queries run again.
 func TestQueryGateSheds429(t *testing.T) {
-	h := NewHandler(store.New(store.Options{Shards: 2}), Options{
-		MaxConcurrentQueries: 1,
-		MaxQueuedQueries:     -1, // no queue: shed as soon as the slot is busy
-	})
+	h := NewHandler(store.New(store.Options{Shards: 2}), Options{})
+	h.s.qgate = newGate(1, 0) // no queue: shed as soon as the slot is busy
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 
@@ -75,14 +72,12 @@ func TestQueryGateSheds429(t *testing.T) {
 	}
 }
 
-// TestQueryGateQueues: a query that finds the slot busy but the queue
-// open waits for the slot instead of shedding, and is counted as a
-// wait, not a shed.
+// TestQueryGateQueues pins the admission queue behind one slot at its
+// derived depth of two: queries that find the slot busy wait instead
+// of shedding (counted as waits), the third is shed with 429, and
+// once the slot frees both waiters run.
 func TestQueryGateQueues(t *testing.T) {
-	h := NewHandler(store.New(store.Options{Shards: 2}), Options{
-		MaxConcurrentQueries: 1,
-		MaxQueuedQueries:     1,
-	})
+	h := NewHandler(store.New(store.Options{Shards: 2}), Options{MaxConcurrentQueries: 1})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 
@@ -90,30 +85,39 @@ func TestQueryGateQueues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("priming acquire: %v", err)
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	codes := make(chan int, 1)
-	go func() {
-		defer wg.Done()
-		code, _ := doHdr(t, "POST", ts.URL+"/query", robustQuery, nil)
-		codes <- code
-	}()
-	// Wait until the request is provably parked in the queue, then
-	// free the slot it is waiting for.
+	const waiters = 2
+	codes := make(chan int, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(robustQuery))
+			if err != nil {
+				t.Error(err)
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	// Wait until both requests are provably parked in the queue.
 	deadline := time.Now().Add(5 * time.Second)
-	for h.s.qgate.waits.Load() == 0 {
+	for h.s.qgate.waits.Load() < waiters {
 		if time.Now().After(deadline) {
-			t.Fatal("query never queued")
+			t.Fatalf("%d of %d queries queued", h.s.qgate.waits.Load(), waiters)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	release()
-	wg.Wait()
-	if code := <-codes; code != http.StatusOK {
-		t.Fatalf("queued query: %d, want 200", code)
+	if code, hdr := doHdr(t, "POST", ts.URL+"/query", robustQuery, nil); code != http.StatusTooManyRequests || hdr.Get("Retry-After") == "" {
+		t.Fatalf("query with slot and queue full: %d (Retry-After %q), want 429", code, hdr.Get("Retry-After"))
 	}
-	if got := h.s.qgate.sheds.Load(); got != 0 {
-		t.Fatalf("queued query counted as shed (%d sheds)", got)
+	release()
+	for i := 0; i < waiters; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("queued query: %d, want 200", code)
+		}
+	}
+	if got := h.s.qgate.sheds.Load(); got != 1 {
+		t.Fatalf("gate sheds = %d, want 1: only the request past the queue sheds", got)
 	}
 }
 

@@ -22,8 +22,7 @@ import (
 
 // chaosOpts is the shared configuration: a FaultFS over the real
 // disk, fsync on every commit (so every put exercises the write+sync
-// path), background snapshots off unless the test wants them, and a
-// fast heal probe so tests wait milliseconds, not seconds.
+// path) and background snapshots off unless the test wants them.
 func chaosOpts(dir string, fs *FaultFS) Options {
 	return Options{
 		Shards:        2,
@@ -31,8 +30,18 @@ func chaosOpts(dir string, fs *FaultFS) Options {
 		Fsync:         FsyncAlways,
 		SnapshotEvery: -1,
 		VFS:           fs,
-		DegradedRetry: 5 * time.Millisecond,
 	}
+}
+
+// openChaos is openDurable with a 5 ms initial heal and snapshot-retry
+// backoff, so tests wait milliseconds, not seconds.
+func openChaos(t *testing.T, opts Options) *Store {
+	t.Helper()
+	s, err := open(opts, 5*time.Millisecond)
+	if err != nil {
+		t.Fatalf("open(%s): %v", opts.DataDir, err)
+	}
+	return s
 }
 
 func chaosDoc(i int) *jsontree.Tree {
@@ -131,7 +140,7 @@ func waitHealed(t *testing.T, s *Store) {
 func chaosScenario(t *testing.T, rule FaultRule, wantErr error) {
 	dir := t.TempDir()
 	fs := NewFaultFS(nil)
-	s := openDurable(t, chaosOpts(dir, fs))
+	s := openChaos(t, chaosOpts(dir, fs))
 	oracle := mustPutN(t, s, 40)
 
 	fs.Fail(rule)
@@ -206,7 +215,7 @@ func TestChaosWALShortWrite(t *testing.T) {
 func TestChaosCrashWhileDegraded(t *testing.T) {
 	dir := t.TempDir()
 	fs := NewFaultFS(nil)
-	s := openDurable(t, chaosOpts(dir, fs))
+	s := openChaos(t, chaosOpts(dir, fs))
 	oracle := mustPutN(t, s, 40)
 
 	fs.Fail(FaultRule{Ops: OpWrite, Path: "wal-", Err: ErrNoSpace, ShortWrite: true})
@@ -233,7 +242,7 @@ func TestChaosSnapshotFailureRetries(t *testing.T) {
 	fs := NewFaultFS(nil)
 	opts := chaosOpts(dir, fs)
 	opts.SnapshotEvery = 1 // every record tips the background snapshotter
-	s := openDurable(t, opts)
+	s := openChaos(t, opts)
 	defer s.Close()
 
 	fs.Fail(FaultRule{Ops: OpWrite, Path: ".tmp", Err: ErrNoSpace})
@@ -257,9 +266,9 @@ func TestChaosSnapshotFailureRetries(t *testing.T) {
 	oracle["post-fault"] = chaosDoc(7)
 
 	fs.Clear()
-	base := s.Stats().Durability.Snapshots
+	base := s.Stats().Durability.Compactions
 	deadline = time.Now().Add(5 * time.Second)
-	for s.Stats().Durability.Snapshots == base {
+	for s.Stats().Durability.Compactions == base {
 		if time.Now().After(deadline) {
 			t.Fatalf("snapshotter never recovered after the fault cleared: %+v", s.Stats().Durability)
 		}
@@ -276,7 +285,7 @@ func TestChaosSnapshotFailureRetries(t *testing.T) {
 func TestChaosBulkMidBatchDegraded(t *testing.T) {
 	dir := t.TempDir()
 	fs := NewFaultFS(nil)
-	s := openDurable(t, chaosOpts(dir, fs))
+	s := openChaos(t, chaosOpts(dir, fs))
 	defer s.Close()
 
 	// Clean batch first: everything inserted is durable.
@@ -332,7 +341,7 @@ func TestChaosBulkMidBatchDegraded(t *testing.T) {
 func TestChaosFaultOnce(t *testing.T) {
 	dir := t.TempDir()
 	fs := NewFaultFS(nil)
-	s := openDurable(t, chaosOpts(dir, fs))
+	s := openChaos(t, chaosOpts(dir, fs))
 	defer s.Close()
 	oracle := mustPutN(t, s, 8)
 

@@ -139,7 +139,6 @@ func (s *Store) snapshotShard(i int) error {
 	sh.mu.Unlock()
 	old.r.close()
 
-	d.snapshots.Add(1)
 	d.compactions.Add(1)
 	removeObsolete(d.fs, dir, gen)
 	return nil

@@ -27,8 +27,8 @@
 // is the same generic function (run, in query.go): a compile-time
 // emptiness proof answers first; otherwise the cost-based planner
 // picks the access path; then the query fans out across shards on a
-// bounded worker pool (Options.QueryWorkers, capped by the shard
-// count; the calling goroutine is one of the workers), each worker
+// bounded worker pool (GOMAXPROCS workers, capped by the shard count;
+// the calling goroutine is one of the workers), each worker
 // taking the shard read lock just long enough to snapshot candidate
 // (id, tree) pairs and evaluating outside the lock — trees are
 // immutable, so evaluation never races with writers — before the
@@ -49,7 +49,7 @@
 // Documents are dictionary-encoded per shard: each insert assigns the
 // next dense uint32 ordinal, deletes tombstone the ordinal in O(1),
 // and compaction renumbers the shard once tombstones reach the live
-// count (and on every snapshot). The pathIndex maps structural terms
+// count. The pathIndex maps structural terms
 // to posting lists of sorted ordinals — intersected with a galloping/
 // two-pointer merge, never map iteration — maintained incrementally on
 // every insert and delete:
@@ -98,8 +98,8 @@
 // CRC-protected) and appended to its shard's log while the shard lock
 // is held — so log order equals apply order — and acknowledged only
 // once the configured FsyncPolicy holds: always (group-commit fsync
-// per acknowledgement), interval (background timer), or off (OS
-// write-back; Close still flushes and syncs). Background compaction
+// per acknowledgement), interval (a 100 ms background timer), or off
+// (OS write-back; Close still flushes and syncs). Background compaction
 // (compaction.go) rotates a shard's WAL and merges the shard into an
 // immutable segment file with write-temp-then-rename atomicity;
 // recovery maps the newest segment that validates end-to-end — it

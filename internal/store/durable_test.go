@@ -442,7 +442,7 @@ func TestDurableBackgroundSnapshot(t *testing.T) {
 		}
 	}
 	deadline := 0
-	for s.Stats().Durability.Snapshots == 0 {
+	for s.Stats().Durability.Compactions == 0 {
 		deadline++
 		if deadline > 200 {
 			t.Fatal("background snapshotter never fired")
@@ -535,7 +535,7 @@ func TestDurableManifestPinsShards(t *testing.T) {
 // prefix — every recovered document matches what was written.
 func TestDurableFsyncOffLosesAtMostTheTail(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Shards: 1, DataDir: dir, Fsync: FsyncOff, SnapshotEvery: -1, FsyncInterval: time.Hour}
+	opts := Options{Shards: 1, DataDir: dir, Fsync: FsyncOff, SnapshotEvery: -1}
 	s := openDurable(t, opts)
 	written := make(map[string]string)
 	for i := 0; i < 50; i++ {

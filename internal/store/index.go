@@ -108,7 +108,9 @@ type ordinal = uint32
 // machine words rather than hash-map iteration. Deletes tombstone the
 // ordinal (O(1) — no posting list is touched); probe filters dead
 // ordinals out and compaction rewrites the lists once tombstones reach
-// half the dictionary (and on every snapshot). The structure is not
+// half the dictionary; a snapshot instead leaves the shard a fresh
+// pathIndex holding only the writes it did not migrate into the new
+// segment. The structure is not
 // internally synchronized; the owning shard's lock covers it.
 type pathIndex struct {
 	maxDepth int
@@ -257,9 +259,7 @@ func (ix *pathIndex) maybeCompact() {
 
 // compact renumbers the live documents densely (preserving ordinal
 // order, so rebuilt posting lists stay sorted) and drops tombstoned
-// ordinals from every posting list. Snapshots also call it, so a
-// freshly snapshotted shard starts its next WAL generation garbage-
-// free.
+// ordinals from every posting list.
 func (ix *pathIndex) compact() {
 	if ix.dead == 0 {
 		return

@@ -197,7 +197,7 @@ func BenchmarkStoreIntersection(b *testing.B) {
 }
 
 // BenchmarkStoreFanout compares the parallel shard fan-out against the
-// same query forced serial (QueryWorkers=1) on the selective two-term
+// same query forced serial (setQueryWorkers(1)) on the selective two-term
 // find. On a single-core container GOMAXPROCS is 1 and the two series
 // coincide (the fan-out runs inline); at GOMAXPROCS ≥ 2 the parallel
 // series divides by the worker count.

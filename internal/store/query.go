@@ -120,9 +120,9 @@ func postingLengths(ix *pathIndex, terms []uint64) string {
 	return string(b)
 }
 
-// fanOut runs task(0 … shards-1) over at most Options.QueryWorkers
-// workers (work-stealing by atomic counter, like the engine's batch
-// pool) and returns how many workers ran plus the first task error.
+// fanOut runs task(0 … shards-1) over at most s.queryWorkers workers
+// (work-stealing by atomic counter) and returns how many workers ran
+// plus the first task error.
 // The calling goroutine is one of the workers, so a query that cannot
 // parallelize — one worker, or one shard — spawns nothing. A non-nil
 // ctx is polled before every shard task, so a cancelled query stops
@@ -130,7 +130,7 @@ func postingLengths(ix *pathIndex, terms []uint64) string {
 // Once any task has failed no worker starts another shard.
 func (s *Store) fanOut(ctx context.Context, task func(shardIdx int) error) (int, error) {
 	n := len(s.shards)
-	workers := min(s.opts.QueryWorkers, n)
+	workers := min(s.queryWorkers, n)
 	var (
 		next     atomic.Int64
 		firstErr atomic.Pointer[error]

@@ -20,7 +20,8 @@ import (
 // merge invariants — results sorted, duplicate-free, and every
 // returned ID routed to the shard that produced it.
 func TestConcurrentWritesDuringParallelFind(t *testing.T) {
-	s := New(Options{Shards: 8, QueryWorkers: 4})
+	s := New(Options{Shards: 8})
+	s.setQueryWorkers(4)
 	plans := []*engine.Plan{
 		engine.MustCompile(engine.LangMongoFind, `{"kind":"blue"}`),
 		engine.MustCompile(engine.LangMongoFind, `{"kind":"blue","n":{"$lte":100}}`),
@@ -92,7 +93,7 @@ func TestConcurrentWritesDuringParallelFind(t *testing.T) {
 
 	q := s.Stats().Queries
 	if q.ParallelQueries == 0 {
-		t.Error("no query fanned out in parallel; QueryWorkers was not honored")
+		t.Error("no query fanned out in parallel; the worker bound was not honored")
 	}
 	// Every surviving document must still be exactly findable: index
 	// agrees with the dictionary after all the churn.

@@ -62,7 +62,6 @@ type durability struct {
 	dir           string
 	fs            VFS
 	policy        FsyncPolicy
-	interval      time.Duration
 	snapshotEvery int
 	retryBase     time.Duration // initial heal/snapshot-retry backoff
 
@@ -71,7 +70,6 @@ type durability struct {
 	lock     *os.File // flock'd LOCK file; held until Close
 
 	snapMu         sync.Mutex // serializes snapshots (manual and background)
-	snapshots      atomic.Uint64
 	snapshotErrors atomic.Uint64
 	compactions    atomic.Uint64 // segment builds (merge + swap) completed
 
@@ -130,10 +128,15 @@ type RecoveryStats struct {
 // the latest valid segment per shard plus the replayed WAL tail. A
 // torn write at the end of an active segment — the fingerprint of a
 // crash mid-append — is truncated away; corruption anywhere else is an
-// error, never a silent gap. The recovered store's inverted path index
-// is rebuilt en route, and RecoveryStats (via Stats) reports what was
-// found. See New for the in-memory variant.
-func Open(opts Options) (*Store, error) {
+// error, never a silent gap. Segments are mapped, not rebuilt: only
+// the replayed WAL tail is indexed into the memtable. RecoveryStats
+// (via Stats) reports what was found. See New for the in-memory
+// variant.
+func Open(opts Options) (*Store, error) { return open(opts, retryBackoff) }
+
+// open is Open with the initial heal and snapshot-retry backoff as a
+// parameter, which the chaos tests shorten.
+func open(opts Options, retryBase time.Duration) (*Store, error) {
 	if opts.DataDir == "" {
 		return nil, errors.New("store: Open requires Options.DataDir; use New for an in-memory store")
 	}
@@ -209,9 +212,8 @@ func Open(opts Options) (*Store, error) {
 		dir:           opts.DataDir,
 		fs:            fs,
 		policy:        opts.Fsync,
-		interval:      opts.FsyncInterval,
 		snapshotEvery: opts.SnapshotEvery,
-		retryBase:     opts.DegradedRetry,
+		retryBase:     retryBase,
 		wals:          make([]*shardWAL, len(s.shards)),
 		stop:          make(chan struct{}),
 		done:          make(chan struct{}),
@@ -514,19 +516,19 @@ func (s *Store) replayWAL(path string, last bool, maxSeq *uint64) (records int, 
 }
 
 // maintain is the background loop of a durable store: the periodic
-// flush that implements FsyncInterval (and bounds the buffered tail
-// under FsyncOff), the snapshot trigger that rolls a shard's WAL into
-// a segment once it accumulates SnapshotEvery records (failures are
-// logged and retried with per-shard exponential backoff, never
-// dropped), and the heal probe that retries degraded shards until the
-// disk recovers.
+// flush (every flushPeriod) that implements FsyncInterval (and bounds
+// the buffered tail under FsyncOff), the snapshot trigger that rolls a
+// shard's WAL into a segment once it accumulates SnapshotEvery records
+// (failures are logged and retried with per-shard exponential backoff,
+// never dropped), and the heal probe that retries degraded shards until
+// the disk recovers.
 func (d *durability) maintain(s *Store) {
 	defer close(d.done)
 	// Under FsyncAlways every commit already syncs; don't wake 10×/s
 	// for a no-op. A nil channel blocks forever in select.
 	var flushC <-chan time.Time
 	if d.policy == FsyncInterval || d.policy == FsyncOff {
-		flush := time.NewTicker(d.interval)
+		flush := time.NewTicker(flushPeriod)
 		defer flush.Stop()
 		flushC = flush.C
 	}
@@ -646,8 +648,17 @@ const snapshotPoll = 500 * time.Millisecond
 // degradedPoll is how often the heal probe scans for degraded shards.
 // The scan is a per-shard atomic load when healthy, so it can afford
 // to be frequent; actual heal attempts are paced by the exponential
-// backoff (Options.DegradedRetry up to maxRetryBackoff).
+// backoff (retryBackoff up to maxRetryBackoff).
 const degradedPoll = 50 * time.Millisecond
+
+// flushPeriod is the background sync period under FsyncInterval and
+// the flush period under FsyncOff.
+const flushPeriod = 100 * time.Millisecond
+
+// retryBackoff is the initial backoff between heal attempts on a
+// degraded shard, and between retries of a failed background
+// snapshot; it doubles per failure up to maxRetryBackoff.
+const retryBackoff = 500 * time.Millisecond
 
 // maxRetryBackoff caps the heal and snapshot-retry backoff.
 const maxRetryBackoff = 30 * time.Second

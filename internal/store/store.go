@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"jsonlogic/internal/engine"
 	"jsonlogic/internal/jsontree"
@@ -29,10 +28,6 @@ type Options struct {
 	// share one engine between the store and their own endpoints so
 	// plan-cache statistics cover all traffic.
 	Engine *engine.Engine
-	// QueryWorkers bounds how many shards one query probes and
-	// evaluates concurrently (default runtime.GOMAXPROCS(0)). 1 runs
-	// every query serially.
-	QueryWorkers int
 	// Schema, when set, makes the store enforce the compiled schema on
 	// every write (Put, bulk ingest, recovery replay): nonconforming
 	// documents are refused with ErrSchema. Enforcement is what makes
@@ -49,9 +44,6 @@ type Options struct {
 	// Fsync selects the WAL durability guarantee (default FsyncAlways;
 	// see FsyncPolicy).
 	Fsync FsyncPolicy
-	// FsyncInterval is the background sync period under FsyncInterval
-	// (and the flush period under FsyncOff); default 100ms.
-	FsyncInterval time.Duration
 	// SnapshotEvery triggers a background snapshot of a shard once its
 	// active WAL segment holds that many records (default 10000).
 	// Negative disables automatic snapshots; Snapshot still works.
@@ -62,18 +54,12 @@ type Options struct {
 	// FaultFS here. The LOCK file and mmap bypass the seam (see
 	// vfs.go).
 	VFS VFS
-	// DegradedRetry is the initial backoff between heal attempts on a
-	// degraded shard, and between retries of a failed background
-	// snapshot; it doubles per failure up to 30s (default 500ms).
-	DegradedRetry time.Duration
 }
 
 const (
 	defaultShards        = 16
 	defaultMaxIndexDepth = 16
-	defaultFsyncInterval = 100 * time.Millisecond
 	defaultSnapshotEvery = 10000
-	defaultDegradedRetry = 500 * time.Millisecond
 )
 
 // Store is a sharded, goroutine-safe document collection with an
@@ -85,6 +71,10 @@ type Store struct {
 	eng    *engine.Engine
 	opts   Options
 	dur    *durability // nil for in-memory stores
+
+	// queryWorkers bounds how many shards one query probes and
+	// evaluates concurrently: GOMAXPROCS at construction.
+	queryWorkers int
 
 	seq atomic.Uint64 // auto-ID counter for bulk ingest
 
@@ -223,20 +213,11 @@ func normalizeOptions(opts Options) Options {
 	if opts.Engine == nil {
 		opts.Engine = engine.New(engine.Options{})
 	}
-	if opts.QueryWorkers <= 0 {
-		opts.QueryWorkers = runtime.GOMAXPROCS(0)
-	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = defaultFsyncInterval
-	}
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = defaultSnapshotEvery
 	}
 	if opts.VFS == nil {
 		opts.VFS = osFS{}
-	}
-	if opts.DegradedRetry <= 0 {
-		opts.DegradedRetry = defaultDegradedRetry
 	}
 	return opts
 }
@@ -244,10 +225,11 @@ func normalizeOptions(opts Options) Options {
 // newStore builds the in-memory skeleton from normalized options.
 func newStore(opts Options) *Store {
 	s := &Store{
-		shards: make([]*shard, opts.Shards),
-		mask:   uint64(opts.Shards - 1),
-		eng:    opts.Engine,
-		opts:   opts,
+		shards:       make([]*shard, opts.Shards),
+		mask:         uint64(opts.Shards - 1),
+		eng:          opts.Engine,
+		opts:         opts,
+		queryWorkers: runtime.GOMAXPROCS(0),
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{ix: newPathIndex(opts.MaxIndexDepth), seg: newSegTier(&segmentReader{})}
@@ -259,13 +241,13 @@ func newStore(opts Options) *Store {
 func (s *Store) Engine() *engine.Engine { return s.eng }
 
 // setQueryWorkers overrides the per-query fan-out bound, returning the
-// previous value; the fan-out benchmarks use it to compare serial and
-// parallel execution on one populated store. Not safe to call
-// concurrently with queries.
+// previous value; tests and the fan-out benchmarks use it to compare
+// serial and parallel execution on one populated store. Not safe to
+// call concurrently with queries.
 func (s *Store) setQueryWorkers(n int) int {
-	prev := s.opts.QueryWorkers
+	prev := s.queryWorkers
 	if n > 0 {
-		s.opts.QueryWorkers = n
+		s.queryWorkers = n
 	}
 	return prev
 }
@@ -480,7 +462,7 @@ type QueryStats struct {
 	// ParallelQueries / SerialQueries split queries by whether the
 	// shard fan-out ran on more than one worker; FanoutWorkers is the
 	// per-query histogram of workers actually used (bounded by
-	// Options.QueryWorkers and the shard count).
+	// GOMAXPROCS and the shard count).
 	ParallelQueries uint64           `json:"parallel_queries"`
 	SerialQueries   uint64           `json:"serial_queries"`
 	FanoutWorkers   []metrics.Bucket `json:"fanout_workers,omitempty"`
@@ -520,9 +502,9 @@ type DurabilityStats struct {
 	// WALSegmentRecords is the record count across the active
 	// segments — the replay debt a crash right now would incur.
 	WALSegmentRecords uint64 `json:"wal_segment_records"`
-	// Snapshots / SnapshotErrors count background and manual snapshot
-	// attempts since open.
-	Snapshots      uint64 `json:"snapshots"`
+	// SnapshotErrors counts failed snapshots (background, manual or
+	// heal: WAL rotation, segment build or segment map) since open;
+	// successful ones are Compactions.
 	SnapshotErrors uint64 `json:"snapshot_errors"`
 	// Segments / SegmentBytes / SegmentDocs describe the immutable
 	// read tier: shards with a mapped segment file, bytes mapped (or
@@ -622,7 +604,6 @@ func (s *Store) Stats() Stats {
 func (d *durability) stats() *DurabilityStats {
 	ds := &DurabilityStats{
 		Fsync:          d.policy.String(),
-		Snapshots:      d.snapshots.Load(),
 		SnapshotErrors: d.snapshotErrors.Load(),
 		Compactions:    d.compactions.Load(),
 		WALRetries:     d.walRetries.Load(),

@@ -294,11 +294,12 @@ func TestDeepFactPartialPruning(t *testing.T) {
 
 // TestFewShardsManyWorkers: a worker budget above the shard count is
 // simply capped by it — there is one fan-out, no side path. A 1-shard
-// store with QueryWorkers 8 must answer, and account, exactly like the
-// same store with QueryWorkers 1.
+// store with 8 query workers must answer, and account, exactly like
+// the same store with 1.
 func TestFewShardsManyWorkers(t *testing.T) {
-	wide := New(Options{Shards: 1, QueryWorkers: 8})
-	ref := New(Options{Shards: 1, QueryWorkers: 1})
+	wide, ref := New(Options{Shards: 1}), New(Options{Shards: 1})
+	wide.setQueryWorkers(8)
+	ref.setQueryWorkers(1)
 	for i := 0; i < 40; i++ {
 		doc := fmt.Sprintf(`{"g":"g%d","n":%d}`, i%4, i)
 		for _, s := range []*Store{wide, ref} {
@@ -363,7 +364,8 @@ func TestFanOutStopsAfterFailure(t *testing.T) {
 	const shards, good = 16, 2
 	boom := errors.New("injected shard failure")
 	for _, workers := range []int{1, 4} {
-		s := New(Options{Shards: shards, QueryWorkers: workers})
+		s := New(Options{Shards: shards})
+		s.setQueryWorkers(workers)
 		var started [shards]atomic.Bool
 		ran, err := s.fanOut(nil, func(i int) error {
 			started[i].Store(true)

@@ -34,9 +34,8 @@ const (
 	// machine crashes. Group commit amortizes the fsync across
 	// concurrent writers and across each bulk-ingest batch.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs on a background timer (Options.FsyncInterval,
-	// default 100ms): a crash may lose at most the last interval of
-	// acknowledged writes.
+	// FsyncInterval syncs on a 100ms background timer: a crash may lose
+	// at most the last interval of acknowledged writes.
 	FsyncInterval
 	// FsyncOff never syncs explicitly; the operating system writes the
 	// log back at its leisure. A process crash loses at most the

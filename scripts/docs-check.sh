@@ -8,6 +8,11 @@
 #  3. `go vet ./examples/...` passes, compiling every documented
 #     walkthrough — they cannot silently rot. (CI's dedicated Vet step
 #     covers the rest of the tree; vetting it twice buys nothing.)
+#  4. jsonstored's flags are documented exactly: the flag.X("name", …)
+#     definitions in cmd/jsonstored/main.go, the usage block of its
+#     package doc, and the usage block and `-name` flag-table rows of
+#     cmd/jsonstored/README.md name the same set, so a flag cannot be
+#     added or dropped in one place only.
 #
 # Run from the repository root: scripts/docs-check.sh (or `make docs-check`).
 set -u
@@ -52,6 +57,30 @@ if ! go vet ./examples/...; then
     echo "docs-check: go vet ./examples/... failed"
     fail=1
 fi
+
+main=cmd/jsonstored/main.go
+readme=cmd/jsonstored/README.md
+flags=$(mktemp -d)
+trap 'rm -rf "$flags"' EXIT
+grep -o 'flag\.[A-Za-z0-9]*("[a-z-]*"' "$main" | sed 's/.*("//; s/"$//' |
+    LC_ALL=C sort >"$flags/defined"
+sed -n '/^\/\/.jsonstored \[/,/^\/\/$/p' "$main" | grep -o '\[-[a-z-]*' |
+    sed 's/^\[-//' | LC_ALL=C sort >"$flags/main.go-usage"
+sed -n '/^jsonstored \[/,/^```/p' "$readme" | grep -o '\[-[a-z-]*' |
+    sed 's/^\[-//' | LC_ALL=C sort >"$flags/README-usage"
+grep -o '^| `-[a-z-]*` |' "$readme" | sed 's/^| `-//; s/` |$//' |
+    LC_ALL=C sort >"$flags/README-table"
+if [ ! -s "$flags/defined" ]; then
+    echo "docs-check: found no flag definitions in $main"
+    fail=1
+fi
+for doc in main.go-usage README-usage README-table; do
+    if ! cmp -s "$flags/defined" "$flags/$doc"; then
+        echo "docs-check: jsonstored flags: $main defines (<) vs $doc lists (>):"
+        diff "$flags/defined" "$flags/$doc" | grep '^[<>]'
+        fail=1
+    fi
+done
 
 if [ "$fail" -eq 0 ]; then
     echo "docs-check: OK"
