@@ -8,7 +8,7 @@ BENCH_JSON ?= BENCH_8.json
 BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= $(BENCH_JSON)
 
-.PHONY: all build vet fmt-check test race race-core alloc-check chaos fuzz bench bench-engine bench-store bench-smoke bench-json bench-diff benchmark-check docs-check deps-check loc run-daemon loadtest-smoke loadgrid
+.PHONY: all build vet fmt-check test race race-core alloc-check chaos fuzz bench bench-engine bench-store bench-smoke bench-json bench-diff benchmark-check docs-check deps-check loc run-daemon
 
 all: vet fmt-check build test docs-check deps-check
 
@@ -132,24 +132,6 @@ run-daemon:
 	@dir=$$(mktemp -d /tmp/jsonstored-data.XXXXXX); \
 	echo "data dir: $$dir"; \
 	$(GO) run ./cmd/jsonstored -addr :8080 -data-dir "$$dir" -fsync interval
-
-# Load-harness smoke: the jsonload self-tests drive the generator
-# against an in-process daemon (real handlers over httptest) whose
-# slow-query threshold is forced to 0, so every request exercises the
-# full trace-capture path under load; asserts nonzero throughput,
-# zero errors and a well-formed summary including the slowest-K
-# request ids. -count=1 so the run is measured, not replayed from the
-# test cache; CI runs this on every push.
-loadtest-smoke:
-	$(GO) test -run 'TestRun|TestGrid' -count=1 ./internal/load
-
-# The full reproducible load grid: builds jsonstored + jsonload,
-# starts a throwaway durable daemon, sweeps the experiments manifest
-# (workload x concurrency, 30s per point) and writes one combined CSV
-# table per run. Expect ~7 minutes with the default manifest; see
-# cmd/jsonload/README.md for reading the results.
-loadgrid:
-	sh scripts/loadgrid/run_grid.sh
 
 # Benchmarks as data: run the suite and record (name, ns/op, B/op,
 # allocs/op) in $(BENCH_JSON), committed per PR so the performance

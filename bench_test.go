@@ -1,7 +1,7 @@
 // Benchmarks reproducing the complexity results of the paper's
-// "evaluation" (Propositions 1–10 and Theorems 1–2). One benchmark
-// family per experiment row of DESIGN.md §4; cmd/jsonrepro turns the
-// same sweeps into the tables recorded in EXPERIMENTS.md.
+// "evaluation" (Propositions 1–10 and Theorems 1–2; see PAPER.md). One
+// benchmark family per result; cmd/jsonrepro prints the same sweeps as
+// tables.
 //
 // The paper states asymptotic bounds rather than wall-clock numbers, so
 // each family sweeps the relevant parameter and the *shape* of the
@@ -498,7 +498,7 @@ func jslSize(f jsl.Formula) int {
 	return n
 }
 
-// --- Ablation benchmarks (DESIGN.md §5) ---
+// --- Ablation benchmarks: each fast path against the naive algorithm ---
 
 // BenchmarkAblationSubtreeEquality compares the hash-class subtree
 // equality against the naive recursive comparison inside EQ-heavy

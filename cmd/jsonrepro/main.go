@@ -1,5 +1,5 @@
-// Command jsonrepro regenerates the per-experiment tables recorded in
-// EXPERIMENTS.md: one experiment per Proposition/Theorem of the paper,
+// Command jsonrepro prints the per-experiment tables of the paper's
+// complexity results (PAPER.md): one experiment per Proposition/Theorem,
 // each printed as a parameter sweep whose scaling shape is the result
 // being reproduced.
 //

@@ -7,10 +7,9 @@
 // collection (newest valid segment mapped, WAL tail replayed into the
 // memtable, torn tails truncated).
 //
-// The HTTP surface itself lives in internal/httpapi so tests and the
-// load generator (cmd/jsonload) can assemble an in-process daemon;
-// this command owns flags, the listener, logging and the shutdown
-// protocol.
+// The HTTP surface itself lives in internal/httpapi so tests can
+// assemble an in-process daemon; this command owns flags, the
+// listener, logging and the shutdown protocol.
 //
 // Endpoints (see README.md in this directory for the full API
 // reference):

@@ -2,8 +2,8 @@
 // CRUD, bulk-ingest, query/explain/validate and introspection
 // endpoints over one internal/store.Store. It lives below cmd so an
 // in-process daemon can be assembled anywhere an http.Handler fits —
-// the load generator's self-test (internal/load) drives exactly the
-// handler the real daemon serves, httptest instead of a socket.
+// the tests drive exactly the handler the real daemon serves, httptest
+// instead of a socket.
 //
 // Every route is wrapped in the metrics middleware; GET /metrics
 // exposes the store's query/planner/durability counters, the
@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -211,12 +212,13 @@ func writeStoreErr(w http.ResponseWriter, err error) {
 // request: the client's context bounded by the configured
 // QueryTimeout, which an X-Timeout-Ms header overrides per request
 // (0 disables the timeout for that request). Reports ok=false (and
-// writes the 400) on a malformed header.
+// writes the 400) on a malformed header or one too large for a
+// time.Duration.
 func (s *server) queryCtx(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
 	timeout := s.queryTimeout
 	if h := r.Header.Get("X-Timeout-Ms"); h != "" {
 		ms, err := strconv.Atoi(h)
-		if err != nil || ms < 0 {
+		if err != nil || ms < 0 || int64(ms) > math.MaxInt64/int64(time.Millisecond) {
 			writeError(w, http.StatusBadRequest, "bad X-Timeout-Ms %q", h)
 			return nil, nil, false
 		}

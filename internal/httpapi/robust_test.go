@@ -143,7 +143,9 @@ func TestQueryTimeout504(t *testing.T) {
 			t.Fatalf("query with X-Timeout-Ms %s: %d, want 200", override, code)
 		}
 	}
-	for _, bad := range []string{"bogus", "-5", "1.5"} {
+	// The last two overflow time.Duration in milliseconds: one would
+	// wrap negative (no timeout), the other to a sub-millisecond one.
+	for _, bad := range []string{"bogus", "-5", "1.5", "9223372036855", "18446744073710"} {
 		if code, _ := doHdr(t, "POST", ts.URL+"/query", robustQuery, map[string]string{"X-Timeout-Ms": bad}); code != http.StatusBadRequest {
 			t.Fatalf("query with X-Timeout-Ms %q: %d, want 400", bad, code)
 		}

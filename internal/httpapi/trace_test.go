@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"jsonlogic/internal/store"
@@ -12,8 +13,8 @@ import (
 )
 
 // newTracedServer builds a handler whose tracer keeps every query as
-// slow (threshold 0) — the end-to-end configuration the acceptance
-// criteria and loadtest-smoke pin.
+// slow (threshold 0), so every query takes the full trace-capture
+// path: recorder, ring and slow-query log.
 func newTracedServer(t *testing.T) (*httptest.Server, *trace.Tracer) {
 	t.Helper()
 	tc := trace.New(trace.Options{SlowQuery: 0})
@@ -126,6 +127,82 @@ func TestSlowQueryEndToEnd(t *testing.T) {
 	}
 	if samples["jsonstored_trace_ring_entries"] < 1 {
 		t.Fatalf("trace_ring_entries = %v, want >= 1", samples["jsonstored_trace_ring_entries"])
+	}
+}
+
+// TestTracingUnderConcurrentLoad drives the handler with every query
+// traced (threshold 0) while four clients interleave writes, reads,
+// bulk loads and queries: every reply is 2xx and echoes its request
+// id, the ring stays bounded and holds only ids that were sent, and
+// every query armed a trace recorder.
+func TestTracingUnderConcurrentLoad(t *testing.T) {
+	ts, _ := newTracedServer(t)
+	const clients, rounds = 4, 40
+	type req struct{ method, path, body string }
+	var (
+		mu   sync.Mutex
+		sent = map[string]bool{}
+		wg   sync.WaitGroup
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				doc := fmt.Sprintf("c%d-%d", c, i%8)
+				for j, r := range []req{
+					{"PUT", "/docs/" + doc, fmt.Sprintf(`{"group":%d,"seq":%d}`, c, i)},
+					{"GET", "/docs/" + doc, ""},
+					{"POST", "/bulk", fmt.Sprintf("{\"group\":%d}\n{\"group\":%d}\n", c, i)},
+					{"POST", "/query", fmt.Sprintf(`{"lang":"mongo","query":"{\"group\":%d}"}`, c)},
+				} {
+					id := fmt.Sprintf("c%d-r%d-%d", c, i, j)
+					mu.Lock()
+					sent[id] = true
+					mu.Unlock()
+					hr, err := http.NewRequest(r.method, ts.URL+r.path, strings.NewReader(r.body))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					hr.Header.Set("X-Request-ID", id)
+					resp, err := http.DefaultClient.Do(hr)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					resp.Body.Close()
+					if resp.StatusCode/100 != 2 {
+						t.Errorf("%s %s (%s): %d", r.method, r.path, id, resp.StatusCode)
+					}
+					if got := resp.Header.Get("X-Request-ID"); got != id {
+						t.Errorf("%s %s: X-Request-ID %q, want %q", r.method, r.path, got, id)
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	code, body := do(t, "GET", ts.URL+"/debug/queries", "")
+	if code != 200 {
+		t.Fatalf("/debug/queries: %d", code)
+	}
+	queries := body["queries"].([]any)
+	if len(queries) == 0 || len(queries) > trace.DefaultRingSize {
+		t.Fatalf("ring holds %d traces, want 1..%d", len(queries), trace.DefaultRingSize)
+	}
+	for _, q := range queries {
+		if id, _ := q.(map[string]any)["request_id"].(string); !sent[id] {
+			t.Fatalf("ring entry has request_id %q, which no client sent", id)
+		}
+	}
+	samples, _, _ := scrape(t, ts.URL)
+	if got := samples["jsonstored_traces_started_total"]; got < clients*rounds {
+		t.Fatalf("traces_started_total = %v, want >= %d queries sent", got, clients*rounds)
 	}
 }
 

@@ -27,7 +27,7 @@ type Evaluator struct {
 
 // Options configure evaluation strategy; the zero value is the default
 // (fast) configuration. The switches exist so the benchmarks can ablate
-// the design choices listed in DESIGN.md.
+// each fast path against the naive algorithm the paper's bounds assume.
 type Options struct {
 	// NaivePairs forces EQ(α,β) to use the general per-node product
 	// search even when both paths are deterministic.

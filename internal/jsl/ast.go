@@ -11,8 +11,7 @@
 // One deliberate deviation from the paper's text: the paper defines
 // Min(i)/Max(i) as strict comparisons but translates JSON Schema's
 // inclusive "minimum"/"maximum" to them directly; we make Min/Max
-// inclusive (≥ / ≤) so that Theorem 1's translation is exact. DESIGN.md
-// records this substitution.
+// inclusive (≥ / ≤) so that Theorem 1's translation is exact.
 package jsl
 
 import (

@@ -7,8 +7,8 @@ import (
 	"jsonlogic/internal/relang"
 )
 
-// Options configure evaluation, mirroring the ablation switches listed
-// in DESIGN.md. The zero value is the default (fast) configuration.
+// Options are ablation switches for the benchmarks, each forcing the
+// naive algorithm a bound assumes. The zero value is the fast default.
 type Options struct {
 	// NaiveUnique forces the quadratic pairwise uniqueItems check that
 	// the O(|J|²·|φ|) bound of Proposition 6 assumes, instead of the

@@ -6,7 +6,7 @@
 // and from the JSON Schema Logic (Theorems 1 and 3).
 //
 // Two semantic choices follow the paper's appendix rather than JSON
-// Schema draft 4, and are recorded in DESIGN.md:
+// Schema draft 4, so that Theorem 1's translation to JSL is exact:
 //
 //  1. "items": [J1,…,Jn] requires the array to contain elements at all
 //     positions 1…n (Theorem 1's translation uses ◇ modalities), and

@@ -15,8 +15,8 @@ const DefaultRingSize = 64
 // Options configure a Tracer.
 //
 // Note the SlowQuery zero value: constructing a Tracer with a zero
-// threshold means "every query is slow" (the loadtest-smoke and e2e
-// configurations). Callers that want a Tracer with slow detection off
+// threshold means "every query is slow" (the end-to-end tests'
+// configuration). Callers that want a Tracer with slow detection off
 // — sampling only, or fully disabled — must set SlowQuery negative.
 // Not constructing a Tracer at all (nil) disables tracing outright.
 type Options struct {

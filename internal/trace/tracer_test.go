@@ -86,7 +86,7 @@ func TestSlowTriggeredCapture(t *testing.T) {
 	}
 }
 
-// TestZeroThresholdTracesEverything pins the loadtest-smoke / e2e
+// TestZeroThresholdTracesEverything pins the end-to-end tests'
 // configuration: SlowQuery == 0 keeps every query as slow.
 func TestZeroThresholdTracesEverything(t *testing.T) {
 	tc := New(Options{SlowQuery: 0})

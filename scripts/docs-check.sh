@@ -13,6 +13,7 @@
 #     package doc, and the usage block and `-name` flag-table rows of
 #     cmd/jsonstored/README.md name the same set, so a flag cannot be
 #     added or dropped in one place only.
+#  5. Every Name.md cited in a Go comment names a file that exists.
 #
 # Run from the repository root: scripts/docs-check.sh (or `make docs-check`).
 set -u
@@ -80,6 +81,33 @@ for doc in main.go-usage README-usage README-table; do
         diff "$flags/defined" "$flags/$doc" | grep '^[<>]'
         fail=1
     fi
+done
+
+# Every Name.md a Go comment cites must exist in the repo: matched by
+# file name, or by path suffix when the comment gives a path (leading
+# ./ and ../ dropped). Generated files and the two reference corpora
+# above are skipped.
+for f in $(find . -name '*.go' -not -path './.git/*'); do
+    head -n 1 "$f" | grep -q '^// Code generated .* DO NOT EDIT\.$' && continue
+    for ref in $(awk '{
+        c = index($0, "//"); if (!c) next
+        n = split(substr($0, c + 2), w, /[][ \t(),;:`"'"'"']+/)
+        for (i = 1; i <= n; i++)
+            if (match(w[i], /^[A-Za-z0-9_.\/-]*[A-Za-z0-9_]\.md/))
+                print NR ":" substr(w[i], 1, RLENGTH)
+    }' "$f"); do
+        line=${ref%%:*}
+        md=$(echo "${ref#*:}" | sed 's|^\(\.\.*/\)*||')
+        case "${md##*/}" in PAPERS.md | SNIPPETS.md) continue ;; esac
+        case "$md" in
+        */*) found=$(find . -path "*/$md" -not -path './.git/*' | head -n 1) ;;
+        *) found=$(find . -name "$md" -not -path './.git/*' | head -n 1) ;;
+        esac
+        if [ -z "$found" ]; then
+            echo "docs-check: $f:$line: cites missing $md"
+            fail=1
+        fi
+    done
 done
 
 if [ "$fail" -eq 0 ]; then
