@@ -45,14 +45,15 @@ race-core:
 # the one the daemon passes), the untraced compile path — including
 # cache-hit compiles with the semantic pass enabled — the
 # disabled/pooled trace recorder, the store's steady-state segment
-# probe, and the durable write path (PutTree: index insert plus one WAL
-# frame rendered straight from the tree arena). The
+# probe, the durable write path (PutTree: index insert plus one WAL
+# frame rendered straight from the tree arena), and tree construction
+# (jsontree.Parse and a reused Builder: three allocations a document). The
 # theory packages are included so any future alloc pins there are
 # picked up without editing this target.
 # -count=1 defeats the test cache so the numbers are measured, not
 # replayed.
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|AllocsBounded' -count=1 ./internal/qir ./internal/engine ./internal/store ./internal/trace ./internal/containment ./internal/jauto ./internal/schema ./internal/datalog
+	$(GO) test -run 'ZeroAllocs|AllocsBounded' -count=1 ./internal/jsontree ./internal/qir ./internal/engine ./internal/store ./internal/trace ./internal/containment ./internal/jauto ./internal/schema ./internal/datalog
 
 # The robustness suite: fault-injected durability (a FaultFS injects
 # ENOSPC/EIO/short writes under the WAL and snapshotter; shards must
@@ -72,8 +73,9 @@ chaos:
 # engine; containment refutations must separate the pair under the
 # production evaluator), the segment posting-list codec (round-
 # trip fidelity; hostile bytes must error, never panic or over-read),
-# and the two ingest parsers (jsontree.Parse and the tokenizer→Builder
-# route accept the same documents and build the same trees).
+# and the three text-to-tree routes (jsonval.Parse+FromValue,
+# jsontree.Parse and the tokenizer→Builder route accept the same
+# documents and build the same trees).
 fuzz:
 	$(GO) test ./internal/engine/ -run FuzzPlanCache -fuzz FuzzPlanCache -fuzztime 20s
 	$(GO) test ./internal/engine/ -run FuzzParsersAgree -fuzz FuzzParsersAgree -fuzztime 20s

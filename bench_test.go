@@ -722,6 +722,38 @@ func BenchmarkEngineEvalZeroAlloc(b *testing.B) {
 	})
 }
 
+// corpusDoc is a document shaped like the benchmark corpus (see
+// benchmark/jsonbench/corpus.go): a meta block and a three-level
+// payload, 327 bytes, keys in the sorted order the store writes.
+const corpusDoc = `{"meta":{"region":"r4","seq":4,"tenant":"t4"},"payload":{"k10":{"k0":{"k1":59,"k10":"s30","k9":89},"k1":{"k10":"s12","k3":"s46","k7":16},"k2":{"k3":87,"k6":59}},"k6":{"k10":{"k10":87,"k2":21,"k9":56},"k4":{"k0":"s2","k2":31,"k9":"s74"},"k6":[73,53,27]},"k9":[["s71","s40",81],[9,56,"s80"],{"k0":"s65","k11":"s80","k5":"s78"}]}}`
+
+// BenchmarkTreeParse measures building one stored document's tree —
+// ns/op and allocs/op are per document. "parse" is jsontree.Parse,
+// the route of segment resolves, WAL replay and Store.Put; "tokenizer"
+// is engine.BuildTree over a reused Builder, the route of PUT /docs
+// and /bulk.
+func BenchmarkTreeParse(b *testing.B) {
+	b.Run("parse", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(corpusDoc)))
+		for i := 0; i < b.N; i++ {
+			if _, err := jsontree.Parse(corpusDoc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("tokenizer", func(b *testing.B) {
+		builder := jsontree.NewBuilder()
+		b.ReportAllocs()
+		b.SetBytes(int64(len(corpusDoc)))
+		for i := 0; i < b.N; i++ {
+			if _, err := engine.BuildTree(strings.NewReader(corpusDoc), builder); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkEngineValidateNDJSON measures the end-to-end NDJSON path —
 // tokenize, build trees through the pooled builders, validate — on the
 // engine's GOMAXPROCS reader workers. B/op covers parsing and

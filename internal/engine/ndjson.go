@@ -73,7 +73,9 @@ func (e *Engine) runNDJSON(p *Plan, r io.Reader, validate bool) ([]DocResult, er
 		index, lineNo := 0, 0
 		for sc.Scan() {
 			lineNo++
-			text := strings.TrimSpace(sc.Text())
+			// JSON whitespace only: TrimSpace would also strip
+			// Unicode spaces the document language rejects.
+			text := strings.Trim(sc.Text(), " \t\r\n")
 			if text == "" {
 				continue
 			}

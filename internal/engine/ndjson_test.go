@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"jsonlogic/internal/jsontree"
 )
 
 // Error-path coverage for the NDJSON readers: a malformed document
@@ -55,6 +57,41 @@ func TestNDJSONMalformedMidStream(t *testing.T) {
 		}
 		if res.Err == nil && !res.Valid {
 			t.Errorf("validate result %d: want valid", i)
+		}
+	}
+}
+
+// TestNDJSONNonJSONSpace: a line is trimmed of JSON whitespace only.
+// Vertical tab, form feed, NBSP and NEL are not JSON whitespace, so
+// each line carrying one fails alone, exactly as BuildTree rejects
+// the same text.
+func TestNDJSONNonJSONSpace(t *testing.T) {
+	e := New(Options{})
+	p := MustCompile(LangJSONPath, `$.a`)
+	bad := []string{"\v{\"a\":1}", "{\"a\":1}\f", "\u00a0{\"a\":1}", "{\"a\":1}\u0085"}
+	input := " \t{\"a\":1}\r\n" + strings.Join(bad, "\n") + "\n"
+	for _, validate := range []bool{false, true} {
+		run := e.EvalReader
+		if validate {
+			run = e.ValidateReader
+		}
+		results, err := run(p, strings.NewReader(input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(results) != 1+len(bad) {
+			t.Fatalf("validate=%v: got %d results, want %d", validate, len(results), 1+len(bad))
+		}
+		if results[0].Err != nil {
+			t.Errorf("validate=%v: JSON-whitespace-padded line failed: %v", validate, results[0].Err)
+		}
+		for i, res := range results[1:] {
+			if res.Err == nil {
+				t.Errorf("validate=%v: line %q accepted", validate, bad[i])
+			}
+			if _, err := BuildTree(strings.NewReader(bad[i]), jsontree.NewBuilder()); err == nil {
+				t.Errorf("BuildTree accepts %q", bad[i])
+			}
 		}
 	}
 }

@@ -8,35 +8,58 @@ import (
 	"jsonlogic/internal/jsonval"
 )
 
-// parsersAgree holds the two ingest parsers to one language. A
-// document reaches a tree either through jsontree.Parse (the recursive
-// jsonval parser: Store.Put, WAL replay, segment resolve, /validate's
-// inline doc) or through BuildTree (streaming tokenizer → Builder: PUT
-// /docs, /bulk), and what a document is must not depend on the route:
-// both accept or both reject, and on accept the trees have the same
-// node count, structural hash (so the same index value terms) and
-// rendered bytes (so the same WAL records and segment documents). It
-// reports whether the document was accepted.
+// parsersAgree holds the three routes from text to tree to one
+// language. jsonval.Parse followed by jsontree.FromValue is the
+// reference; jsontree.Parse scans text straight into a Builder
+// (Store.Put, WAL replay, segment resolve, /validate's inline doc);
+// BuildTree replays the streaming tokenizer into one (PUT /docs,
+// /bulk). What a document is must not depend on the route: all three
+// accept or all reject, and on accept the trees have the same node
+// count, structural hash (so the same index value terms), height,
+// well-formedness, rendered bytes (so the same WAL records and segment
+// documents) and node numbering (so selections come out in the same
+// order). It reports whether the document was accepted.
 func parsersAgree(t testing.TB, b *jsontree.Builder, doc string) bool {
 	t.Helper()
 	shown := doc
 	if len(shown) > 80 {
 		shown = shown[:80] + "…"
 	}
+	var ref *jsontree.Tree
+	v, rerr := jsonval.Parse(doc)
+	if rerr == nil {
+		ref = jsontree.FromValue(v)
+	}
 	parsed, perr := jsontree.Parse(doc)
 	built, berr := BuildTree(strings.NewReader(doc), b)
-	if (perr == nil) != (berr == nil) {
-		t.Fatalf("parsers disagree on %q:\n  jsontree.Parse: %v\n  BuildTree:      %v", shown, perr, berr)
+	if (rerr == nil) != (perr == nil) || (rerr == nil) != (berr == nil) {
+		t.Fatalf("parsers disagree on %q:\n  jsonval.Parse:  %v\n  jsontree.Parse: %v\n  BuildTree:      %v", shown, rerr, perr, berr)
 	}
-	if perr != nil {
+	if rerr != nil {
 		return false
 	}
-	if parsed.Len() != built.Len() || parsed.SubtreeHash(parsed.Root()) != built.SubtreeHash(built.Root()) {
-		t.Fatalf("parsers build different trees from %q: %d nodes hash %#x vs %d nodes hash %#x",
-			shown, parsed.Len(), parsed.SubtreeHash(parsed.Root()), built.Len(), built.SubtreeHash(built.Root()))
-	}
-	if p, q := parsed.String(), built.String(); p != q {
-		t.Fatalf("parsers render %q differently: %q vs %q", shown, p, q)
+	for _, c := range []struct {
+		route string
+		tree  *jsontree.Tree
+	}{{"jsontree.Parse", parsed}, {"BuildTree", built}} {
+		got := c.tree
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s builds an invalid tree from %q: %v", c.route, shown, err)
+		}
+		if got.Len() != ref.Len() || got.SubtreeHash(got.Root()) != ref.SubtreeHash(ref.Root()) || got.Height(got.Root()) != ref.Height(ref.Root()) {
+			t.Fatalf("%s builds a different tree from %q: %d nodes hash %#x height %d, reference %d nodes hash %#x height %d",
+				c.route, shown, got.Len(), got.SubtreeHash(got.Root()), got.Height(got.Root()),
+				ref.Len(), ref.SubtreeHash(ref.Root()), ref.Height(ref.Root()))
+		}
+		if g, w := got.String(), ref.String(); g != w {
+			t.Fatalf("%s renders %q differently: %q, reference %q", c.route, shown, g, w)
+		}
+		for i := range ref.Len() {
+			n := jsontree.NodeID(i)
+			if got.Kind(n) != ref.Kind(n) || got.Parent(n) != ref.Parent(n) || got.EdgeKey(n) != ref.EdgeKey(n) {
+				t.Fatalf("%s numbers the nodes of %q differently from node %d on", c.route, shown, i)
+			}
+		}
 	}
 	return true
 }
@@ -64,8 +87,8 @@ func FuzzParsersAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, doc string) { parsersAgree(t, b, doc) })
 }
 
-// TestParsersAgreeAtDepthBound: both parsers accept nesting up to
-// jsonval.MaxDepth and reject one level more — the recursive parser
+// TestParsersAgreeAtDepthBound: every route accepts nesting up to
+// jsonval.MaxDepth and rejects one level more — the recursive parsers
 // used to follow it until the goroutine stack overflowed.
 func TestParsersAgreeAtDepthBound(t *testing.T) {
 	b := jsontree.NewBuilder()

@@ -2,28 +2,43 @@ package jsontree
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"jsonlogic/internal/jsonval"
 )
 
 // Builder constructs a Tree incrementally from a stream of structural
-// events, without materializing an intermediate jsonval.Value. It is the
-// bridge between the §6 streaming tokenizer and the in-memory evaluators:
-// the engine's NDJSON batch path feeds one Builder per worker, calling
-// Reset between documents so node arenas are reused.
+// events, without materializing an intermediate jsonval.Value. It is
+// the one tree-construction body: Parse scans text straight into a
+// pooled Builder, FromValue walks a Value into one, and the engine's
+// tokenizer route (PUT /docs, /bulk, the NDJSON readers) replays
+// tokens into one through the event methods below.
 //
 // Events mirror JSON structure: BeginObject/EndObject, BeginArray/
 // EndArray, Key (before each object member's value), and the leaf events
-// String and Number. Trees produced by a Builder are indistinguishable
-// from FromValue construction: children of objects are key-sorted,
-// subtree hashes agree with jsonval.Value.Hash, and Tree.Validate holds.
+// String and Number. Whatever the route, the trees are the same:
+// children of objects are key-sorted, subtree hashes agree with
+// jsonval.Value.Hash, and Tree.Validate holds.
+//
+// Nodes are appended in preorder, so when a container closes its
+// descendants are exactly the nodes after it, and its children are
+// found by hopping from one child to the next by subtree size. They
+// are recorded as one range of a child table shared by the whole tree
+// — no per-container slice — so Tree makes three allocations: the
+// node arena, the child table and the Tree.
 //
 // A Builder is not safe for concurrent use; pool one per goroutine.
 type Builder struct {
 	nodes []node
+	kids  []NodeID
 	// stack holds the node ids of the open containers.
 	stack []NodeID
+	// reordered records that some object's members arrived out of key
+	// order; ids is tree's scratch for renumbering them.
+	reordered bool
+	ids       []NodeID
 	// pendingKey is the key of the next object member, set by Key.
 	pendingKey string
 	hasKey     bool
@@ -35,10 +50,15 @@ type Builder struct {
 func NewBuilder() *Builder { return &Builder{} }
 
 // Reset discards all state so the Builder can build another tree. The
-// node arena's capacity is retained across documents.
+// arenas' capacity is retained across documents; their old contents
+// are cleared so a reused Builder does not keep the last document's
+// strings alive.
 func (b *Builder) Reset() {
+	clear(b.nodes)
 	b.nodes = b.nodes[:0]
+	b.kids = b.kids[:0]
 	b.stack = b.stack[:0]
+	b.reordered = false
 	b.pendingKey = ""
 	b.hasKey = false
 	b.done = false
@@ -52,67 +72,168 @@ func (b *Builder) fail(format string, args ...any) error {
 	return b.err
 }
 
-// begin allocates a node for a value that starts now and attaches it to
-// the open container, returning its id.
-func (b *Builder) begin(kind Kind) (NodeID, error) {
-	if b.err != nil {
-		return InvalidNode, b.err
-	}
-	if b.done {
-		return InvalidNode, b.fail("value after the top-level value completed")
-	}
+// The unchecked primitives below are what every route shares: Parse
+// and FromValue call them directly, since their input is well formed
+// by construction, and the event methods call them after checking
+// the event order.
+
+// push appends the next preorder node, under the innermost open
+// container (or as the root), and returns it for the caller to fill.
+func (b *Builder) push(kind Kind, key string) *node {
 	parent := InvalidNode
-	key := ""
-	pos := int32(0)
 	if len(b.stack) > 0 {
 		parent = b.stack[len(b.stack)-1]
-		p := &b.nodes[parent]
-		if p.kind == ObjectNode {
-			if !b.hasKey {
-				return InvalidNode, b.fail("object member without a key")
-			}
-			key = b.pendingKey
-			b.hasKey = false
-		} else {
-			if b.hasKey {
-				return InvalidNode, b.fail("key inside an array")
-			}
-		}
-		pos = int32(len(p.children))
-	} else if b.hasKey {
-		return InvalidNode, b.fail("key at top level")
 	}
-	id := NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, node{kind: kind, parent: parent, key: key, pos: pos})
-	if parent != InvalidNode {
-		b.nodes[parent].children = append(b.nodes[parent].children, id)
-	}
-	return id, nil
+	b.nodes = append(b.nodes, node{kind: kind, parent: parent, key: key})
+	return &b.nodes[len(b.nodes)-1]
 }
 
-// finish seals a completed value: leaves seal immediately, containers on
-// End. It computes the node's subtree hash/size/height and marks the
-// tree done when the root value completes.
-func (b *Builder) finish(id NodeID) {
-	if b.nodes[id].parent == InvalidNode {
-		b.done = true
+func (b *Builder) addString(key, s string) {
+	n := b.push(StringNode, key)
+	n.str, n.hash, n.size = s, jsonval.HashString(s), 1
+}
+
+func (b *Builder) addNumber(key string, v uint64) {
+	n := b.push(NumberNode, key)
+	n.num, n.hash, n.size = v, jsonval.HashNumber(v), 1
+}
+
+// open starts a container; its children follow until close.
+func (b *Builder) open(kind Kind, key string) {
+	b.push(kind, key)
+	b.stack = append(b.stack, NodeID(len(b.nodes)-1))
+}
+
+// close seals the innermost open container: it records the children
+// in the child table — objects' sorted by key (condition 2 of §3.1:
+// object edges form a key, so their order carries no meaning and is
+// canonicalized) — labels their positions and computes the subtree
+// hash, size and height. A repeated object key is returned with
+// dup = true; the caller reports it.
+func (b *Builder) close() (key string, dup bool) {
+	id := b.stack[len(b.stack)-1]
+	b.stack = b.stack[:len(b.stack)-1]
+	first := len(b.kids)
+	size, height := int32(1), int32(0)
+	for c := id + 1; int(c) < len(b.nodes); c += NodeID(b.nodes[c].size) {
+		b.kids = append(b.kids, c)
+		cn := &b.nodes[c]
+		size += cn.size
+		height = max(height, cn.height+1)
 	}
+	kids := b.kids[first:]
+	n := &b.nodes[id]
+	n.first, n.nkids, n.size, n.height = int32(first), int32(len(kids)), size, height
+	if n.kind == ArrayNode {
+		var ah jsonval.ArrayHasher
+		for i, c := range kids {
+			b.nodes[c].pos = int32(i)
+			ah.Add(b.nodes[c].hash)
+		}
+		n.hash = ah.Sum()
+		return "", false
+	}
+	if sortByKey(b.nodes, kids) {
+		b.reordered = true
+	}
+	var oh jsonval.ObjectHasher
+	for i, c := range kids {
+		cn := &b.nodes[c]
+		if i > 0 && b.nodes[kids[i-1]].key == cn.key {
+			return cn.key, true
+		}
+		cn.pos = int32(i)
+		oh.Add(cn.key, cn.hash)
+	}
+	n.hash = oh.Sum()
+	return "", false
+}
+
+// sortByKey orders an object's children by key and reports whether
+// any moved. The check is linear on already-sorted members — the text
+// segments and the WAL store is key-sorted — and pdqsort keeps
+// reverse-ordered input from making a build quadratic.
+func sortByKey(nodes []node, kids []NodeID) (moved bool) {
+	byKey := func(a, b NodeID) int { return strings.Compare(nodes[a].key, nodes[b].key) }
+	if slices.IsSortedFunc(kids, byKey) {
+		return false
+	}
+	slices.SortFunc(kids, byKey)
+	return true
+}
+
+// tree copies the built arenas out: three allocations, none shared
+// with the Builder. Node ids must not depend on the order object
+// members arrived in — evaluators report selections in node order —
+// so when some object was reordered the copy renumbers the nodes into
+// preorder over the key-sorted children. Text written by the store is
+// key-sorted and copies straight.
+func (b *Builder) tree() *Tree {
+	nodes := make([]node, len(b.nodes))
+	kids := make([]NodeID, len(b.kids))
+	if !b.reordered {
+		copy(nodes, b.nodes)
+		copy(kids, b.kids)
+		return &Tree{nodes: nodes, kids: kids}
+	}
+	// ids maps built ids to final ones. Parents precede their children
+	// in either preorder, so each container's id is known when its
+	// children are placed: consecutively after it, each one past the
+	// previous one's subtree.
+	ids := slices.Grow(b.ids[:0], len(b.nodes))[:len(b.nodes)]
+	ids[0] = 0
+	for i := range b.nodes {
+		next := ids[i] + 1
+		for _, c := range b.kids[b.nodes[i].first : b.nodes[i].first+b.nodes[i].nkids] {
+			ids[c] = next
+			next += NodeID(b.nodes[c].size)
+		}
+	}
+	for i, n := range b.nodes {
+		if n.parent != InvalidNode {
+			n.parent = ids[n.parent]
+		}
+		nodes[ids[i]] = n
+	}
+	for i, c := range b.kids {
+		kids[i] = ids[c]
+	}
+	b.ids = ids
+	return &Tree{nodes: nodes, kids: kids}
+}
+
+// begin checks that a value may start now and returns its edge key.
+func (b *Builder) begin() (string, error) {
+	if b.err != nil {
+		return "", b.err
+	}
+	if b.done {
+		return "", b.fail("value after the top-level value completed")
+	}
+	if len(b.stack) == 0 || b.nodes[b.stack[len(b.stack)-1]].kind != ObjectNode {
+		return "", nil
+	}
+	if !b.hasKey {
+		return "", b.fail("object member without a key")
+	}
+	b.hasKey = false
+	return b.pendingKey, nil
 }
 
 // BeginObject opens an object value.
 func (b *Builder) BeginObject() error {
-	_, err := b.begin(ObjectNode)
+	key, err := b.begin()
 	if err == nil {
-		b.stack = append(b.stack, NodeID(len(b.nodes)-1))
+		b.open(ObjectNode, key)
 	}
 	return err
 }
 
 // BeginArray opens an array value.
 func (b *Builder) BeginArray() error {
-	_, err := b.begin(ArrayNode)
+	key, err := b.begin()
 	if err == nil {
-		b.stack = append(b.stack, NodeID(len(b.nodes)-1))
+		b.open(ArrayNode, key)
 	}
 	return err
 }
@@ -135,107 +256,60 @@ func (b *Builder) Key(k string) error {
 
 // String appends a string leaf.
 func (b *Builder) String(s string) error {
-	id, err := b.begin(StringNode)
-	if err != nil {
-		return err
+	key, err := b.begin()
+	if err == nil {
+		b.addString(key, s)
+		b.done = len(b.stack) == 0
 	}
-	n := &b.nodes[id]
-	n.str = s
-	n.hash = jsonval.HashString(s)
-	n.size = 1
-	b.finish(id)
-	return nil
+	return err
 }
 
 // Number appends a natural-number leaf.
 func (b *Builder) Number(v uint64) error {
-	id, err := b.begin(NumberNode)
-	if err != nil {
-		return err
+	key, err := b.begin()
+	if err == nil {
+		b.addNumber(key, v)
+		b.done = len(b.stack) == 0
 	}
-	n := &b.nodes[id]
-	n.num = v
-	n.hash = jsonval.HashNumber(v)
-	n.size = 1
-	b.finish(id)
-	return nil
+	return err
 }
 
-// EndObject closes the open object: children are key-sorted (condition 2
-// of §3.1 — object edges form a key, so order is canonicalized the same
-// way FromValue does), positions re-labelled, and the subtree hash, size
-// and height computed.
+// EndObject closes the open object.
 func (b *Builder) EndObject() error {
-	if b.err != nil {
-		return b.err
-	}
-	if len(b.stack) == 0 {
-		return b.fail("EndObject with no open container")
-	}
-	id := b.stack[len(b.stack)-1]
-	if b.nodes[id].kind != ObjectNode {
-		return b.fail("EndObject closing an array")
+	if err := b.end(ObjectNode); err != nil {
+		return err
 	}
 	if b.hasKey {
 		return b.fail("object ends after key %q with no value", b.pendingKey)
 	}
-	b.stack = b.stack[:len(b.stack)-1]
-
-	children := b.nodes[id].children
-	sort.Slice(children, func(i, j int) bool {
-		return b.nodes[children[i]].key < b.nodes[children[j]].key
-	})
-	var oh jsonval.ObjectHasher
-	size, height := int32(1), int32(0)
-	for i, c := range children {
-		cn := &b.nodes[c]
-		if i > 0 && b.nodes[children[i-1]].key == cn.key {
-			return b.fail("duplicate object key %q", cn.key)
-		}
-		cn.pos = int32(i)
-		oh.Add(cn.key, cn.hash)
-		size += cn.size
-		if h := cn.height + 1; h > height {
-			height = h
-		}
+	if key, dup := b.close(); dup {
+		return b.fail("duplicate object key %q", key)
 	}
-	n := &b.nodes[id]
-	n.hash = oh.Sum()
-	n.size = size
-	n.height = height
-	b.finish(id)
+	b.done = len(b.stack) == 0
 	return nil
 }
 
 // EndArray closes the open array.
 func (b *Builder) EndArray() error {
+	if err := b.end(ArrayNode); err != nil {
+		return err
+	}
+	b.close()
+	b.done = len(b.stack) == 0
+	return nil
+}
+
+// end checks that a container of the given kind is the one open.
+func (b *Builder) end(kind Kind) error {
 	if b.err != nil {
 		return b.err
 	}
 	if len(b.stack) == 0 {
-		return b.fail("EndArray with no open container")
+		return b.fail("end of %s with no open container", kind)
 	}
-	id := b.stack[len(b.stack)-1]
-	if b.nodes[id].kind != ArrayNode {
-		return b.fail("EndArray closing an object")
+	if open := b.nodes[b.stack[len(b.stack)-1]].kind; open != kind {
+		return b.fail("end of %s closing an %s", kind, open)
 	}
-	b.stack = b.stack[:len(b.stack)-1]
-
-	var ah jsonval.ArrayHasher
-	size, height := int32(1), int32(0)
-	for _, c := range b.nodes[id].children {
-		cn := &b.nodes[c]
-		ah.Add(cn.hash)
-		size += cn.size
-		if h := cn.height + 1; h > height {
-			height = h
-		}
-	}
-	n := &b.nodes[id]
-	n.hash = ah.Sum()
-	n.size = size
-	n.height = height
-	b.finish(id)
 	return nil
 }
 
@@ -252,7 +326,53 @@ func (b *Builder) Tree() (*Tree, error) {
 		}
 		return nil, b.fail("no value built")
 	}
-	nodes := make([]node, len(b.nodes))
-	copy(nodes, b.nodes)
-	return &Tree{nodes: nodes}, nil
+	return b.tree(), nil
+}
+
+// pool recycles the state of Parse and FromValue — a Builder's arenas
+// and the lexer's escape buffer — across calls. Builders that grew
+// past maxPooledNodes are dropped rather than pinned in the pool.
+var pool = sync.Pool{New: func() any { return new(parser) }}
+
+const maxPooledNodes = 1 << 16
+
+func release(p *parser) {
+	if cap(p.b.nodes) <= maxPooledNodes {
+		p.b.Reset()
+		p.Reset("")
+		pool.Put(p)
+	}
+}
+
+// FromValue builds the JSON tree representing the value v, per the
+// construction of §3.1: one node per nested JSON value, object edges
+// labelled by keys (sorted for O(log k) key lookup — objects are
+// unordered, so the order of object children is not meaningful), array
+// edges labelled by position.
+func FromValue(v *jsonval.Value) *Tree {
+	p := pool.Get().(*parser)
+	defer release(p)
+	p.b.addValue("", v)
+	return p.b.tree()
+}
+
+func (b *Builder) addValue(key string, v *jsonval.Value) {
+	switch v.Kind() {
+	case jsonval.Number:
+		b.addNumber(key, v.Num())
+	case jsonval.String:
+		b.addString(key, v.Str())
+	case jsonval.Array:
+		b.open(ArrayNode, key)
+		for _, e := range v.Elems() {
+			b.addValue("", e)
+		}
+		b.close()
+	case jsonval.Object:
+		b.open(ObjectNode, key)
+		for _, m := range v.Members() {
+			b.addValue(m.Key, m.Value)
+		}
+		b.close() // a Value's keys are distinct by construction
+	}
 }

@@ -12,44 +12,49 @@ import (
 // key-sorted).
 func feedValue(t *testing.T, b *Builder, v *jsonval.Value) {
 	t.Helper()
-	var feed func(v *jsonval.Value)
-	feed = func(v *jsonval.Value) {
-		var err error
-		switch v.Kind() {
-		case jsonval.Number:
-			err = b.Number(v.Num())
-		case jsonval.String:
-			err = b.String(v.Str())
-		case jsonval.Array:
-			err = b.BeginArray()
-			for _, e := range v.Elems() {
-				feed(e)
-			}
-			if err == nil {
-				err = b.EndArray()
-			}
-		case jsonval.Object:
-			err = b.BeginObject()
-			for _, m := range v.Members() {
-				if err == nil {
-					err = b.Key(m.Key)
-				}
-				feed(m.Value)
-			}
-			if err == nil {
-				err = b.EndObject()
-			}
-		}
-		if err != nil {
-			t.Fatalf("builder event failed: %v", err)
-		}
+	if err := replay(b, v); err != nil {
+		t.Fatalf("builder event failed: %v", err)
 	}
-	feed(v)
+}
+
+func replay(b *Builder, v *jsonval.Value) error {
+	switch v.Kind() {
+	case jsonval.Number:
+		return b.Number(v.Num())
+	case jsonval.String:
+		return b.String(v.Str())
+	case jsonval.Array:
+		if err := b.BeginArray(); err != nil {
+			return err
+		}
+		for _, e := range v.Elems() {
+			if err := replay(b, e); err != nil {
+				return err
+			}
+		}
+		return b.EndArray()
+	default:
+		if err := b.BeginObject(); err != nil {
+			return err
+		}
+		for _, m := range v.Members() {
+			if err := b.Key(m.Key); err != nil {
+				return err
+			}
+			if err := replay(b, m.Value); err != nil {
+				return err
+			}
+		}
+		return b.EndObject()
+	}
 }
 
 // TestBuilderMatchesFromValue: a Builder-made tree must be structurally
 // identical to FromValue — same value, same subtree hashes, valid per
 // §3.1 — across many random documents, reusing one Builder throughout.
+// Random values render their object members unsorted, so the node
+// numbering of the Builder and of Parse on that text must still match
+// FromValue's node for node: selections are reported in node order.
 func TestBuilderMatchesFromValue(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	b := NewBuilder()
@@ -79,6 +84,16 @@ func TestBuilderMatchesFromValue(t *testing.T) {
 		}
 		if built.Height(built.Root()) != ref.Height(ref.Root()) {
 			t.Fatalf("doc %d: height mismatch", i)
+		}
+		if err := sameTree(built, ref); err != nil {
+			t.Fatalf("doc %d %s: Builder vs FromValue: %v", i, v, err)
+		}
+		parsed, err := Parse(v.String())
+		if err != nil {
+			t.Fatalf("doc %d: Parse(%s): %v", i, v, err)
+		}
+		if err := sameTree(parsed, ref); err != nil {
+			t.Fatalf("doc %d %s: Parse vs FromValue: %v", i, v, err)
 		}
 	}
 }

@@ -80,7 +80,7 @@ func (e *encoder) node(n NodeID) {
 		e.buf = jsonval.AppendQuoted(e.buf, nd.str)
 	case ArrayNode:
 		e.buf = append(e.buf, '[')
-		for i, c := range nd.children {
+		for i, c := range e.t.children(nd) {
 			if i > 0 {
 				e.buf = append(e.buf, ',')
 			}
@@ -89,7 +89,7 @@ func (e *encoder) node(n NodeID) {
 		e.buf = append(e.buf, ']')
 	case ObjectNode:
 		e.buf = append(e.buf, '{')
-		for i, c := range nd.children {
+		for i, c := range e.t.children(nd) {
 			if i > 0 {
 				e.buf = append(e.buf, ',')
 			}

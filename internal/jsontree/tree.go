@@ -8,16 +8,22 @@
 //   - A ⊆ Arr × N × D is the array-child relation, labelled by positions,
 //   - val assigns string and number values to leaf Str/Int nodes.
 //
-// Trees are stored in a flat arena indexed by NodeID; every node carries
-// its subtree's structural hash, size and height, so the paper's
-// json(n) = json(n') subtree comparisons are cheap. The package validates
-// the five well-formedness conditions of §3.1 and converts between trees
-// and jsonval values.
+// Trees are stored in a flat preorder arena indexed by NodeID, each
+// container's children one range of a shared child table; every node
+// carries its subtree's structural hash, size and height, so the
+// paper's json(n) = json(n') subtree comparisons are cheap. The package
+// validates the five well-formedness conditions of §3.1 and converts
+// between trees and jsonval values.
+//
+// A Builder is the one place trees are constructed, reached three
+// ways: Parse scans JSON text straight into one (no jsonval.Value in
+// between), FromValue walks a value into one, and the engine's
+// streaming-tokenizer route feeds one events. All three yield the same
+// tree, node for node, for the same document.
 package jsontree
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"jsonlogic/internal/jsonval"
@@ -61,99 +67,31 @@ func (k Kind) String() string {
 }
 
 type node struct {
-	kind     Kind
-	parent   NodeID
-	key      string // label of the O-edge from parent (object parents)
-	pos      int32  // label of the A-edge from parent, and sibling index
-	children []NodeID
-	str      string // val for StringNode
-	num      uint64 // val for NumberNode
-	hash     uint64 // structural hash of the subtree json(n)
-	size     int32  // number of nodes in the subtree
-	height   int32  // height of the subtree
+	kind   Kind
+	parent NodeID
+	pos    int32 // label of the A-edge from parent, and sibling index
+	first  int32 // the children are kids[first : first+nkids]
+	nkids  int32
+	size   int32  // number of nodes in the subtree
+	height int32  // height of the subtree
+	key    string // label of the O-edge from parent (object parents)
+	str    string // val for StringNode
+	num    uint64 // val for NumberNode
+	hash   uint64 // structural hash of the subtree json(n)
 }
 
-// Tree is an immutable JSON tree. Construct with FromValue or Parse.
+// Tree is an immutable JSON tree. Construct with Parse, FromValue or
+// a Builder. Nodes are stored in preorder; each container's children
+// are a contiguous range of the shared child table kids.
 type Tree struct {
 	nodes []node
+	kids  []NodeID
 }
 
-// FromValue builds the JSON tree representing the value v, per the
-// construction of §3.1: one node per nested JSON value, object edges
-// labelled by keys (sorted for O(log k) key lookup — objects are
-// unordered, so the order of object children is not meaningful), array
-// edges labelled by position.
-func FromValue(v *jsonval.Value) *Tree {
-	t := &Tree{nodes: make([]node, 0, v.Size())}
-	t.build(v, InvalidNode, "", 0)
-	return t
-}
-
-// Parse parses a JSON document and returns its tree. It is shorthand for
-// FromValue(jsonval.Parse(input)).
-func Parse(input string) (*Tree, error) {
-	v, err := jsonval.Parse(input)
-	if err != nil {
-		return nil, err
-	}
-	return FromValue(v), nil
-}
-
-// MustParse is Parse but panics on error; for tests and examples.
-func MustParse(input string) *Tree {
-	t, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-func (t *Tree) build(v *jsonval.Value, parent NodeID, key string, pos int32) NodeID {
-	id := NodeID(len(t.nodes))
-	t.nodes = append(t.nodes, node{parent: parent, key: key, pos: pos, hash: v.Hash()})
-	switch v.Kind() {
-	case jsonval.Number:
-		t.nodes[id].kind = NumberNode
-		t.nodes[id].num = v.Num()
-		t.nodes[id].size = 1
-	case jsonval.String:
-		t.nodes[id].kind = StringNode
-		t.nodes[id].str = v.Str()
-		t.nodes[id].size = 1
-	case jsonval.Array:
-		t.nodes[id].kind = ArrayNode
-		children := make([]NodeID, v.Len())
-		size, height := int32(1), int32(0)
-		for i, e := range v.Elems() {
-			c := t.build(e, id, "", int32(i))
-			children[i] = c
-			size += t.nodes[c].size
-			if h := t.nodes[c].height + 1; h > height {
-				height = h
-			}
-		}
-		t.nodes[id].children = children
-		t.nodes[id].size = size
-		t.nodes[id].height = height
-	case jsonval.Object:
-		t.nodes[id].kind = ObjectNode
-		members := append([]jsonval.Member(nil), v.Members()...)
-		sort.Slice(members, func(i, j int) bool { return members[i].Key < members[j].Key })
-		children := make([]NodeID, len(members))
-		size, height := int32(1), int32(0)
-		for i, m := range members {
-			c := t.build(m.Value, id, m.Key, int32(i))
-			children[i] = c
-			size += t.nodes[c].size
-			if h := t.nodes[c].height + 1; h > height {
-				height = h
-			}
-		}
-		t.nodes[id].children = children
-		t.nodes[id].size = size
-		t.nodes[id].height = height
-	}
-	return id
+// children returns nd's children, capped so callers cannot append
+// into a neighbour's range.
+func (t *Tree) children(nd *node) []NodeID {
+	return t.kids[nd.first : nd.first+nd.nkids : nd.first+nd.nkids]
 }
 
 // Root returns the root node of the tree (the node with tree-domain
@@ -170,11 +108,11 @@ func (t *Tree) Kind(n NodeID) Kind { return t.nodes[n].kind }
 func (t *Tree) Parent(n NodeID) NodeID { return t.nodes[n].parent }
 
 // NumChildren returns the number of children of n.
-func (t *Tree) NumChildren(n NodeID) int { return len(t.nodes[n].children) }
+func (t *Tree) NumChildren(n NodeID) int { return int(t.nodes[n].nkids) }
 
 // Children returns the children of n in sibling order (key-sorted for
 // objects, positional for arrays). The slice must not be modified.
-func (t *Tree) Children(n NodeID) []NodeID { return t.nodes[n].children }
+func (t *Tree) Children(n NodeID) []NodeID { return t.children(&t.nodes[n]) }
 
 // ChildByKey returns the child of object node n reached by the O-edge
 // labelled key, or InvalidNode. Because JSON trees are deterministic
@@ -184,7 +122,7 @@ func (t *Tree) ChildByKey(n NodeID, key string) NodeID {
 	if t.nodes[n].kind != ObjectNode {
 		return InvalidNode
 	}
-	children := t.nodes[n].children
+	children := t.Children(n)
 	lo, hi := 0, len(children)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -208,7 +146,7 @@ func (t *Tree) ChildAt(n NodeID, i int) NodeID {
 	if t.nodes[n].kind != ArrayNode {
 		return InvalidNode
 	}
-	children := t.nodes[n].children
+	children := t.Children(n)
 	if i < 0 {
 		i += len(children)
 	}
@@ -278,28 +216,29 @@ func (t *Tree) SubtreeEqualNaive(m, n NodeID) bool {
 
 func (t *Tree) subtreeEqualRec(m, n NodeID) bool {
 	a, b := &t.nodes[m], &t.nodes[n]
-	if a.kind != b.kind || len(a.children) != len(b.children) {
+	if a.kind != b.kind || a.nkids != b.nkids {
 		return false
 	}
+	ac, bc := t.children(a), t.children(b)
 	switch a.kind {
 	case NumberNode:
 		return a.num == b.num
 	case StringNode:
 		return a.str == b.str
 	case ArrayNode:
-		for i := range a.children {
-			if !t.subtreeEqualRec(a.children[i], b.children[i]) {
+		for i := range ac {
+			if !t.subtreeEqualRec(ac[i], bc[i]) {
 				return false
 			}
 		}
 		return true
 	case ObjectNode:
 		// Object children are key-sorted, so equality is positional.
-		for i := range a.children {
-			if t.nodes[a.children[i]].key != t.nodes[b.children[i]].key {
+		for i := range ac {
+			if t.nodes[ac[i]].key != t.nodes[bc[i]].key {
 				return false
 			}
-			if !t.subtreeEqualRec(a.children[i], b.children[i]) {
+			if !t.subtreeEqualRec(ac[i], bc[i]) {
 				return false
 			}
 		}
@@ -317,14 +256,14 @@ func (t *Tree) Value(n NodeID) *jsonval.Value {
 	case StringNode:
 		return jsonval.Str(nd.str)
 	case ArrayNode:
-		elems := make([]*jsonval.Value, len(nd.children))
-		for i, c := range nd.children {
+		elems := make([]*jsonval.Value, nd.nkids)
+		for i, c := range t.children(nd) {
 			elems[i] = t.Value(c)
 		}
 		return jsonval.Arr(elems...)
 	case ObjectNode:
-		members := make([]jsonval.Member, len(nd.children))
-		for i, c := range nd.children {
+		members := make([]jsonval.Member, nd.nkids)
+		for i, c := range t.children(nd) {
 			members[i] = jsonval.Member{Key: t.nodes[c].key, Value: t.Value(c)}
 		}
 		return jsonval.MustObj(members...)
@@ -340,7 +279,7 @@ func (t *Tree) Value(n NodeID) *jsonval.Value {
 // (jsl, qir) previously each duplicated. The returned slice aliases
 // the node's child array and must not be modified.
 func (t *Tree) ChildrenInRange(n NodeID, lo, hi int) []NodeID {
-	children := t.nodes[n].children
+	children := t.Children(n)
 	if lo < 0 {
 		lo = 0
 	}
@@ -462,7 +401,7 @@ func (t *Tree) Nodes() []NodeID {
 // buckets, and is the default used by the JSL evaluator. See
 // UniqueChildrenNaive for the literal quadratic algorithm.
 func (t *Tree) UniqueChildren(n NodeID) bool {
-	children := t.nodes[n].children
+	children := t.Children(n)
 	if len(children) < 2 {
 		return true
 	}
@@ -482,7 +421,7 @@ func (t *Tree) UniqueChildren(n NodeID) bool {
 // UniqueChildrenNaive is the quadratic pairwise implementation of the
 // Unique test, kept for the ablation benchmark.
 func (t *Tree) UniqueChildrenNaive(n NodeID) bool {
-	children := t.nodes[n].children
+	children := t.Children(n)
 	for i := 0; i < len(children); i++ {
 		for j := i + 1; j < len(children); j++ {
 			if t.SubtreeEqualNaive(children[i], children[j]) {
@@ -519,7 +458,7 @@ func (t *Tree) Dump() string {
 			fmt.Fprintf(&sb, "number %d", nd.num)
 		}
 		sb.WriteByte('\n')
-		for _, c := range nd.children {
+		for _, c := range t.children(nd) {
 			rec(c, depth+1)
 		}
 	}
@@ -529,8 +468,8 @@ func (t *Tree) Dump() string {
 
 // Validate checks the five well-formedness conditions of §3.1 against the
 // internal representation and returns the first violation found, or nil.
-// FromValue always produces valid trees; Validate exists so tests can
-// assert the invariants and so hand-constructed trees can be vetted.
+// Every construction route produces valid trees; Validate exists so
+// tests can assert the invariants.
 func (t *Tree) Validate() error {
 	if len(t.nodes) == 0 {
 		return fmt.Errorf("jsontree: empty tree has no root")
@@ -538,16 +477,19 @@ func (t *Tree) Validate() error {
 	for i := range t.nodes {
 		n := NodeID(i)
 		nd := &t.nodes[n]
+		if nd.first < 0 || nd.nkids < 0 || int(nd.first)+int(nd.nkids) > len(t.kids) {
+			return fmt.Errorf("jsontree: node %d: child range [%d,+%d) outside the child table", n, nd.first, nd.nkids)
+		}
 		switch nd.kind {
 		case StringNode, NumberNode:
 			// Condition 4: strings and numbers are leaves.
-			if len(nd.children) != 0 {
+			if nd.nkids != 0 {
 				return fmt.Errorf("jsontree: node %d: %s node has children", n, nd.kind)
 			}
 		case ObjectNode:
 			// Conditions 1-2: object edges carry keys, keys unique.
-			seen := make(map[string]struct{}, len(nd.children))
-			for _, c := range nd.children {
+			seen := make(map[string]struct{}, nd.nkids)
+			for _, c := range t.children(nd) {
 				k := t.nodes[c].key
 				if _, dup := seen[k]; dup {
 					return fmt.Errorf("jsontree: node %d: duplicate key %q", n, k)
@@ -559,7 +501,7 @@ func (t *Tree) Validate() error {
 			}
 		case ArrayNode:
 			// Condition 3: array edge labels are the positions 0..k-1.
-			for i, c := range nd.children {
+			for i, c := range t.children(nd) {
 				if int(t.nodes[c].pos) != i {
 					return fmt.Errorf("jsontree: node %d: child %d at position %d labelled %d", n, c, i, t.nodes[c].pos)
 				}

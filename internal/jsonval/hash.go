@@ -12,19 +12,24 @@ package jsonval
 // with object members folded commutatively (sum and xor of per-member
 // hashes) so member order never affects the hash.
 
-// kindSeed mixes the value kind into a fresh hash state.
-func kindSeed(k Kind) uint64 {
-	return fnvMix(fnvOffset, uint64(k)+0x9e37)
-}
+// kindSeeds holds each value kind mixed into a fresh hash state —
+// the state every leaf and container hash starts from — computed once
+// rather than per node.
+var kindSeeds = func() (s [4]uint64) {
+	for k := range s {
+		s[k] = fnvMix(fnvOffset, uint64(k)+0x9e37)
+	}
+	return s
+}()
 
 // HashNumber returns Num(n).Hash() without allocating the Value.
 func HashNumber(n uint64) uint64 {
-	return fnvMix(kindSeed(Number), n)
+	return fnvMix(kindSeeds[Number], n)
 }
 
 // HashString returns Str(s).Hash() without allocating the Value.
 func HashString(s string) uint64 {
-	return fnvString(kindSeed(String), s)
+	return fnvString(kindSeeds[String], s)
 }
 
 // ArrayHasher incrementally computes the hash of an array from its
@@ -38,7 +43,7 @@ type ArrayHasher struct {
 // Add folds in the hash of the next element.
 func (a *ArrayHasher) Add(elemHash uint64) {
 	if !a.started {
-		a.h = kindSeed(Array)
+		a.h = kindSeeds[Array]
 		a.started = true
 	}
 	a.h = fnvMix(a.h, elemHash)
@@ -47,7 +52,7 @@ func (a *ArrayHasher) Add(elemHash uint64) {
 // Sum returns the array hash over the elements added so far.
 func (a *ArrayHasher) Sum() uint64 {
 	if !a.started {
-		return kindSeed(Array)
+		return kindSeeds[Array]
 	}
 	return a.h
 }
@@ -72,7 +77,7 @@ func (o *ObjectHasher) Add(key string, valueHash uint64) {
 
 // Sum returns the object hash over the members added so far.
 func (o *ObjectHasher) Sum() uint64 {
-	h := kindSeed(Object)
+	h := kindSeeds[Object]
 	h = fnvMix(h, o.sum)
 	h = fnvMix(h, o.xor)
 	h = fnvMix(h, uint64(o.n))

@@ -98,3 +98,30 @@ func TestHashDistinguishesKinds(t *testing.T) {
 		seen[v.Hash()] = fmt.Sprintf("%v", v)
 	}
 }
+
+// TestHashGolden pins Value.Hash to literal values. Segment term
+// directories on disk store value terms derived from these hashes, so
+// a change to the scheme — however internally consistent — would
+// silently orphan every indexed exact-value term of an existing data
+// directory. The cases cover each kind, the uint64 boundary, escapes
+// and non-ASCII text, empty containers and nesting.
+func TestHashGolden(t *testing.T) {
+	for _, c := range []struct {
+		doc  string
+		want uint64
+	}{
+		{`0`, 0xde1e3ccf7f35aed8},
+		{`18446744073709551615`, 0x40cd9b5b193be750},
+		{`""`, 0x39fc34cc7b6e29a3},
+		{`"café \"q\" \\ \n\t😀"`, 0xc987841e359c075a},
+		{`{}`, 0xb8b40eab3da475ce},
+		{`[]`, 0xe5986e10e78c00a1},
+		{`[1,"1",[],{}]`, 0x87d4967dc3ed0bfa},
+		{`{"b":[2,{"c":"x"}],"a":{"":0,"z":[[]]}}`, 0xf43653ac2a55d7ee},
+		{`{"name":{"first":"John","last":"Doe"},"age":32,"hobbies":["fishing","yoga"]}`, 0xf23c5747ea0b019b},
+	} {
+		if got := MustParse(c.doc).Hash(); got != c.want {
+			t.Errorf("Hash(%s) = %#x, want %#x", c.doc, got, c.want)
+		}
+	}
+}

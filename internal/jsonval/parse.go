@@ -33,15 +33,15 @@ const MaxDepth = 10000
 // nesting deeper than MaxDepth. Trailing non-whitespace input is an
 // error.
 func Parse(input string) (*Value, error) {
-	p := &parser{in: input}
-	p.skipSpace()
+	p := &parser{Lexer: Lexer{In: input}}
+	p.SkipSpace()
 	v, err := p.value()
 	if err != nil {
 		return nil, err
 	}
-	p.skipSpace()
-	if p.pos != len(p.in) {
-		return nil, p.errf("unexpected trailing input")
+	p.SkipSpace()
+	if p.Pos != len(p.In) {
+		return nil, p.Errorf("unexpected trailing input")
 	}
 	return v, nil
 }
@@ -54,13 +54,13 @@ func ParseBytes(input []byte) (*Value, error) { return Parse(string(input)) }
 // permits trailing input, so callers can embed JSON literals inside a
 // larger syntax (the JNL and JSON Schema parsers do this).
 func ParsePrefix(input string) (*Value, int, error) {
-	p := &parser{in: input}
-	p.skipSpace()
+	p := &parser{Lexer: Lexer{In: input}}
+	p.SkipSpace()
 	v, err := p.value()
 	if err != nil {
 		return nil, 0, err
 	}
-	return v, p.pos, nil
+	return v, p.Pos, nil
 }
 
 // MustParse is Parse but panics on error; for tests and examples.
@@ -72,35 +72,20 @@ func MustParse(input string) *Value {
 	return v
 }
 
+// parser is the Value-building grammar over the shared Lexer.
 type parser struct {
-	in    string
-	pos   int
-	depth int // open containers around pos
-}
-
-func (p *parser) errf(format string, args ...any) error {
-	return &SyntaxError{Offset: p.pos, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *parser) skipSpace() {
-	for p.pos < len(p.in) {
-		switch p.in[p.pos] {
-		case ' ', '\t', '\n', '\r':
-			p.pos++
-		default:
-			return
-		}
-	}
+	Lexer
+	depth int // open containers around Pos
 }
 
 func (p *parser) value() (*Value, error) {
-	if p.pos >= len(p.in) {
-		return nil, p.errf("unexpected end of input, want a value")
+	if p.Pos >= len(p.In) {
+		return nil, p.ValueError()
 	}
-	switch c := p.in[p.pos]; {
+	switch c := p.In[p.Pos]; {
 	case c == '{' || c == '[':
 		if p.depth >= MaxDepth {
-			return nil, p.errf("nesting depth exceeds %d", MaxDepth)
+			return nil, p.Errorf("nesting depth exceeds %d", MaxDepth)
 		}
 		p.depth++
 		defer func() { p.depth-- }()
@@ -109,160 +94,264 @@ func (p *parser) value() (*Value, error) {
 		}
 		return p.array()
 	case c == '"':
-		s, err := p.string()
+		s, err := p.ScanString()
 		if err != nil {
 			return nil, err
 		}
 		return Str(s), nil
 	case c >= '0' && c <= '9':
-		return p.number()
-	case c == '-':
-		return nil, p.errf("negative numbers are outside the paper's value model (only naturals)")
-	case c == 't' || c == 'f':
-		return nil, p.errf("booleans are outside the paper's value model")
-	case c == 'n':
-		return nil, p.errf("null is outside the paper's value model")
+		n, err := p.ScanNumber()
+		if err != nil {
+			return nil, err
+		}
+		return Num(n), nil
 	default:
-		return nil, p.errf("unexpected character %q", c)
+		return nil, p.ValueError()
 	}
 }
 
 func (p *parser) object() (*Value, error) {
-	start := p.pos
-	p.pos++ // consume '{'
-	p.skipSpace()
-	if p.pos < len(p.in) && p.in[p.pos] == '}' {
-		p.pos++
+	start := p.Pos
+	if p.Open() {
 		return MustObj(), nil
 	}
 	var members []Member
 	seen := make(map[string]struct{})
 	for {
-		p.skipSpace()
-		if p.pos >= len(p.in) || p.in[p.pos] != '"' {
-			return nil, p.errf("want object key string")
-		}
-		key, err := p.string()
+		key, err := p.ObjectKey()
 		if err != nil {
 			return nil, err
 		}
 		if _, dup := seen[key]; dup {
-			return nil, &SyntaxError{Offset: start, Msg: fmt.Sprintf("duplicate key %q in object", key)}
+			return nil, DuplicateKeyError(start, key)
 		}
 		seen[key] = struct{}{}
-		p.skipSpace()
-		if p.pos >= len(p.in) || p.in[p.pos] != ':' {
-			return nil, p.errf("want ':' after object key")
-		}
-		p.pos++
-		p.skipSpace()
 		v, err := p.value()
 		if err != nil {
 			return nil, err
 		}
 		members = append(members, Member{Key: key, Value: v})
-		p.skipSpace()
-		if p.pos >= len(p.in) {
-			return nil, p.errf("unterminated object")
+		more, err := p.More('}')
+		if err != nil {
+			return nil, err
 		}
-		switch p.in[p.pos] {
-		case ',':
-			p.pos++
-		case '}':
-			p.pos++
-			obj, err := Obj(members...)
-			if err != nil {
-				return nil, err
-			}
-			return obj, nil
-		default:
-			return nil, p.errf("want ',' or '}' in object, got %q", p.in[p.pos])
+		if !more {
+			return Obj(members...)
 		}
 	}
 }
 
 func (p *parser) array() (*Value, error) {
-	p.pos++ // consume '['
-	p.skipSpace()
-	if p.pos < len(p.in) && p.in[p.pos] == ']' {
-		p.pos++
+	if p.Open() {
 		return Arr(), nil
 	}
 	var elems []*Value
 	for {
-		p.skipSpace()
 		v, err := p.value()
 		if err != nil {
 			return nil, err
 		}
 		elems = append(elems, v)
-		p.skipSpace()
-		if p.pos >= len(p.in) {
-			return nil, p.errf("unterminated array")
+		more, err := p.More(']')
+		if err != nil {
+			return nil, err
 		}
-		switch p.in[p.pos] {
-		case ',':
-			p.pos++
-		case ']':
-			p.pos++
+		if !more {
 			return Arr(elems...), nil
-		default:
-			return nil, p.errf("want ',' or ']' in array, got %q", p.in[p.pos])
 		}
 	}
 }
 
-func (p *parser) number() (*Value, error) {
-	start := p.pos
-	for p.pos < len(p.in) && p.in[p.pos] >= '0' && p.in[p.pos] <= '9' {
-		p.pos++
+// Lexer is the token level of the document language: whitespace,
+// strings, numbers and the punctuation around members and elements,
+// with the language's rules — strict UTF-8, the escape and
+// surrogate-pair rules, no leading zeros, the uint64 range, no
+// negative or fractional numbers — and their errors. Parse drives it
+// to build Values; jsontree.Parse drives the same Lexer to build trees
+// straight from text, so each parser holds only its recursion and its
+// build step, and the two cannot drift apart.
+type Lexer struct {
+	In  string // the input
+	Pos int    // byte offset of the next unread byte
+	buf []byte // decoding scratch for strings with escapes
+}
+
+// maxScratch bounds the decoding buffer a Lexer keeps across Reset.
+const maxScratch = 64 << 10
+
+// Reset points the Lexer at the start of in. The decoding buffer is
+// kept for reuse unless a long escaped string grew it past maxScratch,
+// so a pooled Lexer does not pin one large document's worth of memory.
+func (l *Lexer) Reset(in string) {
+	l.In, l.Pos = in, 0
+	if cap(l.buf) > maxScratch {
+		l.buf = nil
 	}
-	if p.pos < len(p.in) {
-		switch p.in[p.pos] {
-		case '.', 'e', 'E':
-			return nil, p.errf("fractional and exponent numbers are outside the paper's value model (only naturals)")
+}
+
+// Errorf returns a *SyntaxError at the current offset.
+func (l *Lexer) Errorf(format string, args ...any) error {
+	return &SyntaxError{Offset: l.Pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// DuplicateKeyError is the error for an object, starting at offset,
+// that repeats key — the paper's key-uniqueness requirement.
+func DuplicateKeyError(offset int, key string) error {
+	return &SyntaxError{Offset: offset, Msg: fmt.Sprintf("duplicate key %q in object", key)}
+}
+
+// SkipSpace advances past JSON whitespace (space, tab, CR, LF).
+func (l *Lexer) SkipSpace() {
+	for l.Pos < len(l.In) {
+		switch l.In[l.Pos] {
+		case ' ', '\t', '\n', '\r':
+			l.Pos++
+		default:
+			return
 		}
 	}
-	lit := p.in[start:p.pos]
+}
+
+// Open consumes the '{' or '[' at the current offset and the space
+// after it, and reports whether the container is empty, consuming its
+// closing byte too if so. Otherwise a member or element starts at the
+// new offset.
+func (l *Lexer) Open() (empty bool) {
+	closer := byte(']')
+	if l.In[l.Pos] == '{' {
+		closer = '}'
+	}
+	l.Pos++
+	l.SkipSpace()
+	if l.Pos < len(l.In) && l.In[l.Pos] == closer {
+		l.Pos++
+		return true
+	}
+	return false
+}
+
+// ObjectKey scans an object member's `"key" :` and the space after
+// it, so the member's value starts at the new offset.
+func (l *Lexer) ObjectKey() (string, error) {
+	l.SkipSpace()
+	if l.Pos >= len(l.In) || l.In[l.Pos] != '"' {
+		return "", l.Errorf("want object key string")
+	}
+	key, err := l.ScanString()
+	if err != nil {
+		return "", err
+	}
+	l.SkipSpace()
+	if l.Pos >= len(l.In) || l.In[l.Pos] != ':' {
+		return "", l.Errorf("want ':' after object key")
+	}
+	l.Pos++
+	l.SkipSpace()
+	return key, nil
+}
+
+// More scans what follows a member or element of the container that
+// closer ('}' or ']') ends: a ',' and the space after it, reporting
+// more, or closer itself, reporting the container closed.
+func (l *Lexer) More(closer byte) (more bool, err error) {
+	what := "array"
+	if closer == '}' {
+		what = "object"
+	}
+	l.SkipSpace()
+	if l.Pos >= len(l.In) {
+		return false, l.Errorf("unterminated %s", what)
+	}
+	switch c := l.In[l.Pos]; c {
+	case ',':
+		l.Pos++
+		l.SkipSpace()
+		return true, nil
+	case closer:
+		l.Pos++
+		return false, nil
+	default:
+		return false, l.Errorf("want ',' or '%c' in %s, got %q", closer, what, c)
+	}
+}
+
+// ValueError explains why no value starts at the current offset: the
+// input ended, or its byte starts a negative number, a boolean, null
+// or nothing the language has. Parsers call it for any byte that is
+// not '{', '[', '"' or a digit.
+func (l *Lexer) ValueError() error {
+	if l.Pos >= len(l.In) {
+		return l.Errorf("unexpected end of input, want a value")
+	}
+	switch c := l.In[l.Pos]; c {
+	case '-':
+		return l.Errorf("negative numbers are outside the paper's value model (only naturals)")
+	case 't', 'f':
+		return l.Errorf("booleans are outside the paper's value model")
+	case 'n':
+		return l.Errorf("null is outside the paper's value model")
+	default:
+		return l.Errorf("unexpected character %q", c)
+	}
+}
+
+// ScanNumber scans the natural number starting at the current offset,
+// which must be a digit.
+func (l *Lexer) ScanNumber() (uint64, error) {
+	start := l.Pos
+	for l.Pos < len(l.In) && l.In[l.Pos] >= '0' && l.In[l.Pos] <= '9' {
+		l.Pos++
+	}
+	if l.Pos < len(l.In) {
+		switch l.In[l.Pos] {
+		case '.', 'e', 'E':
+			return 0, l.Errorf("fractional and exponent numbers are outside the paper's value model (only naturals)")
+		}
+	}
+	lit := l.In[start:l.Pos]
 	if len(lit) > 1 && lit[0] == '0' {
-		return nil, &SyntaxError{Offset: start, Msg: "leading zeros are not permitted in numbers"}
+		return 0, &SyntaxError{Offset: start, Msg: "leading zeros are not permitted in numbers"}
 	}
 	n, err := strconv.ParseUint(lit, 10, 64)
 	if err != nil {
-		return nil, &SyntaxError{Offset: start, Msg: "number out of range: " + lit}
+		return 0, &SyntaxError{Offset: start, Msg: "number out of range: " + lit}
 	}
-	return Num(n), nil
+	return n, nil
 }
 
-func (p *parser) string() (string, error) {
-	p.pos++ // consume opening quote
-	start := p.pos
+// ScanString scans the string literal whose opening quote is at the
+// current offset and returns its decoded contents. A string without
+// escapes or non-ASCII bytes is returned as a substring of In, sharing
+// its memory; any other allocates its decoded copy.
+func (l *Lexer) ScanString() (string, error) {
+	l.Pos++ // consume opening quote
+	start := l.Pos
 	// Fast path: no escapes, ASCII-printable content.
-	for i := p.pos; i < len(p.in); i++ {
-		c := p.in[i]
+	for i := l.Pos; i < len(l.In); i++ {
+		c := l.In[i]
 		if c == '"' {
-			s := p.in[start:i]
-			p.pos = i + 1
-			return s, nil
+			l.Pos = i + 1
+			return l.In[start:i], nil
 		}
 		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
 			break
 		}
 	}
-	var sb []byte
-	for p.pos < len(p.in) {
-		c := p.in[p.pos]
+	sb := l.buf[:0]
+	for l.Pos < len(l.In) {
+		c := l.In[l.Pos]
 		switch {
 		case c == '"':
-			p.pos++
+			l.Pos++
+			l.buf = sb
 			return string(sb), nil
 		case c == '\\':
-			p.pos++
-			if p.pos >= len(p.in) {
-				return "", p.errf("unterminated escape")
+			l.Pos++
+			if l.Pos >= len(l.In) {
+				return "", l.Errorf("unterminated escape")
 			}
-			esc := p.in[p.pos]
-			p.pos++
+			esc := l.In[l.Pos]
+			l.Pos++
 			switch esc {
 			case '"':
 				sb = append(sb, '"')
@@ -281,7 +370,7 @@ func (p *parser) string() (string, error) {
 			case 't':
 				sb = append(sb, '\t')
 			case 'u':
-				r, err := p.hex4()
+				r, err := l.hex4()
 				if err != nil {
 					return "", err
 				}
@@ -290,48 +379,48 @@ func (p *parser) string() (string, error) {
 					// tokenizer): a high surrogate must be followed by a
 					// low one; anything else is rejected rather than
 					// replaced.
-					if p.pos+1 < len(p.in) && p.in[p.pos] == '\\' && p.in[p.pos+1] == 'u' {
-						p.pos += 2
-						r2, err := p.hex4()
+					if l.Pos+1 < len(l.In) && l.In[l.Pos] == '\\' && l.In[l.Pos+1] == 'u' {
+						l.Pos += 2
+						r2, err := l.hex4()
 						if err != nil {
 							return "", err
 						}
 						r = utf16.DecodeRune(r, r2)
 						if r == utf8.RuneError {
-							return "", p.errf("invalid surrogate pair in \\u escape")
+							return "", l.Errorf("invalid surrogate pair in \\u escape")
 						}
 					} else {
-						return "", p.errf("unpaired surrogate in \\u escape")
+						return "", l.Errorf("unpaired surrogate in \\u escape")
 					}
 				}
 				sb = utf8.AppendRune(sb, r)
 			default:
-				return "", p.errf("invalid escape \\%c", esc)
+				return "", l.Errorf("invalid escape \\%c", esc)
 			}
 		case c < 0x20:
-			return "", p.errf("raw control character in string")
+			return "", l.Errorf("raw control character in string")
 		default:
-			r, size := utf8.DecodeRuneInString(p.in[p.pos:])
+			r, size := utf8.DecodeRuneInString(l.In[l.Pos:])
 			if r == utf8.RuneError && size <= 1 {
 				// Rejected, not replaced (matching the streaming
 				// tokenizer): a U+FFFD substitution would make the
 				// stored tree differ from its own serialization.
-				return "", p.errf("invalid UTF-8 in string")
+				return "", l.Errorf("invalid UTF-8 in string")
 			}
-			sb = append(sb, p.in[p.pos:p.pos+size]...)
-			p.pos += size
+			sb = append(sb, l.In[l.Pos:l.Pos+size]...)
+			l.Pos += size
 		}
 	}
-	return "", p.errf("unterminated string")
+	return "", l.Errorf("unterminated string")
 }
 
-func (p *parser) hex4() (rune, error) {
-	if p.pos+4 > len(p.in) {
-		return 0, p.errf("truncated \\u escape")
+func (l *Lexer) hex4() (rune, error) {
+	if l.Pos+4 > len(l.In) {
+		return 0, l.Errorf("truncated \\u escape")
 	}
 	var r rune
 	for i := 0; i < 4; i++ {
-		c := p.in[p.pos+i]
+		c := l.In[l.Pos+i]
 		r <<= 4
 		switch {
 		case c >= '0' && c <= '9':
@@ -341,9 +430,9 @@ func (p *parser) hex4() (rune, error) {
 		case c >= 'A' && c <= 'F':
 			r |= rune(c-'A') + 10
 		default:
-			return 0, p.errf("invalid hex digit %q in \\u escape", c)
+			return 0, l.Errorf("invalid hex digit %q in \\u escape", c)
 		}
 	}
-	p.pos += 4
+	l.Pos += 4
 	return r, nil
 }

@@ -6,8 +6,10 @@
 //
 // The package provides an immutable value ADT, a hand-written
 // lexer/parser that enforces the paper's restrictions (duplicate keys are
-// rejected, numbers must be naturals), serializers (compact, indented and
-// canonical forms), deep structural equality and structural hashing.
+// rejected, numbers must be naturals) — the Lexer is exported so that
+// jsontree.Parse scans text with the same code — serializers (compact,
+// indented and canonical forms), deep structural equality and
+// structural hashing.
 package jsonval
 
 import (
@@ -275,7 +277,7 @@ func (v *Value) computeHash() uint64 {
 		}
 		return oh.Sum()
 	}
-	return kindSeed(v.kind)
+	return kindSeeds[v.kind]
 }
 
 // Equal reports deep structural equality of two values. Objects compare as

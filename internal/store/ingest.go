@@ -74,7 +74,9 @@ func (s *Store) BulkNDJSON(r io.Reader) (BulkResult, error) {
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		text := strings.TrimSpace(sc.Text())
+		// JSON whitespace only, as in the engine's NDJSON readers:
+		// TrimSpace would also strip Unicode spaces that Put rejects.
+		text := strings.Trim(sc.Text(), " \t\r\n")
 		if text == "" {
 			continue
 		}

@@ -9,7 +9,11 @@ package store
 // rebuilt at startup. Documents lazily parse into trees on first
 // access and are cached per ordinal; posting lists stay block-
 // compressed (postings_codec.go) and are intersected in place via
-// their skip tables.
+// their skip tables. A parsed tree never points into the mapping:
+// resolve copies the document's bytes to the heap first, because
+// jsontree.Parse keeps keys and strings as substrings of its input
+// and cached trees outlive the file — compaction hands them to the
+// next reader and then unmaps this one.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -265,6 +269,10 @@ func (sr *segmentReader) resolve(ord ordinal) (*docPair, error) {
 	if d := sr.cache[ord].Load(); d != nil {
 		return d, nil
 	}
+	// The string conversion is the tree's one copy of its text: the
+	// parsed keys and strings without escapes are substrings of it. Parsing
+	// the mapped bytes in place (unsafe.String) would leave the cached
+	// tree reading the mapping after compaction unmaps it.
 	t, err := jsontree.Parse(string(sr.docBytes(ord)))
 	if err != nil {
 		// The file was CRC-valid at open; reaching here means the

@@ -12,12 +12,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
 
 	"jsonlogic/internal/engine"
 	"jsonlogic/internal/gen"
+	"jsonlogic/internal/jsontree"
 )
 
 // measureAllocs reports steady-state allocations per call with GC
@@ -293,6 +295,61 @@ func TestSegmentDifferentialChurn(t *testing.T) {
 	}
 	compareStores(t, s2, ref)
 	diffQueries(t, r, s2, ref, 120)
+}
+
+// TestResolvedTreeOutlivesSegment: a tree parsed from a mapped segment
+// owns its text. Compaction carries the cached trees of one reader
+// into the next and then unmaps the old file, so a tree whose keys or
+// strings aliased the mapping would read unmapped — or remapped —
+// memory once its segment is gone. The held trees, resolved after a
+// reopen so that they come from the segment bytes and not from the
+// memtable, must re-encode byte for byte after two compactions.
+func TestResolvedTreeOutlivesSegment(t *testing.T) {
+	opts := Options{Shards: 1, DataDir: t.TempDir(), Fsync: FsyncOff, SnapshotEvery: -1}
+	s := openDurable(t, opts)
+	docs := map[string]string{}
+	for i := 0; i < 64; i++ {
+		id := fmt.Sprintf("doc%03d", i)
+		docs[id] = fmt.Sprintf(`{"esc":"tab\tquote\"%d","n":%d,"name":"plain%d","tags":["a%d","b"]}`, i, i, i, i%7)
+		if err := s.Put(id, docs[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s = openDurable(t, opts)
+	defer s.Close()
+	if s.shards[0].seg.live != len(docs) || s.shards[0].ix.live() != 0 {
+		t.Fatal("documents did not reopen in the segment tier")
+	}
+	held := map[string]*jsontree.Tree{}
+	for id := range docs {
+		tr, ok := s.Get(id)
+		if !ok {
+			t.Fatalf("Get(%s) missed", id)
+		}
+		held[id] = tr
+	}
+	// Each compaction's new documents sort first, shifting every held
+	// document's bytes: a remapping at the old address reads other text.
+	for i := 0; i < 2; i++ {
+		if err := s.Put(fmt.Sprintf("a%d", i), `{"pad":"`+strings.Repeat("x", 100)+`"}`); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	for id, tr := range held {
+		if got := string(tr.AppendJSON(nil, tr.Root())); got != docs[id] {
+			t.Errorf("%s re-encodes as %s, want %s", id, got, docs[id])
+		}
+	}
 }
 
 // TestSegmentProbeZeroAllocs pins the tentpole's hard constraint at

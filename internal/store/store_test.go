@@ -207,6 +207,34 @@ func TestBulkNDJSON(t *testing.T) {
 	}
 }
 
+// TestBulkNDJSONNonJSONSpace: bulk lines are trimmed of JSON whitespace
+// only, so bulk stores exactly what Put accepts. Vertical tab, form
+// feed, NBSP and NEL are not JSON whitespace: each such line is one
+// BulkError, and Put rejects the same text.
+func TestBulkNDJSONNonJSONSpace(t *testing.T) {
+	s := New(Options{})
+	bad := []string{"\v{\"a\":1}", "{\"a\":1}\f", "\u00a0{\"a\":1}", "{\"a\":1}\u0085"}
+	input := " \t{\"a\":1}\r\n" + strings.Join(bad, "\n") + "\n"
+	res, err := s.BulkNDJSON(strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.IDs) != 1 || s.Len() != 1 {
+		t.Fatalf("stored %d docs (%d ids), want only the JSON-whitespace-padded line", s.Len(), len(res.IDs))
+	}
+	if len(res.Errors) != len(bad) {
+		t.Fatalf("errors = %+v, want one per line %q", res.Errors, bad)
+	}
+	for i, e := range res.Errors {
+		if e.Line != i+2 {
+			t.Errorf("error %d on line %d, want %d", i, e.Line, i+2)
+		}
+		if err := s.Put("x", bad[i]); err == nil {
+			t.Errorf("Put accepts %q", bad[i])
+		}
+	}
+}
+
 // errReader yields its payload and then a non-EOF error, simulating a
 // connection dropped mid-bulk.
 type errReader struct {
