@@ -73,12 +73,15 @@ chaos:
 # engine; containment refutations must separate the pair under the
 # production evaluator), the segment posting-list codec (round-
 # trip fidelity; hostile bytes must error, never panic or over-read),
-# and the three text-to-tree routes (jsonval.Parse+FromValue,
+# the three text-to-tree routes (jsonval.Parse+FromValue,
 # jsontree.Parse and the tokenizer→Builder route accept the same
-# documents and build the same trees).
+# documents and build the same trees), and JSONPath selection (the
+# executor's set-at-a-time enumerators select exactly the nodes of the
+# reference JNL evaluator).
 fuzz:
 	$(GO) test ./internal/engine/ -run FuzzPlanCache -fuzz FuzzPlanCache -fuzztime 20s
 	$(GO) test ./internal/engine/ -run FuzzParsersAgree -fuzz FuzzParsersAgree -fuzztime 20s
+	$(GO) test ./internal/engine/ -run FuzzSelectionAgrees -fuzz FuzzSelectionAgrees -fuzztime 20s
 	$(GO) test ./internal/jauto/ -run FuzzJNLSat -fuzz FuzzJNLSat -fuzztime 30s
 	$(GO) test ./internal/containment/ -run FuzzContainment -fuzz FuzzContainment -fuzztime 30s
 	$(GO) test ./internal/store/ -run FuzzPostingsCodec -fuzz FuzzPostingsCodec -fuzztime 20s
@@ -98,10 +101,11 @@ bench-store:
 	$(GO) test -run xxx -bench 'BenchmarkStore' ./...
 
 # One iteration of a representative benchmark per tier (evaluator,
-# engine, store, planner) — catches bit-rot, not regressions; CI runs
-# this on every push.
+# engine, store, planner, and the scan-eval query shapes through the
+# QIR executor) — catches bit-rot, not regressions; CI runs this on
+# every push.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkP1EvalDeterministic|BenchmarkStoreFindMongo|BenchmarkStorePlanner' -benchtime 1x ./...
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkP1EvalDeterministic|BenchmarkStoreFindMongo|BenchmarkStorePlanner|BenchmarkStoreScanEval' -benchtime 1x ./...
 
 # The repo's benchmark (benchmark/, see BENCHMARK.json) is a module of
 # its own that builds the system under test from this checkout, so the

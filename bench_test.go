@@ -10,6 +10,7 @@
 package jsonlogic
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -685,8 +686,9 @@ func BenchmarkEngineSemanticCompile(b *testing.B) {
 // steady-state Validate and a predicate-path Eval perform zero
 // allocations per evaluated document — the executor's memo tables,
 // regex memo and scratch sets all come from the pool on the compiled
-// program. (JSONPath-style selection enumerators still allocate
-// O(visited) closure cells; see internal/qir's bounded-allocs test.)
+// program. "select-descend" is JSONPath selection through a recursive
+// descent ($..k10.k1) on corpusDoc: the set-at-a-time enumerators pass
+// their node sets in pooled buffers, so it allocates nothing either.
 func BenchmarkEngineEvalZeroAlloc(b *testing.B) {
 	e := engine.New(engine.Options{})
 	src := `{"meta.tenant": "t7", "meta.seq": {"$gte": 100}}`
@@ -709,6 +711,23 @@ func BenchmarkEngineEvalZeroAlloc(b *testing.B) {
 		}
 	})
 	b.Run("eval-append", func(b *testing.B) {
+		buf := make([]jsontree.NodeID, 0, tree.Len())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			buf, err = e.EvalAppend(plan, tree, buf[:0])
+			if err != nil || len(buf) != 1 {
+				b.Fatalf("selected %d nodes, err %v", len(buf), err)
+			}
+		}
+	})
+	b.Run("select-descend", func(b *testing.B) {
+		plan, err := e.Compile(engine.LangJSONPath, `$..k10.k1`)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tree := jsontree.MustParse(corpusDoc)
 		buf := make([]jsontree.NodeID, 0, tree.Len())
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -936,6 +955,78 @@ func BenchmarkStoreSemanticShortCircuit(b *testing.B) {
 		if err != nil || len(ids) != 0 {
 			b.Fatalf("got %d docs (err %v), want 0", len(ids), err)
 		}
+	}
+}
+
+// scanEvalStore builds the 2000-document in-memory store of
+// corpusDoc-shaped documents BenchmarkStoreScanEval queries: a meta
+// block (region r0..r7, sequence number, tenant) over a payload of
+// fanout 3 and depth 3, keys k0..k11, 30% arrays, leaves below 100.
+func scanEvalStore() *store.Store {
+	r := rand.New(rand.NewSource(1))
+	s := store.New(store.Options{Shards: 16})
+	payload := gen.DocOptions{Fanout: 3, Depth: 3, Keys: 12, ArrayBias: 30, ValueRange: 100}
+	for i := 0; i < 2000; i++ {
+		doc := jsonval.MustObj(
+			jsonval.Member{Key: "meta", Value: jsonval.MustObj(
+				jsonval.Member{Key: "region", Value: jsonval.Str(fmt.Sprintf("r%d", i%8))},
+				jsonval.Member{Key: "seq", Value: jsonval.Num(uint64(i))},
+				jsonval.Member{Key: "tenant", Value: jsonval.Str(fmt.Sprintf("t%d", i%20))},
+			)},
+			jsonval.Member{Key: "payload", Value: gen.Document(r, payload)},
+		)
+		s.PutTree(fmt.Sprintf("doc%04d", i), jsontree.FromValue(doc))
+	}
+	return s
+}
+
+// BenchmarkStoreScanEval is the in-process ledger of the scan-eval
+// workload: one sub-benchmark per query shape of its pool, none of
+// which yields an index fact, so every query evaluates all 2000
+// documents through the QIR executor. It reports µs and allocations
+// per query.
+func BenchmarkStoreScanEval(b *testing.B) {
+	s := scanEvalStore()
+	ctx := context.Background()
+	find := func(p *engine.Plan) (int, error) {
+		ids, _, err := s.FindTraced(ctx, p, nil)
+		return len(ids), err
+	}
+	sel := func(p *engine.Plan) (int, error) {
+		sels, _, err := s.SelectTraced(ctx, p, nil)
+		n := 0
+		for _, x := range sels {
+			n += len(x.Nodes)
+		}
+		return n, err
+	}
+	for _, c := range []struct {
+		name string
+		lang engine.Language
+		src  string
+		run  func(*engine.Plan) (int, error)
+	}{
+		{"mongo-not-ne", engine.LangMongoFind, `{"meta.seq":{"$not":{"$gte":1000}},"meta.region":{"$ne":"r3"}}`, find},
+		{"jsonpath-descend/select", engine.LangJSONPath, `$..k10.k1`, sel},
+		{"jsonpath-descend/find", engine.LangJSONPath, `$..k10.k1`, find},
+		{"jnl-star", engine.LangJNL, `[(/~".*")* <eq(eps, "s30")>]`, find},
+		{"jsl-recursive", engine.LangJSL, `def g = eq("s30") || some(~".*", g) || some([0:], g) ; g`, find},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p := engine.MustCompile(c.lang, c.src)
+			want, err := c.run(p)
+			if err != nil || want == 0 {
+				b.Fatalf("%s: %d results, err %v", c.src, want, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got, err := c.run(p); got != want || err != nil {
+					b.Fatalf("%s: %d results (err %v), want %d", c.src, got, err, want)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/query")
+		})
 	}
 }
 

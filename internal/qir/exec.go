@@ -1,6 +1,7 @@
 package qir
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -13,13 +14,17 @@ import (
 )
 
 // This file is the QIR executor: Compile turns a logical Query into an
-// immutable Program of composable operators, and the Program evaluates
-// trees node-at-a-time. The operator set is deliberately iterator-
-// shaped: boolean connectives short-circuit, navigation steps visit
-// successors lazily and stop at the first witness (Exists) or
-// counter-example (ForAll), and the two sources of recursion — Closure
-// paths and named definitions — evaluate through per-node memo tables
-// so each (operator, node) pair is decided at most once per tree.
+// immutable Program of composable operators. It has two halves.
+// Predicates evaluate node-at-a-time in continuation-passing style:
+// boolean connectives short-circuit, navigation steps stop at the first
+// witness (Exists) or counter-example (ForAll), and the two sources of
+// recursion — Closure paths and named definitions — evaluate through
+// per-node memo tables so each (operator, node) pair is decided at most
+// once per tree. Selection paths and the two sides of EQ(π₁, π₂)
+// evaluate set-at-a-time: each enumerator maps a duplicate-free node
+// set to a duplicate-free node set in pooled buffers, so a selection
+// allocates nothing and runs in O(|J|·|path|) — Proposition 3's bound —
+// whenever no closure body itself contains a closure.
 //
 // Soundness of the closure memo: every moving path step descends
 // (parent → child), so a successful Exists-through-closure derivation
@@ -164,19 +169,23 @@ func (p *Program) EvalAppendCtx(ctx context.Context, t *jsontree.Tree, out []jso
 	defer p.finish(st, &err)
 	n := t.Len()
 	if p.sel != nil {
-		// Enumerate into a pooled mark set, then emit in ascending node
-		// order, matching the reference evaluators.
+		// Enumerate the selected set from the root, mark it into a
+		// pooled visit set, then emit in ascending node order, matching
+		// the reference evaluators.
+		from := append(st.acquireNodes(), t.Root())
+		sel := p.sel.apply(st, from, st.acquireNodes())
 		seen := st.acquireVisited()
-		p.sel.each(st, t.Root(), func(m jsontree.NodeID) bool {
+		for _, m := range sel {
 			seen.mark(m)
-			return true
-		})
+		}
 		for i := 0; i < n; i++ {
 			if seen.marks[i] {
 				out = append(out, jsontree.NodeID(i))
 			}
 		}
 		st.releaseVisited(seen)
+		st.releaseNodes(sel)
+		st.releaseNodes(from)
 		return out, nil
 	}
 	for i := 0; i < n; i++ {
@@ -473,7 +482,7 @@ func (c *compiler) compileExists(p Path, k predOp) (predOp, error) {
 	case Key:
 		return &keyStepOp{word: t.Word, next: k, forAll: false}, nil
 	case KeyRe:
-		return &keyReStepOp{re: t.Re, next: k, forAll: false}, nil
+		return &keyReStepOp{re: t.Re, any: t.Re.IsAnyStar(), next: k, forAll: false}, nil
 	case At:
 		return &atStepOp{index: t.Index, next: k, forAll: false}, nil
 	case Slice:
@@ -526,7 +535,7 @@ func (c *compiler) compileForAll(p Path, k predOp) (predOp, error) {
 	case Key:
 		return &keyStepOp{word: t.Word, next: k, forAll: true}, nil
 	case KeyRe:
-		return &keyReStepOp{re: t.Re, next: k, forAll: true}, nil
+		return &keyReStepOp{re: t.Re, any: t.Re.IsAnyStar(), next: k, forAll: true}, nil
 	case At:
 		return &atStepOp{index: t.Index, next: k, forAll: true}, nil
 	case Slice:
@@ -599,10 +608,8 @@ func movingPath(p Path) bool {
 	return false
 }
 
-// compileEnum builds a successor enumerator for a path, used by path
-// selection (JSONPath) and EqPaths. Enumerators may yield a node more
-// than once (unions, sequences after closures); collection points
-// deduplicate.
+// compileEnum builds the set-at-a-time successor enumerator for a
+// path, used by path selection (JSONPath) and EqPaths.
 func (c *compiler) compileEnum(p Path) enumOp {
 	switch t := p.(type) {
 	case Here:
@@ -610,7 +617,7 @@ func (c *compiler) compileEnum(p Path) enumOp {
 	case Key:
 		return keyEnum{word: t.Word}
 	case KeyRe:
-		return keyReEnum{re: t.Re}
+		return keyReEnum{re: t.Re, any: t.Re.IsAnyStar()}
 	case At:
 		return atEnum{index: t.Index}
 	case Slice:
@@ -624,11 +631,17 @@ func (c *compiler) compileEnum(p Path) enumOp {
 		}
 		return filterEnum{cond: cond}
 	case Seq:
-		out := enumOp(hereEnum{})
-		for i := len(t.Parts) - 1; i >= 0; i-- {
-			out = seqEnum{head: c.compileEnum(t.Parts[i]), tail: out}
+		switch len(t.Parts) {
+		case 0:
+			return hereEnum{}
+		case 1:
+			return c.compileEnum(t.Parts[0])
 		}
-		return out
+		parts := make([]enumOp, len(t.Parts))
+		for i, part := range t.Parts {
+			parts[i] = c.compileEnum(part)
+		}
+		return seqEnum{parts: parts}
 	case Union:
 		alts := make([]enumOp, len(t.Alts))
 		for i, a := range t.Alts {
@@ -636,7 +649,18 @@ func (c *compiler) compileEnum(p Path) enumOp {
 		}
 		return unionEnum{alts: alts}
 	case Closure:
-		return closureEnum{inner: c.compileEnum(t.Inner)}
+		// (α₁|…|αₙ)*, the shape of JSONPath's `..`: the closure's
+		// visited set already drops what two alternatives share, so it
+		// steps the alternatives itself instead of through a union.
+		body := []Path{t.Inner}
+		if u, ok := t.Inner.(Union); ok {
+			body = u.Alts
+		}
+		steps := make([]enumOp, len(body))
+		for i, b := range body {
+			steps[i] = c.compileEnum(b)
+		}
+		return closureEnum{body: steps}
 	}
 	panic(fmt.Sprintf("qir: unknown path %T", p))
 }
@@ -670,14 +694,13 @@ type state struct {
 	regexMemo  map[*relang.Regex]map[string]bool
 	regexLen   int // total entries across the inner maps, against regexMemoCap
 
-	// scratch is the freelist of visited sets for closure enumeration
-	// (and Eval's selection marks). A freelist rather than a single set
-	// because enumerations nest: a closure inside a filter inside
-	// another closure needs its own marks.
-	scratch []*visitSet
-
-	// nodeBuf is the sort buffer of the uniqueness check.
-	nodeBuf []jsontree.NodeID
+	// scratch is the freelist of visited sets for closure and union
+	// enumeration (and Eval's selection marks); nodeBufs is the freelist
+	// of node buffers the enumerators pass sets in. Freelists rather
+	// than single buffers because enumerations nest: a closure inside a
+	// filter inside another closure needs its own marks and sets.
+	scratch  []*visitSet
+	nodeBufs [][]jsontree.NodeID
 
 	// ctx arms cooperative cancellation; nil (Match/EvalAppend, which
 	// have no context) makes step a single predictable branch. steps
@@ -743,12 +766,23 @@ func (p *Program) acquire(t *jsontree.Tree) *state {
 	return st
 }
 
+// scratchCap bounds the scratch a pooled state keeps between calls:
+// node buffers and visit sets grown past it by one huge tree are
+// dropped on release rather than pinned by the pool.
+const scratchCap = 1 << 16
+
 // release disarms the state and returns it to the program's pool. The
 // tree and context references are dropped so a pooled state never
-// keeps either alive.
+// keeps either alive, and so is any scratch above scratchCap.
 func (p *Program) release(st *state) {
 	st.t = nil
 	st.ctx, st.steps = nil, 0
+	st.nodeBufs = slices.DeleteFunc(st.nodeBufs, func(b []jsontree.NodeID) bool {
+		return cap(b) > scratchCap
+	})
+	st.scratch = slices.DeleteFunc(st.scratch, func(v *visitSet) bool {
+		return cap(v.marks) > scratchCap
+	})
 	p.pool.Put(st)
 }
 
@@ -799,7 +833,7 @@ func (st *state) unique(n jsontree.NodeID) bool {
 }
 
 // uniqueCheck is jsontree.UniqueChildren re-done over pooled scratch:
-// children are sorted by subtree hash into the state's node buffer and
+// children are sorted by subtree hash in a pooled node buffer and
 // compared structurally only within equal-hash runs, so hash
 // collisions cannot produce a false "unique" and the steady state
 // allocates nothing (the tree method buckets through a fresh map).
@@ -809,8 +843,8 @@ func (st *state) uniqueCheck(n jsontree.NodeID) bool {
 	if len(kids) < 2 {
 		return true
 	}
-	buf := append(st.nodeBuf[:0], kids...)
-	st.nodeBuf = buf
+	buf := append(st.acquireNodes(), kids...)
+	defer st.releaseNodes(buf)
 	slices.SortFunc(buf, func(a, b jsontree.NodeID) int {
 		ha, hb := t.SubtreeHash(a), t.SubtreeHash(b)
 		switch {
@@ -879,6 +913,25 @@ func (st *state) releaseVisited(v *visitSet) {
 	}
 	v.touched = v.touched[:0]
 	st.scratch = append(st.scratch, v)
+}
+
+// acquireNodes returns an empty node buffer, reusing a freelisted one
+// when available (nil otherwise: append allocates it on first use).
+func (st *state) acquireNodes() []jsontree.NodeID {
+	k := len(st.nodeBufs)
+	if k == 0 {
+		return nil
+	}
+	b := st.nodeBufs[k-1]
+	st.nodeBufs = st.nodeBufs[:k-1]
+	return b[:0]
+}
+
+// releaseNodes freelists a node buffer for the next acquireNodes.
+func (st *state) releaseNodes(b []jsontree.NodeID) {
+	if cap(b) > 0 {
+		st.nodeBufs = append(st.nodeBufs, b[:0])
+	}
 }
 
 // ---- predicate operators ----
@@ -1070,8 +1123,16 @@ func (o *keyStepOp) describe(sb *strings.Builder, depth int) {
 	o.next.describe(sb, depth+1)
 }
 
+// keyReStepOp steps along the keys a regex accepts; any marks a regex
+// that is Σ* by syntax (relang's IsAnyStar: the `.*` that JSONPath
+// `..`/`*`, JNL `(/~".*")*` and JSL `some(~".*", g)` lower to), whose
+// step visits every member without consulting the regex memo. The test
+// is syntactic because the regex comes from query text: deciding
+// universality in general means determinizing, which can take
+// exponential time and memory before evaluation even starts.
 type keyReStepOp struct {
 	re     *relang.Regex
+	any    bool
 	next   predOp
 	forAll bool
 }
@@ -1082,7 +1143,7 @@ func (o *keyReStepOp) eval(st *state, n jsontree.NodeID) bool {
 		return o.forAll
 	}
 	for _, c := range t.Children(n) {
-		if !st.matchRe(o.re, t.EdgeKey(c)) {
+		if !o.any && !st.matchRe(o.re, t.EdgeKey(c)) {
 			continue
 		}
 		if o.next.eval(st, c) != o.forAll {
@@ -1263,10 +1324,14 @@ func (o *refOp) describe(sb *strings.Builder, depth int) {
 	ind(sb, depth, fmt.Sprintf("ref %s [memo #%d]", o.def.name, o.def.memoID))
 }
 
-// eqPathsOp evaluates EQ(π₁, π₂): enumerate the left successors into
-// hash buckets, then stream the right successors against them,
+// eqPathsOp evaluates EQ(π₁, π₂) set-at-a-time: the left successor
+// set, sorted by subtree hash, forms the buckets (runs of equal hash),
+// and each right successor probes its bucket by binary search,
 // verifying structurally so hash collisions cannot produce a false
-// positive.
+// positive. Both sets and the sort live in pooled node buffers, so the
+// operator allocates nothing. The right set is built whole before the
+// first probe, so an early right-hand match does not cut the walk
+// short; the cost stays linear in the two path regions.
 type eqPathsOp struct {
 	left, right           enumOp
 	leftLabel, rightLabel string
@@ -1274,27 +1339,32 @@ type eqPathsOp struct {
 
 func (o *eqPathsOp) eval(st *state, n jsontree.NodeID) bool {
 	t := st.t
-	// The bucket map is per-call: EqPaths is the one operator off the
-	// zero-allocation path (it is also the one with cubic worst-case
-	// cost, so the allocation is never what dominates).
-	buckets := make(map[uint64][]jsontree.NodeID)
-	o.left.each(st, n, func(m jsontree.NodeID) bool {
-		buckets[t.SubtreeHash(m)] = append(buckets[t.SubtreeHash(m)], m)
-		return true
-	})
-	if len(buckets) == 0 {
-		return false
-	}
+	from := append(st.acquireNodes(), n)
+	left := o.left.apply(st, from, st.acquireNodes())
+	right := st.acquireNodes()
 	found := false
-	o.right.each(st, n, func(m jsontree.NodeID) bool {
-		for _, l := range buckets[t.SubtreeHash(m)] {
-			if t.SubtreeEqual(l, m) {
-				found = true
-				return false
+	if len(left) > 0 {
+		right = o.right.apply(st, from, right)
+		slices.SortFunc(left, func(a, b jsontree.NodeID) int {
+			return cmp.Compare(t.SubtreeHash(a), t.SubtreeHash(b))
+		})
+	probe:
+		for _, m := range right {
+			h := t.SubtreeHash(m)
+			i, _ := slices.BinarySearchFunc(left, h, func(l jsontree.NodeID, h uint64) int {
+				return cmp.Compare(t.SubtreeHash(l), h)
+			})
+			for ; i < len(left) && t.SubtreeHash(left[i]) == h; i++ {
+				if t.SubtreeEqual(left[i], m) {
+					found = true
+					break probe
+				}
 			}
 		}
-		return true
-	})
+	}
+	st.releaseNodes(right)
+	st.releaseNodes(left)
+	st.releaseNodes(from)
 	return found
 }
 func (o *eqPathsOp) describe(sb *strings.Builder, depth int) {
@@ -1303,117 +1373,180 @@ func (o *eqPathsOp) describe(sb *strings.Builder, depth int) {
 
 // ---- successor enumerators ----
 
-// enumOp enumerates the successors of a node under a path. each
-// returns false when the yield callback stopped the enumeration early.
-// Enumerators may yield duplicates; collection points deduplicate.
+// enumOp is a set-at-a-time successor enumerator: apply appends to out
+// the successors under the path of every node in in, and returns the
+// extended slice. in must be duplicate-free, and so is what apply
+// appends: a child has exactly one parent, so the steps map distinct
+// nodes to distinct children, and union and closure deduplicate
+// through a pooled visit set where their parts may overlap.
+// Enumerators never write to in, and take their intermediate sets from
+// the state's node-buffer freelist.
 type enumOp interface {
-	each(st *state, n jsontree.NodeID, yield func(jsontree.NodeID) bool) bool
+	apply(st *state, in, out []jsontree.NodeID) []jsontree.NodeID
 }
 
 type hereEnum struct{}
 
-func (hereEnum) each(_ *state, n jsontree.NodeID, yield func(jsontree.NodeID) bool) bool {
-	return yield(n)
+func (hereEnum) apply(_ *state, in, out []jsontree.NodeID) []jsontree.NodeID {
+	return append(out, in...)
 }
 
 type keyEnum struct{ word string }
 
-func (e keyEnum) each(st *state, n jsontree.NodeID, yield func(jsontree.NodeID) bool) bool {
-	if c := st.t.ChildByKey(n, e.word); c != jsontree.InvalidNode {
-		return yield(c)
-	}
-	return true
-}
-
-type keyReEnum struct{ re *relang.Regex }
-
-func (e keyReEnum) each(st *state, n jsontree.NodeID, yield func(jsontree.NodeID) bool) bool {
-	t := st.t
-	if t.Kind(n) != jsontree.ObjectNode {
-		return true
-	}
-	for _, c := range t.Children(n) {
-		if st.matchRe(e.re, t.EdgeKey(c)) && !yield(c) {
-			return false
+func (e keyEnum) apply(st *state, in, out []jsontree.NodeID) []jsontree.NodeID {
+	for _, n := range in {
+		if c := st.t.ChildByKey(n, e.word); c != jsontree.InvalidNode {
+			out = append(out, c)
 		}
 	}
-	return true
+	return out
+}
+
+// keyReEnum steps along the keys a regex accepts; any marks a Σ*
+// regex (see keyReStepOp), whose step takes every member without
+// consulting the regex memo.
+type keyReEnum struct {
+	re  *relang.Regex
+	any bool
+}
+
+func (e keyReEnum) apply(st *state, in, out []jsontree.NodeID) []jsontree.NodeID {
+	t := st.t
+	for _, n := range in {
+		if t.Kind(n) != jsontree.ObjectNode {
+			continue
+		}
+		if e.any {
+			out = append(out, t.Children(n)...)
+			continue
+		}
+		for _, c := range t.Children(n) {
+			if st.matchRe(e.re, t.EdgeKey(c)) {
+				out = append(out, c)
+			}
+		}
+	}
+	return out
 }
 
 type atEnum struct{ index int }
 
-func (e atEnum) each(st *state, n jsontree.NodeID, yield func(jsontree.NodeID) bool) bool {
-	if c := st.t.ChildAt(n, e.index); c != jsontree.InvalidNode {
-		return yield(c)
+func (e atEnum) apply(st *state, in, out []jsontree.NodeID) []jsontree.NodeID {
+	for _, n := range in {
+		if c := st.t.ChildAt(n, e.index); c != jsontree.InvalidNode {
+			out = append(out, c)
+		}
 	}
-	return true
+	return out
 }
 
 type sliceEnum struct{ lo, hi int }
 
-func (e sliceEnum) each(st *state, n jsontree.NodeID, yield func(jsontree.NodeID) bool) bool {
+func (e sliceEnum) apply(st *state, in, out []jsontree.NodeID) []jsontree.NodeID {
 	t := st.t
-	if t.Kind(n) != jsontree.ArrayNode {
-		return true
-	}
-	for _, c := range t.ChildrenInRange(n, e.lo, e.hi) {
-		if !yield(c) {
-			return false
+	for _, n := range in {
+		if t.Kind(n) == jsontree.ArrayNode {
+			out = append(out, t.ChildrenInRange(n, e.lo, e.hi)...)
 		}
 	}
-	return true
+	return out
 }
 
 type filterEnum struct{ cond predOp }
 
-func (e filterEnum) each(st *state, n jsontree.NodeID, yield func(jsontree.NodeID) bool) bool {
-	if e.cond.eval(st, n) {
-		return yield(n)
+func (e filterEnum) apply(st *state, in, out []jsontree.NodeID) []jsontree.NodeID {
+	for _, n := range in {
+		if e.cond.eval(st, n) {
+			out = append(out, n)
+		}
 	}
-	return true
+	return out
 }
 
-type seqEnum struct{ head, tail enumOp }
+// seqEnum feeds each part's output set to the next part, alternating
+// between two pooled buffers; the last part appends straight to out.
+type seqEnum struct{ parts []enumOp } // at least two parts
 
-func (e seqEnum) each(st *state, n jsontree.NodeID, yield func(jsontree.NodeID) bool) bool {
-	return e.head.each(st, n, func(m jsontree.NodeID) bool {
-		return e.tail.each(st, m, yield)
-	})
+func (e seqEnum) apply(st *state, in, out []jsontree.NodeID) []jsontree.NodeID {
+	cur, spare := st.acquireNodes(), st.acquireNodes()
+	from := in
+	last := len(e.parts) - 1
+	for _, part := range e.parts[:last] {
+		cur = part.apply(st, from, cur[:0])
+		from = cur
+		cur, spare = spare, cur
+		if len(from) == 0 {
+			break
+		}
+	}
+	if len(from) > 0 {
+		out = e.parts[last].apply(st, from, out)
+	}
+	st.releaseNodes(spare)
+	st.releaseNodes(cur)
+	return out
 }
 
+// unionEnum appends every alternative's output set to out, then drops
+// the nodes reached along more than one alternative in place, through
+// a pooled visit set.
 type unionEnum struct{ alts []enumOp }
 
-func (e unionEnum) each(st *state, n jsontree.NodeID, yield func(jsontree.NodeID) bool) bool {
+func (e unionEnum) apply(st *state, in, out []jsontree.NodeID) []jsontree.NodeID {
+	lo := len(out)
 	for _, a := range e.alts {
-		if !a.each(st, n, yield) {
-			return false
+		out = a.apply(st, in, out)
+	}
+	seen := st.acquireVisited()
+	kept := out[:lo]
+	for _, m := range out[lo:] {
+		if !seen.marks[m] {
+			seen.mark(m)
+			kept = append(kept, m)
 		}
 	}
-	return true
+	st.releaseVisited(seen)
+	return kept
 }
 
-// closureEnum enumerates reflexive-transitive reachability with a
-// pooled visited set, so each node is yielded (and expanded) once per
-// enumeration. Enumerations nest (a filter inside the closure body may
-// enumerate another closure), which is why the visited set comes from
-// the state's freelist rather than being a singleton.
-type closureEnum struct{ inner enumOp }
+// closureEnum computes reflexive-transitive reachability as a BFS over
+// one pooled visited set: each round applies the body to the frontier
+// — the nodes first reached in the previous round — and keeps only the
+// successors not reached before. Frontiers are disjoint, so the body
+// runs once over the reached set in total, and every node is emitted
+// once; that is what keeps k closures in sequence at k passes over the
+// tree rather than |J|^k. Closure applications nest (a filter in the
+// body may enumerate another closure), which is why the visited set
+// comes from the state's freelist rather than being a singleton. The
+// body is a list of alternatives whose outputs each round concatenates:
+// the visited test deduplicates them along with the revisits.
+type closureEnum struct{ body []enumOp }
 
-func (e closureEnum) each(st *state, n jsontree.NodeID, yield func(jsontree.NodeID) bool) bool {
+func (e closureEnum) apply(st *state, in, out []jsontree.NodeID) []jsontree.NodeID {
 	visited := st.acquireVisited()
-	var walk func(m jsontree.NodeID) bool
-	walk = func(m jsontree.NodeID) bool {
+	lo := len(out)
+	for _, n := range in {
 		st.step()
-		if visited.marks[m] {
-			return true
-		}
-		visited.mark(m)
-		if !yield(m) {
-			return false
-		}
-		return e.inner.each(st, m, walk)
+		visited.mark(n)
 	}
-	v := walk(n)
+	out = append(out, in...)
+	next := st.acquireNodes()
+	for lo < len(out) {
+		hi := len(out)
+		next = next[:0]
+		for _, step := range e.body {
+			next = step.apply(st, out[lo:hi], next)
+		}
+		for _, m := range next {
+			if !visited.marks[m] {
+				st.step()
+				visited.mark(m)
+				out = append(out, m)
+			}
+		}
+		lo = hi
+	}
+	st.releaseNodes(next)
 	st.releaseVisited(visited)
-	return v
+	return out
 }

@@ -94,37 +94,80 @@ func TestEvalAppendZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEvalAppendSelectionAllocsBounded covers the selection-path
-// variant (Sel != nil). Lazy successor enumeration passes yield
-// closures down the operator chain, so a selection walk allocates one
-// closure cell per enumerated step — O(visited nodes), with the former
-// per-node maps (closure visited sets, uniqueness buckets, memo maps)
-// all pooled away. The test pins that bound: for the probe tree
-// (~16 nodes) a descendant-axis selection must stay in the tens of
-// objects, not hundreds (the pre-pooling executor allocated a map per
-// closure entry plus a fresh state per call).
-func TestEvalAppendSelectionAllocsBounded(t *testing.T) {
-	q := &Query{
-		Pred: True{},
-		Sel: SeqOf(Closure{Inner: Union{Alts: []Path{
+// anyChild is JSONPath's wildcard step, [*]: any member or element.
+func anyChild() Path {
+	return Union{Alts: []Path{KeyRe{Re: relang.Any()}, Slice{Lo: 0, Hi: Inf}}}
+}
+
+// TestEvalAppendSelectionZeroAllocs covers the selection-path variant
+// (Sel != nil): the set-at-a-time enumerators pass node sets in pooled
+// buffers and deduplicate through pooled visit sets, so once warm a
+// selection allocates nothing — for a closure followed by a filter, a
+// sequence after a closure, a wildcard union, a plain key chain, and a
+// closure over overlapping alternatives (the deduplicating union and
+// the regex memo).
+func TestEvalAppendSelectionZeroAllocs(t *testing.T) {
+	descend := Closure{Inner: anyChild()}
+	overlapping := Closure{Inner: Union{Alts: []Path{
+		Key{Word: "a"}, KeyRe{Re: relang.MustCompile("[a-z]+")}, Slice{Lo: 0, Hi: Inf},
+	}}}
+	shapes := []struct {
+		name string
+		sel  Path
+		doc  string
+	}{
+		{"closure+filter", SeqOf(Closure{Inner: Union{Alts: []Path{
 			KeyRe{Re: relang.MustCompile(".*")}, Slice{Lo: 0, Hi: Inf},
-		}}}, Filter{Cond: KindIs{Kind: KindString}}),
+		}}}, Filter{Cond: KindIs{Kind: KindString}}), ""},
+		{"$..k3.k7", SeqOf(descend, Key{Word: "k3"}, Key{Word: "k7"}),
+			`{"k1":{"k3":{"k7":1}},"k3":[{"k7":2},{"k3":{"k7":3,"k3":{"k7":4}}}]}`},
+		{"$.a[*]..b", SeqOf(Key{Word: "a"}, anyChild(), descend, Key{Word: "b"}),
+			`{"a":[{"b":1},{"x":{"b":2}},[{"b":{"b":3}}]],"b":4}`},
+		{"$.a.b.deep", SeqOf(Key{Word: "a"}, Key{Word: "b"}, Key{Word: "deep"}), ""},
+		{"overlapping-union", SeqOf(overlapping, Filter{Cond: KindIs{Kind: KindString}}), ""},
 	}
-	p := MustCompile(q)
-	tree := allocProbeTree()
-	want := len(p.Eval(tree))
-	if want == 0 {
-		t.Fatal("probe selection must select something")
-	}
-	buf := make([]jsontree.NodeID, 0, tree.Len())
-	got := measureAllocs(t, func() {
-		buf = p.EvalAppend(tree, buf[:0])
-		if len(buf) != want {
-			t.Fatalf("selection size changed: %d, want %d", len(buf), want)
+	for _, sh := range shapes {
+		p := MustCompile(&Query{Pred: True{}, Sel: sh.sel})
+		tree := allocProbeTree()
+		if sh.doc != "" {
+			tree = jsontree.MustParse(sh.doc)
 		}
-	})
-	if limit := float64(2 * tree.Len()); got > limit {
-		t.Fatalf("steady-state selection EvalAppend allocates %v objects/op, want ≤ %v (one closure cell per enumerated step)", got, limit)
+		want := len(p.Eval(tree))
+		if want == 0 {
+			t.Fatalf("%s: probe selection must select something", sh.name)
+		}
+		buf := make([]jsontree.NodeID, 0, tree.Len())
+		for _, c := range allocCtxs {
+			if got := measureAllocs(t, func() {
+				var err error
+				if buf, err = p.EvalAppendCtx(c.ctx, tree, buf[:0]); len(buf) != want || err != nil {
+					t.Fatalf("%s: selection changed: %d nodes, %v; want %d", sh.name, len(buf), err, want)
+				}
+			}); got != 0 {
+				t.Fatalf("%s: steady-state selection EvalAppendCtx(%s) allocates %v objects/op, want 0", sh.name, c.name, got)
+			}
+		}
+	}
+}
+
+// TestEqPathsZeroAllocs pins EQ(π₁, π₂) to the pooled buffers too:
+// both successor sets and the hash-sorted buckets live in the state's
+// node-buffer freelist.
+func TestEqPathsZeroAllocs(t *testing.T) {
+	descend := Closure{Inner: anyChild()}
+	p := MustCompile(&Query{Pred: EqPaths{Left: SeqOf(descend, Key{Word: "a"}), Right: descend}})
+	tree := allocProbeTree()
+	if !p.Match(tree) {
+		t.Fatal("probe EQ must hold: every a-subtree is also a descendant")
+	}
+	for _, c := range allocCtxs {
+		if got := measureAllocs(t, func() {
+			if ok, err := p.MatchCtx(c.ctx, tree); !ok || err != nil {
+				t.Fatalf("verdict changed between runs: %v, %v", ok, err)
+			}
+		}); got != 0 {
+			t.Fatalf("steady-state EQ MatchCtx(%s) allocates %v objects/op, want 0", c.name, got)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package qir
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"jsonlogic/internal/jsontree"
 	"jsonlogic/internal/jsonval"
@@ -338,4 +339,85 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// TestUniversalKeyRegexIsWildcard pins the compile-time rewrite of key
+// regexes accepting every key: .*, (.*)* and relang.Any() compile to
+// the wildcard step and enumerator, k.*, k0|k1 and ∅ do not, and under
+// the wildcard Match, Eval and Describe equal the regex-memo operator.
+func TestUniversalKeyRegexIsWildcard(t *testing.T) {
+	cases := []struct {
+		re   *relang.Regex
+		want bool
+	}{
+		{relang.MustCompile(".*"), true},
+		{relang.MustCompile("(.*)*"), true},
+		{relang.Any(), true},
+		{relang.MustCompile("k.*"), false},
+		{relang.MustCompile("k0|k1"), false},
+		{relang.None(), false},
+		{relang.MustCompile("(.*a.{24})?"), false},
+	}
+	tree := allocProbeTree()
+	for _, c := range cases {
+		step := KeyRe{Re: c.re}
+		descend := Closure{Inner: step}
+		queries := []*Query{
+			{Pred: Exists{Path: descend, Inner: KindIs{Kind: KindString}}},
+			{Pred: ForAll{Path: descend, Inner: Not{Inner: KindIs{Kind: KindNumber}}}},
+			{Pred: True{}, Sel: descend},
+		}
+		for _, q := range queries {
+			p, ref := MustCompile(q), MustCompile(q)
+			if q.Sel != nil {
+				if got := p.sel.(closureEnum).body[0].(keyReEnum).any; got != c.want {
+					t.Fatalf("%s: wildcard enumerator = %v, want %v", c.re, got, c.want)
+				}
+				ref.sel = closureEnum{body: []enumOp{keyReEnum{re: c.re}}}
+			} else {
+				if got := p.pred.(*closureOp).step.(*keyReStepOp).any; got != c.want {
+					t.Fatalf("%s: wildcard step = %v, want %v", c.re, got, c.want)
+				}
+				ref.pred.(*closureOp).step.(*keyReStepOp).any = false
+			}
+			if p.Match(tree) != ref.Match(tree) || !sameIDs(p.Eval(tree), ref.Eval(tree)) {
+				t.Fatalf("%s: wildcard and regex-memo operators disagree on %s", c.re, q)
+			}
+			if p.Describe() != ref.Describe() {
+				t.Fatalf("%s: Describe changed:\n%s\nvs\n%s", c.re, p.Describe(), ref.Describe())
+			}
+		}
+	}
+}
+
+// TestKeyRegexCompileNeverDeterminizes pins that spotting the wildcard
+// step costs no automaton construction: (.*a.{24})? accepts ε and its
+// minimal DFA has about 2^25 states, yet a query over it compiles at
+// once, keeps the regex-memo operator, and selects through the memo.
+func TestKeyRegexCompileNeverDeterminizes(t *testing.T) {
+	re := relang.MustCompile("(.*a.{24})?")
+	long := "x" + "a" + strings.Repeat("y", 24)
+	tree := jsontree.MustParse(`{"a":1,"` + long + `":2}`)
+	start := time.Now()
+	sel := MustCompile(&Query{Pred: True{}, Sel: Closure{Inner: KeyRe{Re: re}}})
+	pred := MustCompile(&Query{Pred: Exists{Path: Closure{Inner: KeyRe{Re: re}}, Inner: KindIs{Kind: KindNumber}}})
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("compiling two queries over %s took %v", re, d)
+	}
+	if sel.sel.(closureEnum).body[0].(keyReEnum).any || pred.pred.(*closureOp).step.(*keyReStepOp).any {
+		t.Fatalf("%s is not Σ* but compiled to the wildcard step", re)
+	}
+	st := sel.acquire(tree)
+	got := sel.sel.apply(st, []jsontree.NodeID{tree.Root()}, nil)
+	if len(st.regexMemo[re]) != 2 {
+		t.Fatalf("regex memo holds %d verdicts for %s, want 2 (one per key)", len(st.regexMemo[re]), re)
+	}
+	sel.release(st)
+	want := []jsontree.NodeID{tree.Root(), tree.ChildByKey(tree.Root(), long)}
+	if !sameIDs(got, want) || !sameIDs(sel.Eval(tree), want) {
+		t.Fatalf("selection = %v, want %v", got, want)
+	}
+	if !pred.Match(tree) {
+		t.Fatalf("no number under a key in %s", re)
+	}
 }

@@ -1,6 +1,7 @@
 package relang
 
 import (
+	"slices"
 	"strings"
 	"sync"
 )
@@ -107,6 +108,38 @@ func (re *Regex) IsEmpty() bool { return re.dfaMin().isEmpty() }
 
 // IsUniversal reports L(e) = Σ*.
 func (re *Regex) IsUniversal() bool { return re.dfaMin().complement().isEmpty() }
+
+// IsAnyStar reports, from the syntax alone, that L(e) = Σ*: e is a
+// star over an expression accepting every single rune (.*, (.|a)*,
+// (.*)*), or a union containing such a star, or a concatenation of
+// them. It is sound but incomplete — false does not rule out a
+// universal language — and, unlike IsUniversal, it builds no automaton:
+// it runs in time linear in the pattern, so it is safe to call on
+// patterns taken from untrusted query text.
+func (re *Regex) IsAnyStar() bool { return re.ast != nil && anyStar(re.ast) }
+
+func anyStar(n node) bool {
+	switch t := n.(type) {
+	case starNode:
+		return coversSigma(t.sub)
+	case unionNode:
+		return slices.ContainsFunc(t.parts, anyStar)
+	case concatNode:
+		return len(t.parts) > 0 && !slices.ContainsFunc(t.parts, func(p node) bool { return !anyStar(p) })
+	}
+	return false
+}
+
+// coversSigma reports, syntactically, Σ ⊆ L(n).
+func coversSigma(n node) bool {
+	switch t := n.(type) {
+	case classNode:
+		return slices.Equal(t.set, anyRune)
+	case unionNode:
+		return slices.ContainsFunc(t.parts, coversSigma)
+	}
+	return anyStar(n)
+}
 
 // MatchesEmptyString reports ε ∈ L(e).
 func (re *Regex) MatchesEmptyString() bool { return re.Match("") }

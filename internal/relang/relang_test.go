@@ -111,6 +111,48 @@ func TestEmptinessUniversality(t *testing.T) {
 	}
 }
 
+// TestIsAnyStar pins the syntactic universality test: it recognises
+// the star-over-Σ shapes, agrees with IsUniversal wherever it answers
+// true, and never determinizes — a pattern whose DFA has ~2^25 states
+// is answered without building one.
+func TestIsAnyStar(t *testing.T) {
+	for _, c := range []struct {
+		re   *Regex
+		want bool
+	}{
+		{Any(), true},
+		{MustCompile(".*"), true},
+		{MustCompile("(.*)*"), true},
+		{MustCompile("(.|a)*"), true},
+		{MustCompile("(a*|.)*"), true},
+		{MustCompile(".*.*"), true},
+		{MustCompile("a|.*"), true},
+		{MustCompile("a*"), false},
+		{MustCompile("k.*"), false},
+		{MustCompile(".+"), false},
+		{MustCompile("k0|k1"), false},
+		{MustCompile(""), false},
+		{None(), false},
+		// Universal, but not by syntax: IsAnyStar is incomplete.
+		{MustCompile(".|.?.*"), false},
+		{None().Complement(), false},
+	} {
+		if got := c.re.IsAnyStar(); got != c.want {
+			t.Errorf("%q.IsAnyStar() = %v, want %v", c.re, got, c.want)
+		}
+		if c.want && !c.re.IsUniversal() {
+			t.Errorf("%q: IsAnyStar but not IsUniversal", c.re)
+		}
+	}
+	huge := MustCompile("(.*a.{24})?")
+	if huge.IsAnyStar() {
+		t.Error("(.*a.{24})? is not Σ*")
+	}
+	if huge.min != nil {
+		t.Error("IsAnyStar built the minimal DFA")
+	}
+}
+
 func TestWitness(t *testing.T) {
 	re := MustCompile("ab|abc")
 	w, ok := re.Witness()
