@@ -46,8 +46,10 @@ race-core:
 # cache-hit compiles with the semantic pass enabled — the
 # disabled/pooled trace recorder, the store's steady-state segment
 # probe, the durable write path (PutTree: index insert plus one WAL
-# frame rendered straight from the tree arena), and tree construction
-# (jsontree.Parse and a reused Builder: three allocations a document). The
+# frame rendered straight from the tree arena), tree construction
+# (jsontree.Parse and a reused Builder: four allocations a document)
+# and a plan-cache miss beside disjoint resident plans (the semantic
+# dedup skips their containment proofs). The
 # theory packages are included so any future alloc pins there are
 # picked up without editing this target.
 # -count=1 defeats the test cache so the numbers are measured, not
@@ -101,11 +103,12 @@ bench-store:
 	$(GO) test -run xxx -bench 'BenchmarkStore' ./...
 
 # One iteration of a representative benchmark per tier (evaluator,
-# engine, store, planner, and the scan-eval query shapes through the
-# QIR executor) — catches bit-rot, not regressions; CI runs this on
-# every push.
+# engine — plan-cache misses with the semantic pass included —, store,
+# planner, the scan-eval query shapes through the QIR executor, and
+# the query-cold tenant pass on a reopened segment tier) — catches
+# bit-rot, not regressions; CI runs this on every push.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkP1EvalDeterministic|BenchmarkStoreFindMongo|BenchmarkStorePlanner|BenchmarkStoreScanEval' -benchtime 1x ./...
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkP1EvalDeterministic|BenchmarkStoreFindMongo|BenchmarkStorePlanner|BenchmarkStoreScanEval|BenchmarkStoreColdPass' -benchtime 1x ./...
 
 # The repo's benchmark (benchmark/, see BENCHMARK.json) is a module of
 # its own that builds the system under test from this checkout, so the

@@ -681,6 +681,47 @@ func BenchmarkEngineSemanticCompile(b *testing.B) {
 	}
 }
 
+// benchTenantQuery is the tenant find of jsonbench's query-cold pass,
+// "meta.tenant = t<x>", in mongo, JNL or JSL by x mod 3.
+func benchTenantQuery(x int) (engine.Language, string) {
+	switch x % 3 {
+	case 0:
+		return engine.LangMongoFind, fmt.Sprintf(`{"meta.tenant":"t%d"}`, x)
+	case 1:
+		return engine.LangJNL, fmt.Sprintf(`eq(/meta/tenant, "t%d")`, x)
+	}
+	return engine.LangJSL, fmt.Sprintf(`some("meta", some("tenant", eq("t%d")))`, x)
+}
+
+// BenchmarkEngineCompileMiss measures one plan-cache miss of a tenant
+// find with the daemon's semantic pass (SemanticBudget 50 000), on an
+// empty cache and with a full dedup window of other tenants' plans
+// resident — the daemon's state after its first few requests. The
+// resident plans' find facts contradict the new one's, so the dedup
+// scan skips their containment proofs and resident=8 should cost about
+// what resident=0 does.
+func BenchmarkEngineCompileMiss(b *testing.B) {
+	for _, resident := range []int{0, 8} {
+		b.Run(fmt.Sprintf("resident=%d", resident), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := engine.New(engine.Options{SemanticBudget: 50000})
+				for y := 0; y < resident; y++ {
+					if _, err := e.Compile(benchTenantQuery(1000 + y)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				lang, src := benchTenantQuery(i % 100)
+				b.StartTimer()
+				if _, err := e.Compile(lang, src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEngineEvalZeroAlloc pins the pooled-executor acceptance
 // criterion: with the plan cached and the result buffer reused, a
 // steady-state Validate and a predicate-path Eval perform zero
@@ -958,24 +999,30 @@ func BenchmarkStoreSemanticShortCircuit(b *testing.B) {
 	}
 }
 
-// scanEvalStore builds the 2000-document in-memory store of
-// corpusDoc-shaped documents BenchmarkStoreScanEval queries: a meta
-// block (region r0..r7, sequence number, tenant) over a payload of
+// corpusShapedDoc returns document i of a corpusDoc-shaped collection
+// over the given number of tenants: a meta block (region r0..r7,
+// sequence number, tenant t<i mod tenants>) over a random payload of
 // fanout 3 and depth 3, keys k0..k11, 30% arrays, leaves below 100.
+func corpusShapedDoc(r *rand.Rand, i, tenants int) *jsontree.Tree {
+	payload := gen.DocOptions{Fanout: 3, Depth: 3, Keys: 12, ArrayBias: 30, ValueRange: 100}
+	return jsontree.FromValue(jsonval.MustObj(
+		jsonval.Member{Key: "meta", Value: jsonval.MustObj(
+			jsonval.Member{Key: "region", Value: jsonval.Str(fmt.Sprintf("r%d", i%8))},
+			jsonval.Member{Key: "seq", Value: jsonval.Num(uint64(i))},
+			jsonval.Member{Key: "tenant", Value: jsonval.Str(fmt.Sprintf("t%d", i%tenants))},
+		)},
+		jsonval.Member{Key: "payload", Value: gen.Document(r, payload)},
+	))
+}
+
+// scanEvalStore builds the 2000-document in-memory store of
+// corpusShapedDoc documents over 20 tenants BenchmarkStoreScanEval
+// queries.
 func scanEvalStore() *store.Store {
 	r := rand.New(rand.NewSource(1))
 	s := store.New(store.Options{Shards: 16})
-	payload := gen.DocOptions{Fanout: 3, Depth: 3, Keys: 12, ArrayBias: 30, ValueRange: 100}
 	for i := 0; i < 2000; i++ {
-		doc := jsonval.MustObj(
-			jsonval.Member{Key: "meta", Value: jsonval.MustObj(
-				jsonval.Member{Key: "region", Value: jsonval.Str(fmt.Sprintf("r%d", i%8))},
-				jsonval.Member{Key: "seq", Value: jsonval.Num(uint64(i))},
-				jsonval.Member{Key: "tenant", Value: jsonval.Str(fmt.Sprintf("t%d", i%20))},
-			)},
-			jsonval.Member{Key: "payload", Value: gen.Document(r, payload)},
-		)
-		s.PutTree(fmt.Sprintf("doc%04d", i), jsontree.FromValue(doc))
+		s.PutTree(fmt.Sprintf("doc%04d", i), corpusShapedDoc(r, i, 20))
 	}
 	return s
 }
@@ -1028,6 +1075,70 @@ func BenchmarkStoreScanEval(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/query")
 		})
 	}
+}
+
+// BenchmarkStoreColdPass is the in-process ledger of the query-cold
+// workload on the tier that workload reads: a 10 000-document store of
+// corpusShapedDoc documents over 100 tenants, built through store.Open
+// (SnapshotEvery 200) and snapshotted, so a reopened store serves every
+// document from its segment tier. Each iteration reopens the store on
+// a fresh engine with the daemon's semantic pass (untimed) and runs
+// one pass: a find per tenant, in mongo, JNL or JSL by turn — every
+// compile a plan-cache miss, every candidate a first touch of its
+// segment document. It reports µs and allocations per query.
+func BenchmarkStoreColdPass(b *testing.B) {
+	const docs, tenants = 10000, 100
+	opts := store.Options{DataDir: b.TempDir(), Fsync: store.FsyncOff, SnapshotEvery: 200}
+	s, err := store.Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < docs; i++ {
+		if err := s.PutTree(fmt.Sprintf("doc%05d", i), corpusShapedDoc(r, i, tenants)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var ms runtime.MemStats
+	var mallocs uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := engine.New(engine.Options{SemanticBudget: 50000})
+		opts.Engine = e
+		s, err := store.Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		b.StartTimer()
+		for x := 0; x < tenants; x++ {
+			p, err := e.Compile(benchTenantQuery(x))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if ids, _, err := s.Find(p); err != nil || len(ids) != docs/tenants {
+				b.Fatalf("%s: %d documents (err %v), want %d", p.Source(), len(ids), err, docs/tenants)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	queries := float64(b.N * tenants)
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/queries, "µs/query")
+	b.ReportMetric(float64(mallocs)/queries, "allocs/query")
 }
 
 // ingestCorpus builds the shared 2000-document NDJSON batch the

@@ -18,7 +18,8 @@ import (
 // count, structural hash (so the same index value terms), height,
 // well-formedness, rendered bytes (so the same WAL records and segment
 // documents) and node numbering (so selections come out in the same
-// order). It reports whether the document was accepted.
+// order), and every tree passes Validate, arena invariants included.
+// It reports whether the document was accepted.
 func parsersAgree(t testing.TB, b *jsontree.Builder, doc string) bool {
 	t.Helper()
 	shown := doc
@@ -37,6 +38,9 @@ func parsersAgree(t testing.TB, b *jsontree.Builder, doc string) bool {
 	}
 	if rerr != nil {
 		return false
+	}
+	if err := ref.Validate(); err != nil {
+		t.Fatalf("jsontree.FromValue builds an invalid tree from %q: %v", shown, err)
 	}
 	for _, c := range []struct {
 		route string

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -9,6 +10,7 @@ import (
 	"jsonlogic/internal/jnl"
 	"jsonlogic/internal/jsl"
 	"jsonlogic/internal/jsontree"
+	"jsonlogic/internal/jsonval"
 	"jsonlogic/internal/qir"
 	"jsonlogic/internal/schema"
 	"jsonlogic/internal/trace"
@@ -282,12 +284,15 @@ func (e *Engine) analyzeSchema(p *Plan) {
 	}
 }
 
-// dedup scans the most recently used resident plans for one that is
-// provably equivalent to p (returned for reuse under p's key) or that
-// strictly contains p (its facts are borrowed into p). Containment
-// checks run outside the cache lock on an immutable snapshot; every
-// check is budget-bounded and a failed or exhausted check simply
-// skips the candidate.
+// dedup scans the most recently used resident plans, of any language
+// but JSONPath, for one that is provably equivalent to p (returned for
+// reuse under p's key) or that strictly contains p (its facts are
+// borrowed into p). Containment checks run outside the cache lock on
+// an immutable snapshot; every check is budget-bounded and a failed
+// or exhausted check simply skips the candidate. So does a candidate
+// whose find facts contradict p's (disjointFacts): no document matches
+// both, so neither contains the other unless one is unsatisfiable, and
+// the proofs, which would almost always fail, are not attempted.
 func (e *Engine) dedup(p *Plan) *Plan {
 	s := e.sem
 	if p.lang == LangJSONPath || p.semJSL == nil || p.sem.unsat || p.sem.schemaUnsat {
@@ -295,6 +300,9 @@ func (e *Engine) dedup(p *Plan) *Plan {
 	}
 	for _, q := range e.cache.recent(semanticDedupScan) {
 		if q.lang == LangJSONPath || q.semJSL == nil || q.sem.unsat || q.sem.schemaUnsat {
+			continue
+		}
+		if disjointFacts(p.findFacts, q.findFacts) {
 			continue
 		}
 		pq, err := containment.RecursiveCaps(p.semJSL, q.semJSL, s.caps)
@@ -314,6 +322,47 @@ func (e *Engine) dedup(p *Plan) *Plan {
 		}
 	}
 	return nil
+}
+
+// disjointFacts reports whether some fact of ps contradicts some fact
+// of qs on an identical step path: two unequal values, two unequal
+// classes, or a value whose kind is not the other fact's class. Find
+// facts are necessary conditions, so then no document matches both
+// plans. It allocates nothing.
+func disjointFacts(ps, qs []jsontree.PathFact) bool {
+	for _, f := range ps {
+		fc, fok := factClass(f)
+		if !fok {
+			continue
+		}
+		for _, g := range qs {
+			gc, gok := factClass(g)
+			if !gok || !slices.Equal(f.Steps, g.Steps) {
+				continue
+			}
+			if fc != gc || f.Value != nil && g.Value != nil && !jsonval.Equal(f.Value, g.Value) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// factClass returns the node kind a fact requires — its class, or the
+// kind of its value — and false when it requires none.
+func factClass(f jsontree.PathFact) (jsontree.Kind, bool) {
+	if f.Value == nil {
+		return f.Class, f.HasClass
+	}
+	switch f.Value.Kind() {
+	case jsonval.Number:
+		return jsontree.NumberNode, true
+	case jsonval.String:
+		return jsontree.StringNode, true
+	case jsonval.Object:
+		return jsontree.ObjectNode, true
+	}
+	return jsontree.ArrayNode, true
 }
 
 // borrowFacts appends q's find facts that p does not already carry,

@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"jsonlogic/internal/jsontree"
+	"jsonlogic/internal/jsonval"
 	"jsonlogic/internal/schema"
 )
 
@@ -185,6 +189,103 @@ func TestSemanticBorrowFacts(t *testing.T) {
 	}
 	if got := e.CacheStats().SemanticBorrowed; got != uint64(len(ex.Semantic.BorrowedFacts)) {
 		t.Fatalf("SemanticBorrowed = %d, explanation lists %d", got, len(ex.Semantic.BorrowedFacts))
+	}
+}
+
+// tenantQuery is the tenant find of the benchmark's query-cold pass,
+// "meta.tenant = t<x>", in mongo, JNL or JSL by x mod 3.
+func tenantQuery(x int) (Language, string) {
+	switch x % 3 {
+	case 0:
+		return LangMongoFind, fmt.Sprintf(`{"meta.tenant":"t%d"}`, x)
+	case 1:
+		return LangJNL, fmt.Sprintf(`eq(/meta/tenant, "t%d")`, x)
+	}
+	return LangJSL, fmt.Sprintf(`some("meta", some("tenant", eq("t%d")))`, x)
+}
+
+// compileMissAllocs returns the allocations of one Compile of a text
+// e has not cached, with GC pinned off.
+func compileMissAllocs(t *testing.T, e *Engine, lang Language, src string) uint64 {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := e.Compile(lang, src)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
+}
+
+// TestSemanticDedupDisjointAllocsBounded: a plan-cache miss with a
+// full dedup window of other tenants' plans resident costs about what
+// a miss on an empty cache does. Their find facts contradict the new
+// plan's (another tenant value at /meta/tenant), so the scan skips
+// every containment proof instead of running and failing one per
+// candidate — and still aliases nothing.
+func TestSemanticDedupDisjointAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	var empty, resident uint64
+	for x := 100; x < 106; x++ {
+		lang, src := tenantQuery(x)
+		empty += compileMissAllocs(t, newSemanticEngine(t, Options{}), lang, src)
+		e := newSemanticEngine(t, Options{})
+		for y := 0; y < semanticDedupScan; y++ {
+			if _, err := e.Compile(tenantQuery(y)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resident += compileMissAllocs(t, e, lang, src)
+		if cs := e.CacheStats(); cs.SemanticAliases != 0 || cs.SemanticBorrowed != 0 {
+			t.Fatalf("%s: aliased %d, borrowed %d facts from another tenant's plan", src, cs.SemanticAliases, cs.SemanticBorrowed)
+		}
+	}
+	if float64(resident) > 1.5*float64(empty) {
+		t.Fatalf("a miss with %d disjoint plans resident allocates %d, on an empty cache %d: want ≤ 1.5×",
+			semanticDedupScan, resident, empty)
+	}
+}
+
+// TestDisjointFacts pins the contradiction rule of the dedup skip: only
+// facts on an identical path whose values, classes, or value kind and
+// class disagree make two plans disjoint.
+func TestDisjointFacts(t *testing.T) {
+	at := func(keys ...string) []jsontree.Step {
+		var steps []jsontree.Step
+		for _, k := range keys {
+			steps = append(steps, jsontree.Key(k))
+		}
+		return steps
+	}
+	val := func(v *jsonval.Value, keys ...string) jsontree.PathFact {
+		return jsontree.PathFact{Steps: at(keys...), Value: v}
+	}
+	class := func(k jsontree.Kind, keys ...string) jsontree.PathFact {
+		return jsontree.PathFact{Steps: at(keys...), HasClass: true, Class: k}
+	}
+	exists := jsontree.PathFact{Steps: at("a")}
+	for _, c := range []struct {
+		p, q jsontree.PathFact
+		want bool
+	}{
+		{val(jsonval.Str("t1"), "a"), val(jsonval.Str("t2"), "a"), true},
+		{val(jsonval.Str("t1"), "a"), val(jsonval.Str("t1"), "a"), false},
+		{val(jsonval.Str("t1"), "a"), val(jsonval.Str("t2"), "b"), false},
+		{val(jsonval.Str("t1"), "a", "b"), val(jsonval.Str("t2"), "a"), false},
+		{val(jsonval.Num(1), "a"), class(jsontree.StringNode, "a"), true},
+		{val(jsonval.Num(1), "a"), class(jsontree.NumberNode, "a"), false},
+		{class(jsontree.ObjectNode, "a"), class(jsontree.ArrayNode, "a"), true},
+		{exists, val(jsonval.Num(1), "a"), false},
+	} {
+		for _, pq := range [][2]jsontree.PathFact{{c.p, c.q}, {c.q, c.p}} {
+			if got := disjointFacts(pq[:1], pq[1:]); got != c.want {
+				t.Errorf("disjointFacts(%s, %s) = %v, want %v", pq[0], pq[1], got, c.want)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package jsontree
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -26,13 +27,20 @@ import (
 // descendants are exactly the nodes after it, and its children are
 // found by hopping from one child to the next by subtree size. They
 // are recorded as one range of a child table shared by the whole tree
-// — no per-container slice — so Tree makes three allocations: the
-// node arena, the child table and the Tree.
+// — no per-container slice — and every key and string is copied into
+// one byte heap, so Tree makes four allocations: the node arena, the
+// child table, the heap and the Tree. The tree keeps nothing it was
+// handed.
 //
 // A Builder is not safe for concurrent use; pool one per goroutine.
 type Builder struct {
 	nodes []node
 	kids  []NodeID
+	heap  []byte
+	// keys holds each node's edge key as it was handed in, by built
+	// node id: close sorts, checks and hashes object members by them
+	// rather than by slices of heap.
+	keys []string
 	// stack holds the node ids of the open containers.
 	stack []NodeID
 	// reordered records that some object's members arrived out of key
@@ -46,17 +54,30 @@ type Builder struct {
 	err        error
 }
 
-// NewBuilder returns an empty Builder.
-func NewBuilder() *Builder { return &Builder{} }
+// NewBuilder returns an empty Builder with room for a typical stored
+// document (64 nodes, 512 bytes of keys and strings), so building one
+// into a fresh Builder — PUT /docs takes one per request — costs one
+// allocation per arena rather than one per doubling.
+func NewBuilder() *Builder {
+	return &Builder{
+		nodes: make([]node, 0, 64),
+		kids:  make([]NodeID, 0, 64),
+		heap:  make([]byte, 0, 512),
+		keys:  make([]string, 0, 64),
+		stack: make([]NodeID, 0, 8),
+	}
+}
 
 // Reset discards all state so the Builder can build another tree. The
-// arenas' capacity is retained across documents; their old contents
+// arenas' capacity is retained across documents; the handed-in keys
 // are cleared so a reused Builder does not keep the last document's
 // strings alive.
 func (b *Builder) Reset() {
-	clear(b.nodes)
 	b.nodes = b.nodes[:0]
 	b.kids = b.kids[:0]
+	b.heap = b.heap[:0]
+	clear(b.keys)
+	b.keys = b.keys[:0]
 	b.stack = b.stack[:0]
 	b.reordered = false
 	b.pendingKey = ""
@@ -84,13 +105,27 @@ func (b *Builder) push(kind Kind, key string) *node {
 	if len(b.stack) > 0 {
 		parent = b.stack[len(b.stack)-1]
 	}
-	b.nodes = append(b.nodes, node{kind: kind, parent: parent, key: key})
+	b.nodes = append(b.nodes, node{kind: kind, parent: parent, key: b.store(key)})
+	b.keys = append(b.keys, key)
 	return &b.nodes[len(b.nodes)-1]
+}
+
+// store copies s into the heap and returns its span there.
+func (b *Builder) store(s string) span {
+	if s == "" {
+		return span{}
+	}
+	if uint64(len(b.heap))+uint64(len(s)) > math.MaxUint32 {
+		panic("jsontree: a tree's keys and strings exceed 4 GiB")
+	}
+	sp := span{off: uint32(len(b.heap)), n: uint32(len(s))}
+	b.heap = append(b.heap, s...)
+	return sp
 }
 
 func (b *Builder) addString(key, s string) {
 	n := b.push(StringNode, key)
-	n.str, n.hash, n.size = s, jsonval.HashString(s), 1
+	n.num, n.hash, n.size = b.store(s).packed(), jsonval.HashString(s), 1
 }
 
 func (b *Builder) addNumber(key string, v uint64) {
@@ -133,17 +168,17 @@ func (b *Builder) close() (key string, dup bool) {
 		n.hash = ah.Sum()
 		return "", false
 	}
-	if sortByKey(b.nodes, kids) {
+	if sortByKey(b.keys, kids) {
 		b.reordered = true
 	}
 	var oh jsonval.ObjectHasher
 	for i, c := range kids {
-		cn := &b.nodes[c]
-		if i > 0 && b.nodes[kids[i-1]].key == cn.key {
-			return cn.key, true
+		if i > 0 && b.keys[kids[i-1]] == b.keys[c] {
+			return b.keys[c], true
 		}
+		cn := &b.nodes[c]
 		cn.pos = int32(i)
-		oh.Add(cn.key, cn.hash)
+		oh.Add(b.keys[c], cn.hash)
 	}
 	n.hash = oh.Sum()
 	return "", false
@@ -153,8 +188,8 @@ func (b *Builder) close() (key string, dup bool) {
 // any moved. The check is linear on already-sorted members — the text
 // segments and the WAL store is key-sorted — and pdqsort keeps
 // reverse-ordered input from making a build quadratic.
-func sortByKey(nodes []node, kids []NodeID) (moved bool) {
-	byKey := func(a, b NodeID) int { return strings.Compare(nodes[a].key, nodes[b].key) }
+func sortByKey(keys []string, kids []NodeID) (moved bool) {
+	byKey := func(a, b NodeID) int { return strings.Compare(keys[a], keys[b]) }
 	if slices.IsSortedFunc(kids, byKey) {
 		return false
 	}
@@ -162,19 +197,21 @@ func sortByKey(nodes []node, kids []NodeID) (moved bool) {
 	return true
 }
 
-// tree copies the built arenas out: three allocations, none shared
+// tree copies the built arenas out: four allocations, none shared
 // with the Builder. Node ids must not depend on the order object
 // members arrived in — evaluators report selections in node order —
 // so when some object was reordered the copy renumbers the nodes into
-// preorder over the key-sorted children. Text written by the store is
-// key-sorted and copies straight.
+// preorder over the key-sorted children; the heap spans move with
+// their nodes. Text written by the store is key-sorted and copies
+// straight.
 func (b *Builder) tree() *Tree {
 	nodes := make([]node, len(b.nodes))
 	kids := make([]NodeID, len(b.kids))
+	heap := string(b.heap)
 	if !b.reordered {
 		copy(nodes, b.nodes)
 		copy(kids, b.kids)
-		return &Tree{nodes: nodes, kids: kids}
+		return &Tree{nodes: nodes, kids: kids, heap: heap}
 	}
 	// ids maps built ids to final ones. Parents precede their children
 	// in either preorder, so each container's id is known when its
@@ -199,7 +236,7 @@ func (b *Builder) tree() *Tree {
 		kids[i] = ids[c]
 	}
 	b.ids = ids
-	return &Tree{nodes: nodes, kids: kids}
+	return &Tree{nodes: nodes, kids: kids, heap: heap}
 }
 
 // begin checks that a value may start now and returns its edge key.
@@ -331,13 +368,17 @@ func (b *Builder) Tree() (*Tree, error) {
 
 // pool recycles the state of Parse and FromValue — a Builder's arenas
 // and the lexer's escape buffer — across calls. Builders that grew
-// past maxPooledNodes are dropped rather than pinned in the pool.
+// past maxPooledNodes nodes or maxPooledHeap heap bytes are dropped
+// rather than pinned in the pool.
 var pool = sync.Pool{New: func() any { return new(parser) }}
 
-const maxPooledNodes = 1 << 16
+const (
+	maxPooledNodes = 1 << 16
+	maxPooledHeap  = 1 << 20
+)
 
 func release(p *parser) {
-	if cap(p.b.nodes) <= maxPooledNodes {
+	if cap(p.b.nodes) <= maxPooledNodes && cap(p.b.heap) <= maxPooledHeap {
 		p.b.Reset()
 		p.Reset("")
 		pool.Put(p)

@@ -77,7 +77,7 @@ func (e *encoder) node(n NodeID) {
 	case NumberNode:
 		e.buf = strconv.AppendUint(e.buf, nd.num, 10)
 	case StringNode:
-		e.buf = jsonval.AppendQuoted(e.buf, nd.str)
+		e.buf = jsonval.AppendQuoted(e.buf, e.t.str(nd))
 	case ArrayNode:
 		e.buf = append(e.buf, '[')
 		for i, c := range e.t.children(nd) {
@@ -93,7 +93,7 @@ func (e *encoder) node(n NodeID) {
 			if i > 0 {
 				e.buf = append(e.buf, ',')
 			}
-			e.buf = jsonval.AppendQuoted(e.buf, e.t.nodes[c].key)
+			e.buf = jsonval.AppendQuoted(e.buf, e.t.EdgeKey(c))
 			e.buf = append(e.buf, ':')
 			e.node(c)
 		}

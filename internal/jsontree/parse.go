@@ -8,10 +8,9 @@ import "jsonlogic/internal/jsonval"
 // duplicate key is found when its object closes, so an error later
 // in that object is reported first. It builds no jsonval.Value: a
 // single recursive descent scans the text straight into a pooled
-// Builder, so a document costs the Tree's three allocations plus one
-// per string that has escapes. Keys and strings without escapes are
-// substrings of input, so the tree keeps input alive; it must not be
-// a view of memory that can change or be unmapped.
+// Builder, so a document costs the Tree's four allocations plus one
+// per string that has escapes. The tree copies its keys and strings
+// into its own heap, so it keeps nothing of input alive.
 func Parse(input string) (*Tree, error) {
 	p := pool.Get().(*parser)
 	defer release(p)

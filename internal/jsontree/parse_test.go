@@ -102,9 +102,11 @@ func TestParseErrorsMatchJSONVal(t *testing.T) {
 // store writes documents.
 const corpusDoc = `{"meta":{"region":"r4","seq":4,"tenant":"t4"},"payload":{"k10":{"k0":{"k1":59,"k10":"s30","k9":89},"k1":{"k10":"s12","k3":"s46","k7":16},"k2":{"k3":87,"k6":59}},"k6":{"k10":{"k10":87,"k2":21,"k9":56},"k4":{"k0":"s2","k2":31,"k9":"s74"},"k6":[73,53,27]},"k9":[["s71","s40",81],[9,56,"s80"],{"k0":"s65","k11":"s80","k5":"s78"}]}}`
 
-// TestParseAllocsBounded pins tree construction at the Tree's three
-// allocations (node arena, child table, Tree) — through Parse's pooled
-// state and through a reused Builder's events alike.
+// TestParseAllocsBounded pins tree construction at the Tree's four
+// allocations (node arena, child table, heap, Tree) — through Parse's
+// pooled state and through a reused Builder's events alike. The heap
+// holds the keys and strings, which the tree used to share with the
+// input text it kept alive.
 func TestParseAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -116,8 +118,8 @@ func TestParseAllocsBounded(t *testing.T) {
 		if _, err := Parse(corpusDoc); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 3 {
-		t.Errorf("Parse: %.1f allocs per document, want ≤ 3", n)
+	}); n > 4 {
+		t.Errorf("Parse: %.1f allocs per document, want ≤ 4", n)
 	}
 	v := jsonval.MustParse(corpusDoc)
 	b := NewBuilder()
@@ -129,7 +131,7 @@ func TestParseAllocsBounded(t *testing.T) {
 		if _, err := b.Tree(); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 3 {
-		t.Errorf("Builder: %.1f allocs per document, want ≤ 3", n)
+	}); n > 4 {
+		t.Errorf("Builder: %.1f allocs per document, want ≤ 4", n)
 	}
 }

@@ -9,11 +9,14 @@
 //   - val assigns string and number values to leaf Str/Int nodes.
 //
 // Trees are stored in a flat preorder arena indexed by NodeID, each
-// container's children one range of a shared child table; every node
-// carries its subtree's structural hash, size and height, so the
-// paper's json(n) = json(n') subtree comparisons are cheap. The package
-// validates the five well-formedness conditions of §3.1 and converts
-// between trees and jsonval values.
+// container's children one range of a shared child table, and every
+// key and string value one range of a per-tree byte heap. No node
+// holds a pointer, so a cached tree is three arrays the garbage
+// collector never scans. Every node carries its subtree's structural
+// hash, size and height, so the paper's json(n) = json(n') subtree
+// comparisons are cheap. The package validates the five
+// well-formedness conditions of §3.1 and converts between trees and
+// jsonval values.
 //
 // A Builder is the one place trees are constructed, reached three
 // ways: Parse scans JSON text straight into one (no jsonval.Value in
@@ -66,6 +69,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
+// node is one arena entry. It holds no pointer (TestNodeIsPointerFree
+// pins that and its size): strings live in the tree's heap.
 type node struct {
 	kind   Kind
 	parent NodeID
@@ -74,19 +79,33 @@ type node struct {
 	nkids  int32
 	size   int32  // number of nodes in the subtree
 	height int32  // height of the subtree
-	key    string // label of the O-edge from parent (object parents)
-	str    string // val for StringNode
-	num    uint64 // val for NumberNode
+	key    span   // label of the O-edge from parent (object parents)
+	num    uint64 // val for NumberNode; for StringNode, val's heap span (packed)
 	hash   uint64 // structural hash of the subtree json(n)
 }
 
+// span locates a string in a tree's heap: heap[off : off+n].
+type span struct{ off, n uint32 }
+
+func (s span) packed() uint64        { return uint64(s.off)<<32 | uint64(s.n) }
+func unpackSpan(num uint64) span     { return span{off: uint32(num >> 32), n: uint32(num)} }
+func (s span) in(heap string) string { return heap[s.off : s.off+s.n] }
+
 // Tree is an immutable JSON tree. Construct with Parse, FromValue or
 // a Builder. Nodes are stored in preorder; each container's children
-// are a contiguous range of the shared child table kids.
+// are a contiguous range of the shared child table kids, and every
+// key and string value a substring of heap.
 type Tree struct {
 	nodes []node
 	kids  []NodeID
+	heap  string
 }
+
+// key returns the label of the O-edge into nd.
+func (t *Tree) key(nd *node) string { return nd.key.in(t.heap) }
+
+// str returns val(nd) of a string node.
+func (t *Tree) str(nd *node) string { return unpackSpan(nd.num).in(t.heap) }
 
 // children returns nd's children, capped so callers cannot append
 // into a neighbour's range.
@@ -126,13 +145,13 @@ func (t *Tree) ChildByKey(n NodeID, key string) NodeID {
 	lo, hi := 0, len(children)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if t.nodes[children[mid]].key < key {
+		if t.key(&t.nodes[children[mid]]) < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(children) && t.nodes[children[lo]].key == key {
+	if lo < len(children) && t.key(&t.nodes[children[lo]]) == key {
 		return children[lo]
 	}
 	return InvalidNode
@@ -158,7 +177,7 @@ func (t *Tree) ChildAt(n NodeID, i int) NodeID {
 
 // EdgeKey returns the key labelling the O-edge into n, valid when n's
 // parent is an object node.
-func (t *Tree) EdgeKey(n NodeID) string { return t.nodes[n].key }
+func (t *Tree) EdgeKey(n NodeID) string { return t.key(&t.nodes[n]) }
 
 // EdgePos returns the position labelling the A-edge into n (also n's
 // sibling index under any parent).
@@ -169,7 +188,7 @@ func (t *Tree) StringVal(n NodeID) string {
 	if t.nodes[n].kind != StringNode {
 		panic("jsontree: StringVal on " + t.nodes[n].kind.String() + " node")
 	}
-	return t.nodes[n].str
+	return t.str(&t.nodes[n])
 }
 
 // NumberVal returns val(n) for a number node.
@@ -224,7 +243,7 @@ func (t *Tree) subtreeEqualRec(m, n NodeID) bool {
 	case NumberNode:
 		return a.num == b.num
 	case StringNode:
-		return a.str == b.str
+		return t.str(a) == t.str(b)
 	case ArrayNode:
 		for i := range ac {
 			if !t.subtreeEqualRec(ac[i], bc[i]) {
@@ -235,7 +254,7 @@ func (t *Tree) subtreeEqualRec(m, n NodeID) bool {
 	case ObjectNode:
 		// Object children are key-sorted, so equality is positional.
 		for i := range ac {
-			if t.nodes[ac[i]].key != t.nodes[bc[i]].key {
+			if t.key(&t.nodes[ac[i]]) != t.key(&t.nodes[bc[i]]) {
 				return false
 			}
 			if !t.subtreeEqualRec(ac[i], bc[i]) {
@@ -254,7 +273,7 @@ func (t *Tree) Value(n NodeID) *jsonval.Value {
 	case NumberNode:
 		return jsonval.Num(nd.num)
 	case StringNode:
-		return jsonval.Str(nd.str)
+		return jsonval.Str(t.str(nd))
 	case ArrayNode:
 		elems := make([]*jsonval.Value, nd.nkids)
 		for i, c := range t.children(nd) {
@@ -264,7 +283,7 @@ func (t *Tree) Value(n NodeID) *jsonval.Value {
 	case ObjectNode:
 		members := make([]jsonval.Member, nd.nkids)
 		for i, c := range t.children(nd) {
-			members[i] = jsonval.Member{Key: t.nodes[c].key, Value: t.Value(c)}
+			members[i] = jsonval.Member{Key: t.key(&t.nodes[c]), Value: t.Value(c)}
 		}
 		return jsonval.MustObj(members...)
 	}
@@ -442,7 +461,7 @@ func (t *Tree) Dump() string {
 		sb.WriteString(strings.Repeat("  ", depth))
 		if n != 0 {
 			if t.nodes[nd.parent].kind == ObjectNode {
-				fmt.Fprintf(&sb, "%q -> ", nd.key)
+				fmt.Fprintf(&sb, "%q -> ", t.key(nd))
 			} else {
 				fmt.Fprintf(&sb, "%d -> ", nd.pos)
 			}
@@ -453,7 +472,7 @@ func (t *Tree) Dump() string {
 		case ArrayNode:
 			sb.WriteString("array")
 		case StringNode:
-			fmt.Fprintf(&sb, "string %q", nd.str)
+			fmt.Fprintf(&sb, "string %q", t.str(nd))
 		case NumberNode:
 			fmt.Fprintf(&sb, "number %d", nd.num)
 		}
@@ -466,49 +485,85 @@ func (t *Tree) Dump() string {
 	return sb.String()
 }
 
-// Validate checks the five well-formedness conditions of §3.1 against the
-// internal representation and returns the first violation found, or nil.
-// Every construction route produces valid trees; Validate exists so
-// tests can assert the invariants.
+// Validate checks the five well-formedness conditions of §3.1, and
+// the arena invariants the accessors rely on, against the internal
+// representation and returns the first violation found, or nil. The
+// arena invariants: every child range lies in the child table and
+// every key and string span in the heap; the nodes are in preorder —
+// the root's subtree is the whole arena and each container's children
+// tile its subtree one after the other, so node n's subtree is exactly
+// [n, n+size) and every parent precedes its children; and object
+// children are strictly key-sorted, the order ChildByKey's binary
+// search needs. Every construction route produces valid trees;
+// Validate exists so tests can assert the invariants.
 func (t *Tree) Validate() error {
 	if len(t.nodes) == 0 {
 		return fmt.Errorf("jsontree: empty tree has no root")
 	}
+	if root := &t.nodes[0]; root.parent != InvalidNode || int(root.size) != len(t.nodes) {
+		return fmt.Errorf("jsontree: root has parent %d and subtree size %d in a %d-node arena", root.parent, root.size, len(t.nodes))
+	}
+	// First every range, so the structural pass can read any node's
+	// children and keys.
+	inHeap := func(s span) bool { return uint64(s.off)+uint64(s.n) <= uint64(len(t.heap)) }
+	for i := range t.nodes {
+		nd := &t.nodes[i]
+		if nd.first < 0 || nd.nkids < 0 || int(nd.first)+int(nd.nkids) > len(t.kids) {
+			return fmt.Errorf("jsontree: node %d: child range [%d,+%d) outside the child table", i, nd.first, nd.nkids)
+		}
+		if !inHeap(nd.key) {
+			return fmt.Errorf("jsontree: node %d: key span [%d,+%d) outside the %d-byte heap", i, nd.key.off, nd.key.n, len(t.heap))
+		}
+		if s := unpackSpan(nd.num); nd.kind == StringNode && !inHeap(s) {
+			return fmt.Errorf("jsontree: node %d: string span [%d,+%d) outside the %d-byte heap", i, s.off, s.n, len(t.heap))
+		}
+	}
 	for i := range t.nodes {
 		n := NodeID(i)
 		nd := &t.nodes[n]
-		if nd.first < 0 || nd.nkids < 0 || int(nd.first)+int(nd.nkids) > len(t.kids) {
-			return fmt.Errorf("jsontree: node %d: child range [%d,+%d) outside the child table", n, nd.first, nd.nkids)
+		end := i + int(nd.size) // n's subtree is [n, end)
+		if nd.size < 1 || end > len(t.nodes) {
+			return fmt.Errorf("jsontree: node %d: subtree [%d,%d) outside the %d-node arena", n, n, end, len(t.nodes))
 		}
 		switch nd.kind {
 		case StringNode, NumberNode:
 			// Condition 4: strings and numbers are leaves.
-			if nd.nkids != 0 {
+			if nd.nkids != 0 || nd.size != 1 {
 				return fmt.Errorf("jsontree: node %d: %s node has children", n, nd.kind)
 			}
-		case ObjectNode:
+			continue
+		case ObjectNode, ArrayNode:
+		default:
+			return fmt.Errorf("jsontree: node %d: unknown kind %d", n, nd.kind)
+		}
+		next := i + 1 // where preorder puts the next child
+		kids := t.children(nd)
+		for j, c := range kids {
+			if int(c) != next || next >= end {
+				return fmt.Errorf("jsontree: node %d: child %d is not at %d, where preorder within [%d,%d) puts it", n, c, next, n, end)
+			}
+			cn := &t.nodes[c]
+			if cn.parent != n {
+				return fmt.Errorf("jsontree: node %d: child %d has wrong parent", n, c)
+			}
+			// Condition 3: array edge labels are the positions 0..k-1
+			// (object children carry their sibling index too).
+			if int(cn.pos) != j {
+				return fmt.Errorf("jsontree: node %d: child %d at position %d labelled %d", n, c, j, cn.pos)
+			}
 			// Conditions 1-2: object edges carry keys, keys unique.
-			seen := make(map[string]struct{}, nd.nkids)
-			for _, c := range t.children(nd) {
-				k := t.nodes[c].key
-				if _, dup := seen[k]; dup {
+			if nd.kind == ObjectNode && j > 0 {
+				switch prev, k := t.EdgeKey(kids[j-1]), t.key(cn); {
+				case prev == k:
 					return fmt.Errorf("jsontree: node %d: duplicate key %q", n, k)
-				}
-				seen[k] = struct{}{}
-				if t.nodes[c].parent != n {
-					return fmt.Errorf("jsontree: node %d: child %d has wrong parent", n, c)
+				case prev > k:
+					return fmt.Errorf("jsontree: node %d: keys %q, %q out of order", n, prev, k)
 				}
 			}
-		case ArrayNode:
-			// Condition 3: array edge labels are the positions 0..k-1.
-			for i, c := range t.children(nd) {
-				if int(t.nodes[c].pos) != i {
-					return fmt.Errorf("jsontree: node %d: child %d at position %d labelled %d", n, c, i, t.nodes[c].pos)
-				}
-				if t.nodes[c].parent != n {
-					return fmt.Errorf("jsontree: node %d: child %d has wrong parent", n, c)
-				}
-			}
+			next += int(cn.size)
+		}
+		if next != end {
+			return fmt.Errorf("jsontree: node %d: children cover [%d,%d) of its subtree [%d,%d)", n, i+1, next, n, end)
 		}
 	}
 	return nil

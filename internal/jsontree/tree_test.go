@@ -332,3 +332,83 @@ func indexOf(s, sub string) int {
 	}
 	return -1
 }
+
+// TestNodeIsPointerFree pins the arena's layout: no field of node may
+// hold a pointer (a string, slice, map or pointer field would make the
+// garbage collector scan every cached tree again), and a node stays
+// within 56 bytes.
+func TestNodeIsPointerFree(t *testing.T) {
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+			return true
+		case reflect.Array:
+			return pointerFree(ty.Elem())
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				if !pointerFree(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	ty := reflect.TypeOf(node{})
+	for i := range ty.NumField() {
+		if f := ty.Field(i); !pointerFree(f.Type) {
+			t.Errorf("node.%s is a %s, which holds a pointer", f.Name, f.Type)
+		}
+	}
+	if ty.Size() > 56 {
+		t.Errorf("node is %d bytes, want ≤ 56", ty.Size())
+	}
+}
+
+// TestValidateArenaInvariants: Validate reports each broken arena
+// invariant — a key or string span past the heap, children out of
+// preorder, a subtree past the arena, unsorted object keys — on a
+// copy of a valid tree damaged in one place.
+func TestValidateArenaInvariants(t *testing.T) {
+	src := MustParse(`{"a":{"x":1,"y":"s"},"b":[2,3],"c":"tail"}`)
+	if err := src.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	child := func(tr *Tree, n NodeID, key string) *node { return &tr.nodes[tr.ChildByKey(n, key)] }
+	for _, c := range []struct {
+		name   string
+		damage func(*Tree)
+	}{
+		{"key span past heap", func(tr *Tree) { child(tr, 0, "c").key.off = uint32(len(tr.heap)) }},
+		{"string span past heap", func(tr *Tree) {
+			n := child(tr, 0, "c")
+			n.num = span{off: unpackSpan(n.num).off, n: uint32(len(tr.heap))}.packed()
+		}},
+		{"subtree past arena", func(tr *Tree) { child(tr, 0, "c").size = 2 }},
+		{"root subtree short", func(tr *Tree) { tr.nodes[0].size-- }},
+		{"children swapped", func(tr *Tree) {
+			b := tr.kids[child(tr, 0, "b").first:]
+			b[0], b[1] = b[1], b[0]
+		}},
+		{"keys out of order", func(tr *Tree) {
+			a := child(tr, 0, "a")
+			x, y := &tr.nodes[tr.kids[a.first]], &tr.nodes[tr.kids[a.first+1]]
+			x.key, y.key = y.key, x.key
+		}},
+		{"duplicate key", func(tr *Tree) {
+			a := child(tr, 0, "a")
+			tr.nodes[tr.kids[a.first+1]].key = tr.nodes[tr.kids[a.first]].key
+		}},
+	} {
+		tr := &Tree{nodes: append([]node(nil), src.nodes...), kids: append([]NodeID(nil), src.kids...), heap: src.heap}
+		c.damage(tr)
+		if err := tr.Validate(); err == nil {
+			t.Errorf("%s: Validate accepts the damaged tree", c.name)
+		} else {
+			t.Logf("%s: %v", c.name, err)
+		}
+	}
+}

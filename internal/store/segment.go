@@ -10,10 +10,10 @@ package store
 // access and are cached per ordinal; posting lists stay block-
 // compressed (postings_codec.go) and are intersected in place via
 // their skip tables. A parsed tree never points into the mapping:
-// resolve copies the document's bytes to the heap first, because
-// jsontree.Parse keeps keys and strings as substrings of its input
-// and cached trees outlive the file — compaction hands them to the
-// next reader and then unmaps this one.
+// jsontree.Parse copies keys and strings into the tree's own byte
+// heap, so a cached document is three pointer-free arrays behind one
+// Tree, which may outlive the file — compaction hands it to the next
+// reader and then unmaps this one.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -269,10 +269,10 @@ func (sr *segmentReader) resolve(ord ordinal) (*docPair, error) {
 	if d := sr.cache[ord].Load(); d != nil {
 		return d, nil
 	}
-	// The string conversion is the tree's one copy of its text: the
-	// parsed keys and strings without escapes are substrings of it. Parsing
-	// the mapped bytes in place (unsafe.String) would leave the cached
-	// tree reading the mapping after compaction unmaps it.
+	// The string conversion is a transient copy Parse's string input
+	// needs; the tree keeps none of it, holding its keys and strings
+	// in a heap of its own. Dropping the copy and the parse altogether
+	// is the on-disk tree format's job, not this cache's.
 	t, err := jsontree.Parse(string(sr.docBytes(ord)))
 	if err != nil {
 		// The file was CRC-valid at open; reaching here means the
