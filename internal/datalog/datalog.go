@@ -125,15 +125,6 @@ func (p *Program) AddPred(name string) Pred {
 	return Pred(len(p.names) - 1)
 }
 
-// NumPreds returns the number of registered predicates.
-func (p *Program) NumPreds() int { return len(p.names) }
-
-// NumRules returns the number of rules.
-func (p *Program) NumRules() int { return len(p.rules) }
-
-// PredName returns the debug name of pr.
-func (p *Program) PredName(pr Pred) string { return p.names[pr] }
-
 // AddRule appends a rule. The body is validated lazily by Evaluate.
 func (p *Program) AddRule(r Rule) { p.rules = append(p.rules, r) }
 

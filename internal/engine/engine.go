@@ -64,8 +64,9 @@ func (e *Engine) Compile(lang Language, src string) (*Plan, error) {
 }
 
 // CompileTraced is Compile recording a "compile" span on tr (plan
-// cache hit/miss, and on a miss the front-end parse and QIR compile as
-// child spans). tr may be nil — the untraced path — in which case the
+// cache hit/miss, and on a miss the front-end parse, QIR compile and,
+// with the semantic pass on, its semantic and dedup stages as child
+// spans). tr may be nil — the untraced path — in which case the
 // recorder calls reduce to nil checks and a cache hit stays
 // allocation-free.
 func (e *Engine) CompileTraced(lang Language, src string, tr *trace.Trace) (*Plan, error) {
@@ -83,7 +84,7 @@ func (e *Engine) CompileTraced(lang Language, src string, tr *trace.Trace) (*Pla
 	p, err := compileTraced(lang, src, tr, sp)
 	if err == nil && e.sem != nil {
 		e.analyze(p, tr, sp)
-		if q := e.dedup(p); q != nil {
+		if q := e.dedup(p, tr, sp); q != nil {
 			tr.AttrStr(sp, "semantic_alias", q.Source())
 			tr.End(sp)
 			return e.cache.add(key, q), nil

@@ -17,10 +17,9 @@ import (
 // when the intersection would not be selective. A document missing a
 // fact provably cannot match, so pruning by facts never changes
 // results. Derivation lives in qir.Query.FindFacts/SelectFacts: one
-// code path for all four front ends, replacing the per-language
-// extractors (jnl.RequiredFacts, jsl.RequiredFacts,
-// jsonpath.Path.RequiredPrefix, mongoq.Filter.RequiredFacts), which
-// remain only as test oracles for the prefix logic.
+// code path for all four front ends, pinned per language by
+// TestIndexFactExtraction and checked for soundness against random
+// plans and documents by TestIndexFactSoundness.
 //
 // Extraction is conservative: queries under negation, disjunction,
 // recursion or non-deterministic axes simply yield no facts and scan —

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"jsonlogic/internal/gen"
@@ -48,9 +49,37 @@ func TestIndexFactExtraction(t *testing.T) {
 		{LangJNL, `eq(/a, /b)`, []string{"$ kind=object", "/a", "/b"}},
 		{LangJNL, `[/a /[1:3]]`, []string{"$ kind=object", "/a kind=array", "/a/1"}},
 		{LangJNL, `[(/a)*]`, nil},
+		{LangJNL, `[/a /2 /b]`, []string{"$ kind=object", "/a kind=array", "/a/2 kind=object", "/a/2/b"}},
+		{LangJNL, `[eps /a eps]`, []string{"$ kind=object", "/a"}},
+		{LangJNL, `[/a <true> /b]`, []string{"$ kind=object", "/a kind=object", "/a/b"}},
+		{LangJNL, `[/a /[1:3] /b]`, []string{"$ kind=object", "/a kind=array", "/a/1"}},
+		{LangJNL, `[/a /~"k.*" /b]`, []string{"$ kind=object", "/a kind=object"}},
+		{LangJNL, `[/a (/b)* /c]`, []string{"$ kind=object", "/a"}},
+		{LangJNL, `[/a (/b | /c)]`, []string{"$ kind=object", "/a kind=object"}},
+		{LangJNL, `[/-1]`, []string{"$ kind=array"}},
+		{LangJNL, `[eps]`, nil},
+		{LangJNL, `eq(/a /[1:3], 7)`, []string{"$ kind=object", "/a kind=array", "/a/1"}},
+		{LangJNL, `(eq(/a/b, 7) && [/c /0])`, []string{"$ kind=object", "/a kind=object", "/a/b value=7", "/c kind=array", "/c/0"}},
 		{LangJSL, `some("a", number)`, []string{"$ kind=object", "/a kind=number"}},
 		{LangJSL, `all("a", number)`, nil},
 		{LangJSL, `def g = number || some("a", g) ; g`, nil},
+		{LangJSL, `some("a", some("b", number))`, []string{"$ kind=object", "/a kind=object", "/a/b kind=number"}},
+		{LangJSL, `some("a", eq(5))`, []string{"$ kind=object", "/a value=5"}},
+		{LangJSL, `some(~"k.*", true)`, []string{"$ kind=object"}},
+		{LangJSL, `some([0:], string)`, []string{"$ kind=array", "/0"}},
+		{LangJSL, `some([2:2], string)`, []string{"$ kind=array", "/2 kind=string"}},
+		{LangJSL, `(string && pattern("s.*"))`, []string{"$ kind=string"}},
+		{LangJSL, `!some("a", true)`, nil},
+		{LangJSL, `(some("a", true) || some("b", true))`, nil},
+		{LangJSL, `(min(3) && max(9))`, []string{"$ kind=number"}},
+		{LangJSL, `unique`, []string{"$ kind=array"}},
+		{LangJSL, `eq({"a":[1,"x"]})`, []string{"$ kind=object", "/a kind=array", "/a/0 value=1", "/a/1 value=\"x\""}},
+		{LangJSONPath, `$.store.book[0]`, []string{"$ kind=object", "/store kind=object", "/store/book kind=array", "/store/book/0"}},
+		{LangJSONPath, `$.a[*]`, []string{"$ kind=object", "/a"}},
+		{LangJSONPath, `$[1:3].k`, []string{"$ kind=array", "/1"}},
+		{LangJSONPath, `$`, nil},
+		{LangMongoFind, `{"user.name":"sue","age":{"$gte":21}}`, []string{
+			"$ kind=object", "/user kind=object", "/user/name value=\"sue\"", "/age kind=number"}},
 	}
 	for _, c := range cases {
 		p, err := Compile(c.lang, c.src)
@@ -58,14 +87,13 @@ func TestIndexFactExtraction(t *testing.T) {
 			t.Fatalf("compile (%v, %q): %v", c.lang, c.src, err)
 		}
 		got := factStrings(p.FindFacts())
-		if len(got) != len(c.find) {
-			t.Errorf("(%v, %q): FindFacts = %v, want %v", c.lang, c.src, got, c.find)
-			continue
+		if !slices.Equal(got, c.find) {
+			t.Errorf("(%v, %q): FindFacts = %q, want %q", c.lang, c.src, got, c.find)
 		}
-		for i := range got {
-			if got[i] != c.find[i] {
-				t.Errorf("(%v, %q): FindFacts[%d] = %q, want %q", c.lang, c.src, i, got[i], c.find[i])
-			}
+		// JSONPath selection is root-anchored: a node is selected iff
+		// the path matches, so both modes carry the same facts.
+		if sel := factStrings(p.SelectFacts()); c.lang == LangJSONPath && !slices.Equal(sel, c.find) {
+			t.Errorf("(%v, %q): SelectFacts = %q, want %q", c.lang, c.src, sel, c.find)
 		}
 	}
 }

@@ -293,35 +293,51 @@ func (e *Engine) analyzeSchema(p *Plan) {
 // whose find facts contradict p's (disjointFacts): no document matches
 // both, so neither contains the other unless one is unsatisfiable, and
 // the proofs, which would almost always fail, are not attempted.
-func (e *Engine) dedup(p *Plan) *Plan {
+//
+// A scan records a "dedup" child span under parent carrying the
+// resident plans scanned, the containment proofs run and the outcome
+// (alias, borrowed or none).
+func (e *Engine) dedup(p *Plan, tr *trace.Trace, parent trace.SpanID) *Plan {
 	s := e.sem
 	if p.lang == LangJSONPath || p.semJSL == nil || p.sem.unsat || p.sem.schemaUnsat {
 		return nil
 	}
-	for _, q := range e.cache.recent(semanticDedupScan) {
+	sp := tr.Start(parent, "dedup")
+	resident := e.cache.recent(semanticDedupScan)
+	var alias *Plan
+	proofs, outcome := 0, "none"
+	for _, q := range resident {
 		if q.lang == LangJSONPath || q.semJSL == nil || q.sem.unsat || q.sem.schemaUnsat {
 			continue
 		}
 		if disjointFacts(p.findFacts, q.findFacts) {
 			continue
 		}
+		proofs++
 		pq, err := containment.RecursiveCaps(p.semJSL, q.semJSL, s.caps)
 		if err != nil || !pq.Contained {
 			continue
 		}
+		proofs++
 		qp, err := containment.RecursiveCaps(q.semJSL, p.semJSL, s.caps)
 		if err == nil && qp.Contained {
 			s.aliases.Add(1)
-			return q
+			alias, outcome = q, "alias"
+			break
 		}
 		// Strict containment P ⊑ Q: every document matching P matches Q,
 		// so Q's find facts are necessary for P too; borrowing them can
 		// only sharpen P's index plan (the store's planner dedups terms).
 		if n := p.borrowFacts(q); n > 0 {
 			s.borrowed.Add(uint64(n))
+			outcome = "borrowed"
 		}
 	}
-	return nil
+	tr.Attr(sp, "scanned", int64(len(resident)))
+	tr.Attr(sp, "proofs", int64(proofs))
+	tr.AttrStr(sp, "outcome", outcome)
+	tr.End(sp)
+	return alias
 }
 
 // disjointFacts reports whether some fact of ps contradicts some fact

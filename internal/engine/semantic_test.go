@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
 	"jsonlogic/internal/jsontree"
 	"jsonlogic/internal/jsonval"
 	"jsonlogic/internal/schema"
+	"jsonlogic/internal/trace"
 )
 
 // newSemanticEngine returns an engine with the semantic pass enabled at
@@ -247,6 +249,58 @@ func TestSemanticDedupDisjointAllocsBounded(t *testing.T) {
 	if float64(resident) > 1.5*float64(empty) {
 		t.Fatalf("a miss with %d disjoint plans resident allocates %d, on an empty cache %d: want ≤ 1.5×",
 			semanticDedupScan, resident, empty)
+	}
+}
+
+// TestSemanticDedupSpan: a traced plan-cache miss records the dedup
+// scan as its own child of the compile span, beside the semantic span,
+// with the resident plans scanned, the proofs run and the outcome.
+func TestSemanticDedupSpan(t *testing.T) {
+	cases := []struct {
+		name, resident, miss string
+		proofs               int64
+		outcome              string
+	}{
+		// Equivalent: both containment proofs run and succeed.
+		{"alias", `([/k0] && [/k1])`, `([/k1] && [/k0])`, 2, "alias"},
+		// Another tenant: the find facts contradict, so no proof runs.
+		{"disjoint", `eq(/meta/tenant, "t1")`, `eq(/meta/tenant, "t2")`, 0, "none"},
+	}
+	for _, c := range cases {
+		e := newSemanticEngine(t, Options{})
+		if _, err := e.Compile(LangJNL, c.resident); err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.NewTrace("test")
+		if _, err := e.CompileTraced(LangJNL, c.miss, tr); err != nil {
+			t.Fatal(err)
+		}
+		var compile *trace.SpanOut
+		for _, sp := range tr.Spans()[0].Children {
+			if sp.Name == "compile" {
+				compile = sp
+			}
+		}
+		if compile == nil {
+			t.Fatalf("%s: no compile span", c.name)
+		}
+		var stages []string
+		var dedup *trace.SpanOut
+		for _, sp := range compile.Children {
+			stages = append(stages, sp.Name)
+			if sp.Name == "dedup" {
+				dedup = sp
+			}
+		}
+		if dedup == nil || stages[len(stages)-1] != "dedup" || !slices.Contains(stages, "semantic") {
+			t.Fatalf("%s: compile stages %v, want semantic then dedup", c.name, stages)
+		}
+		want := map[string]any{"scanned": int64(1), "proofs": c.proofs, "outcome": c.outcome}
+		for k, v := range want {
+			if dedup.Attrs[k] != v {
+				t.Errorf("%s: dedup %s = %v, want %v", c.name, k, dedup.Attrs[k], v)
+			}
+		}
 	}
 }
 

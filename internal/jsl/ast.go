@@ -368,15 +368,6 @@ func Size(f Formula) int {
 	return n
 }
 
-// SizeRecursive is the total size of all definitions plus the base.
-func (r *Recursive) SizeRecursive() int {
-	n := Size(r.Base)
-	for _, d := range r.Defs {
-		n += Size(d.Body)
-	}
-	return n
-}
-
 // ---- Rendering ----
 
 func (True) writeTo(sb *strings.Builder)  { sb.WriteString("true") }

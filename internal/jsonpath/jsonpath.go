@@ -455,15 +455,6 @@ func (p *pparser) literal() (*jsonval.Value, error) {
 	return v, nil
 }
 
-// RequiredPrefix returns the exact navigation-step prefix every node
-// selected by the path must lie under, and whether the prefix covers
-// the whole path (no wildcard, slice, descent or filter remainder).
-// The store's index planner uses it to prune candidate documents; an
-// empty prefix means the path is not index-supported.
-func (p *Path) RequiredPrefix() ([]jsontree.Step, bool) {
-	return jnl.RequiredPrefix(p.binary)
-}
-
 // Lower translates the path into the unified query algebra: selection
 // enumerates the compiled JNL path from the root, and matching ("does
 // the path select anything") is its existential closure, so both

@@ -175,24 +175,3 @@ func TestCompiledFormulaExposed(t *testing.T) {
 		t.Errorf("String() = %q", p.String())
 	}
 }
-
-func TestRequiredPrefix(t *testing.T) {
-	cases := []struct {
-		src      string
-		depth    int
-		complete bool
-	}{
-		{`$.store.book[0]`, 3, true},
-		{`$.store..price`, 1, false},
-		{`$.a[*]`, 1, false},
-		{`$[1:3].k`, 1, false},
-		{`$`, 0, true},
-	}
-	for _, c := range cases {
-		steps, complete := MustCompile(c.src).RequiredPrefix()
-		if len(steps) != c.depth || complete != c.complete {
-			t.Errorf("RequiredPrefix(%q) = %v, %v; want depth %d, %v",
-				c.src, steps, complete, c.depth, c.complete)
-		}
-	}
-}

@@ -10,13 +10,12 @@ import (
 // PathFact is a structural condition on a JSON tree, anchored at the
 // root: the node reached by Steps exists and, optionally, has a given
 // kind or roots a given subtree value. Path facts are the currency of
-// the store's inverted path index — query front ends extract the facts
-// that are *necessary* for a document to match (jnl.RequiredFacts,
-// jsl.RequiredFacts, jsonpath.Path.RequiredPrefix, and the plan-level
-// engine wrappers), and the index answers "which documents satisfy this
+// the store's inverted path index — the query layer derives the facts
+// that are *necessary* for a document to match from every front end's
+// lowered query (qir.Query.FindFacts/SelectFacts, exposed per plan by
+// the engine), and the index answers "which documents satisfy this
 // fact" with a posting list. A fact therefore never needs to be
-// sufficient; the store re-verifies every candidate with the reference
-// evaluator.
+// sufficient; the store re-verifies every candidate against the plan.
 type PathFact struct {
 	// Steps is the exact navigation path from the root. An empty path
 	// denotes the root itself.
@@ -25,8 +24,8 @@ type PathFact struct {
 	HasClass bool
 	// Class is the required node kind when HasClass is set.
 	Class Kind
-	// Value, when non-nil, requires json(node) = Value. Extractors only
-	// emit scalar values here (composite equalities are decomposed into
+	// Value, when non-nil, requires json(node) = Value. Derivation only
+	// emits scalar values here (composite equalities are decomposed into
 	// per-member facts), matching the index's leaf value terms.
 	Value *jsonval.Value
 }

@@ -366,14 +366,3 @@ func splitPath(path string) ([]pathSeg, error) {
 func (f *Filter) Lower() *qir.Query {
 	return &qir.Query{Pred: jsl.Lower(f.formula)}
 }
-
-// RequiredFacts returns path facts every matching document must obey,
-// extracted from the filter's JSL compilation (jsl.RequiredFacts): the
-// exact field paths the filter navigates, the node kinds its operators
-// require, and the exact values of its equality comparisons. The
-// store's index planner intersects the corresponding posting lists to
-// obtain a candidate set; an empty result means the filter (e.g. a pure
-// $ne/$nor/$exists:0) supports no index pruning.
-func (f *Filter) RequiredFacts() []jsontree.PathFact {
-	return jsl.RequiredFacts(f.formula)
-}

@@ -3,7 +3,6 @@ package mongoq
 import (
 	"testing"
 
-	"jsonlogic/internal/jsontree"
 	"jsonlogic/internal/jsonval"
 )
 
@@ -175,25 +174,5 @@ func TestOperatorMatrix(t *testing.T) {
 				t.Errorf("%s on %s (%s): got %v, want %v", c.filter, name, doc, got, want[name])
 			}
 		}
-	}
-}
-
-func TestRequiredFacts(t *testing.T) {
-	f := MustParse(`{"user.name":"sue","age":{"$gte":21}}`)
-	facts := f.RequiredFacts()
-	if len(facts) != 6 {
-		t.Fatalf("facts = %v", facts)
-	}
-	match := jsontree.MustParse(`{"user":{"name":"sue"},"age":34}`)
-	if !f.Matches(match.Value(match.Root())) {
-		t.Fatal("fixture does not match")
-	}
-	for _, fact := range facts {
-		if !fact.Holds(match) {
-			t.Errorf("fact %s must hold on a matching document", fact)
-		}
-	}
-	if facts := MustParse(`{"a":{"$ne":1}}`).RequiredFacts(); len(facts) != 0 {
-		t.Errorf("negated filter should extract no facts, got %v", facts)
 	}
 }

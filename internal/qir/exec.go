@@ -449,13 +449,13 @@ func (c *compiler) compileNode(n Node) (predOp, error) {
 		if err != nil {
 			return nil, err
 		}
-		return c.compileExists(t.Path, inner)
+		return c.compileModal(t.Path, inner, false)
 	case ForAll:
 		inner, err := c.compileNode(t.Inner)
 		if err != nil {
 			return nil, err
 		}
-		return c.compileForAll(t.Path, inner)
+		return c.compileModal(t.Path, inner, true)
 	case EqPaths:
 		return &eqPathsOp{
 			left: c.compileEnum(t.Left), right: c.compileEnum(t.Right),
@@ -471,33 +471,39 @@ func (c *compiler) compileNode(n Node) (predOp, error) {
 	return nil, fmt.Errorf("qir: unknown node %T", n)
 }
 
-// compileExists builds the operator for "some path-successor satisfies
-// k", in continuation style: each step operator holds the rest of the
-// pipeline, so evaluation walks the tree node-at-a-time and stops at
-// the first witness.
-func (c *compiler) compileExists(p Path, k predOp) (predOp, error) {
+// compileModal builds the operator for "some path-successor satisfies
+// k" (forAll false) or its dual "every path-successor satisfies k"
+// (forAll true, vacuously true without successors), in continuation
+// style: each step operator holds the rest of the pipeline, so
+// evaluation walks the tree node-at-a-time and stops at the first
+// witness or counter-example.
+func (c *compiler) compileModal(p Path, k predOp, forAll bool) (predOp, error) {
 	switch t := p.(type) {
 	case Here:
 		return k, nil
 	case Key:
-		return &keyStepOp{word: t.Word, next: k, forAll: false}, nil
+		return &keyStepOp{word: t.Word, next: k, forAll: forAll}, nil
 	case KeyRe:
-		return &keyReStepOp{re: t.Re, any: t.Re.IsAnyStar(), next: k, forAll: false}, nil
+		return &keyReStepOp{re: t.Re, any: t.Re.IsAnyStar(), next: k, forAll: forAll}, nil
 	case At:
-		return &atStepOp{index: t.Index, next: k, forAll: false}, nil
+		return &atStepOp{index: t.Index, next: k, forAll: forAll}, nil
 	case Slice:
-		return &sliceStepOp{lo: t.Lo, hi: t.Hi, next: k, forAll: false}, nil
+		return &sliceStepOp{lo: t.Lo, hi: t.Hi, next: k, forAll: forAll}, nil
 	case Filter:
 		cond, err := c.compileNode(t.Cond)
 		if err != nil {
 			return nil, err
+		}
+		if forAll {
+			// ∀⟨φ⟩.k ≡ φ → k.
+			return &implOp{cond: cond, next: k}, nil
 		}
 		return &filterOp{cond: cond, next: k}, nil
 	case Seq:
 		out := k
 		for i := len(t.Parts) - 1; i >= 0; i-- {
 			var err error
-			out, err = c.compileExists(t.Parts[i], out)
+			out, err = c.compileModal(t.Parts[i], out, forAll)
 			if err != nil {
 				return nil, err
 			}
@@ -506,70 +512,19 @@ func (c *compiler) compileExists(p Path, k predOp) (predOp, error) {
 	case Union:
 		alts := make([]predOp, len(t.Alts))
 		for i, a := range t.Alts {
-			op, err := c.compileExists(a, k)
+			op, err := c.compileModal(a, k, forAll)
 			if err != nil {
 				return nil, err
 			}
 			alts[i] = op
+		}
+		if forAll {
+			return &allOfOp{alts: alts}, nil
 		}
 		return &anyOfOp{alts: alts}, nil
 	case Closure:
-		op := &closureOp{memoID: c.newMemo(), tail: k, forAll: false, label: PathString(p)}
-		step, err := c.compileExists(t.Inner, op)
-		if err != nil {
-			return nil, err
-		}
-		op.step = step
-		return op, nil
-	}
-	return nil, fmt.Errorf("qir: unknown path %T", p)
-}
-
-// compileForAll is the dual pipeline: "every path-successor satisfies
-// k", vacuously true without successors, stopping at the first
-// counter-example.
-func (c *compiler) compileForAll(p Path, k predOp) (predOp, error) {
-	switch t := p.(type) {
-	case Here:
-		return k, nil
-	case Key:
-		return &keyStepOp{word: t.Word, next: k, forAll: true}, nil
-	case KeyRe:
-		return &keyReStepOp{re: t.Re, any: t.Re.IsAnyStar(), next: k, forAll: true}, nil
-	case At:
-		return &atStepOp{index: t.Index, next: k, forAll: true}, nil
-	case Slice:
-		return &sliceStepOp{lo: t.Lo, hi: t.Hi, next: k, forAll: true}, nil
-	case Filter:
-		cond, err := c.compileNode(t.Cond)
-		if err != nil {
-			return nil, err
-		}
-		// ∀⟨φ⟩.k ≡ φ → k.
-		return &implOp{cond: cond, next: k}, nil
-	case Seq:
-		out := k
-		for i := len(t.Parts) - 1; i >= 0; i-- {
-			var err error
-			out, err = c.compileForAll(t.Parts[i], out)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	case Union:
-		alts := make([]predOp, len(t.Alts))
-		for i, a := range t.Alts {
-			op, err := c.compileForAll(a, k)
-			if err != nil {
-				return nil, err
-			}
-			alts[i] = op
-		}
-		return &allOfOp{alts: alts}, nil
-	case Closure:
-		op := &closureOp{memoID: c.newMemo(), tail: k, forAll: true, label: PathString(p)}
-		step, err := c.compileForAll(t.Inner, op)
+		op := &closureOp{memoID: c.newMemo(), tail: k, forAll: forAll, label: PathString(p)}
+		step, err := c.compileModal(t.Inner, op, forAll)
 		if err != nil {
 			return nil, err
 		}

@@ -13,11 +13,10 @@ import (
 // forces a condition (conjunctions, existentials over exact paths) and
 // stops at anything negated, disjunctive, universal or recursive.
 //
-// Compared to the retired per-front-end extractors (jnl.RequiredFacts,
-// jsl.RequiredFacts), this derivation additionally anchors navigation:
-// a node with a keyed successor must be an object, one with a
-// positional successor an array, so every Exists contributes a class
-// fact for its source — strictly more selective, still necessary.
+// Navigation is anchored: a node with a keyed successor must be an
+// object, one with a positional successor an array, so every Exists
+// contributes a class fact for its source as well as presence facts
+// along its exact prefix.
 
 // FindFacts returns path facts every tree whose root satisfies the
 // query must obey, deduplicated in first-appearance order. An empty
@@ -100,11 +99,11 @@ func appendNodeFacts(n Node, prefix []jsontree.Step, facts *[]jsontree.PathFact)
 // parts: each moving step forces its source node's kind (keyed steps
 // need an object, positional steps an array), exact steps extend the
 // anchored prefix, and when π pins down a unique successor (complete),
-// φ's facts apply there. The walk mirrors the reasoning of the retired
-// jnl.RequiredPrefix: slices contribute their dense lower bound
-// (positions are dense, §3.1 condition 3), point slices name exactly
-// one child and stay complete, and regexes, unions, closures and
-// negative indices end the prefix.
+// φ's facts apply there. Filters and ε skip without moving; slices
+// contribute their dense lower bound (an element at any position in
+// [lo,hi] implies one at lo: positions are dense, §3.1 condition 3),
+// point slices name exactly one child and stay complete, and regexes,
+// unions, closures and negative indices end the prefix.
 func appendExistsFacts(p Path, inner Node, prefix []jsontree.Step, facts *[]jsontree.PathFact) {
 	cur := prefix
 	complete := true

@@ -141,9 +141,6 @@ func coversSigma(n node) bool {
 	return anyStar(n)
 }
 
-// MatchesEmptyString reports ε ∈ L(e).
-func (re *Regex) MatchesEmptyString() bool { return re.Match("") }
-
 // Witness returns a shortest string in the language, or false if empty.
 func (re *Regex) Witness() (string, bool) { return re.dfaMin().witness() }
 

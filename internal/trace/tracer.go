@@ -74,11 +74,6 @@ func New(opts Options) *Tracer {
 	return t
 }
 
-// Enabled reports whether any query can be traced at all.
-func (tc *Tracer) Enabled() bool {
-	return tc != nil && (tc.opts.SampleEvery > 0 || tc.opts.SlowQuery >= 0)
-}
-
 // Start arms a recorder for one query, or returns nil when this query
 // is not traced — the nil flows through the whole read path as "do
 // nothing". The recorder comes from a pool; Finish returns it.

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strings"
 
-	"jsonlogic/internal/jsontree"
 	"jsonlogic/internal/jsonval"
 )
 
@@ -184,11 +183,6 @@ func (n *Node) Size() int {
 		s += c.Size()
 	}
 	return s
-}
-
-// EncodeTree is Encode over the jsontree representation.
-func EncodeTree(t *jsontree.Tree) *Node {
-	return Encode(t.Value(t.Root()))
 }
 
 // WriteXML renders the tree as XML text with minimal escaping — enough

@@ -2,9 +2,9 @@
 # deps-check: fences around the serving binary.
 #
 #  1. cmd/jsonstored's import graph contains none of the research-only
-#     packages (datalog, xmlenc, projection, gen, load): they exist to
-#     reproduce the paper's claims and to drive tests and load, and
-#     must not ride into the daemon.
+#     packages (datalog, xmlenc, projection, gen): they exist to
+#     reproduce the paper's claims and to drive tests, and must not
+#     ride into the daemon.
 #  2. Non-test code in internal/store and internal/httpapi never calls
 #     (*jsontree.Tree).Value: the jsonval.Value detour is the test
 #     oracle for the one tree encoder (Tree.AppendJSON), not a
@@ -16,7 +16,7 @@ set -u
 fail=0
 
 deps=$(go list -deps ./cmd/jsonstored) || exit 1
-for pkg in datalog xmlenc projection gen load; do
+for pkg in datalog xmlenc projection gen; do
     if echo "$deps" | grep -qx "jsonlogic/internal/$pkg"; then
         echo "deps-check: cmd/jsonstored depends on research-only package internal/$pkg"
         fail=1
