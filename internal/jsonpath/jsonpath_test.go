@@ -1,6 +1,7 @@
 package jsonpath
 
 import (
+	"slices"
 	"testing"
 
 	"jsonlogic/internal/jsonval"
@@ -173,5 +174,34 @@ func TestCompiledFormulaExposed(t *testing.T) {
 	}
 	if p.String() != `$..price` {
 		t.Errorf("String() = %q", p.String())
+	}
+}
+
+// TestRequiredPrefix checks the index facts the QIR derivation gives
+// for a path: its deterministic prefix becomes path facts, and both
+// modes carry the same facts because selection is root-anchored.
+func TestRequiredPrefix(t *testing.T) {
+	cases := []struct {
+		src  string
+		want []string
+	}{
+		{`$.store.book[0]`, []string{"$ kind=object", "/store kind=object", "/store/book kind=array", "/store/book/0"}},
+		{`$.store..price`, []string{"$ kind=object", "/store"}},
+		{`$.a[*]`, []string{"$ kind=object", "/a"}},
+		{`$[1:3].k`, []string{"$ kind=array", "/1"}},
+		{`$`, nil},
+	}
+	for _, c := range cases {
+		q := MustCompile(c.src).Lower()
+		var find, sel []string
+		for _, f := range q.FindFacts() {
+			find = append(find, f.String())
+		}
+		for _, f := range q.SelectFacts() {
+			sel = append(sel, f.String())
+		}
+		if !slices.Equal(find, c.want) || !slices.Equal(sel, c.want) {
+			t.Errorf("facts of %q = find %q, select %q; want %q", c.src, find, sel, c.want)
+		}
 	}
 }

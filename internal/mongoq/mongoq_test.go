@@ -1,8 +1,10 @@
 package mongoq
 
 import (
+	"slices"
 	"testing"
 
+	"jsonlogic/internal/jsontree"
 	"jsonlogic/internal/jsonval"
 )
 
@@ -174,5 +176,32 @@ func TestOperatorMatrix(t *testing.T) {
 				t.Errorf("%s on %s (%s): got %v, want %v", c.filter, name, doc, got, want[name])
 			}
 		}
+	}
+}
+
+// TestRequiredFacts checks the index facts the QIR derivation gives for
+// a filter, and that they hold on a document the filter matches.
+func TestRequiredFacts(t *testing.T) {
+	f := MustParse(`{"user.name":"sue","age":{"$gte":21}}`)
+	facts := f.Lower().FindFacts()
+	got := make([]string, len(facts))
+	for i, fact := range facts {
+		got[i] = fact.String()
+	}
+	want := []string{"$ kind=object", "/user kind=object", "/user/name value=\"sue\"", "/age kind=number"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("facts = %q, want %q", got, want)
+	}
+	match := jsontree.MustParse(`{"user":{"name":"sue"},"age":34}`)
+	if !f.Matches(match.Value(match.Root())) {
+		t.Fatal("fixture does not match")
+	}
+	for _, fact := range facts {
+		if !fact.Holds(match) {
+			t.Errorf("fact %s must hold on a matching document", fact)
+		}
+	}
+	if facts := MustParse(`{"a":{"$ne":1}}`).Lower().FindFacts(); len(facts) != 0 {
+		t.Errorf("negated filter should extract no facts, got %v", facts)
 	}
 }
