@@ -47,9 +47,11 @@ race-core:
 # disabled/pooled trace recorder, the store's steady-state segment
 # probe, the durable write path (PutTree: index insert plus one WAL
 # frame rendered straight from the tree arena), tree construction
-# (jsontree.Parse and a reused Builder: four allocations a document)
-# and a plan-cache miss beside disjoint resident plans (the semantic
-# dedup skips their containment proofs). The
+# (jsontree.Parse and a reused Builder: four allocations a document),
+# a plan-cache miss beside disjoint resident plans (the semantic
+# dedup skips their containment proofs), the exact-find text check
+# (no allocation) and an exact find on a reopened segment store
+# (allocations flat in the hit count). The
 # theory packages are included so any future alloc pins there are
 # picked up without editing this target.
 # -count=1 defeats the test cache so the numbers are measured, not
@@ -77,9 +79,11 @@ chaos:
 # trip fidelity; hostile bytes must error, never panic or over-read),
 # the three text-to-tree routes (jsonval.Parse+FromValue,
 # jsontree.Parse and the tokenizer→Builder route accept the same
-# documents and build the same trees), and JSONPath selection (the
+# documents and build the same trees), JSONPath selection (the
 # executor's set-at-a-time enumerators select exactly the nodes of the
-# reference JNL evaluator).
+# reference JNL evaluator) and the exact-find text check (HoldsJSON
+# on a document's bytes answers as Holds on its parsed tree; hostile
+# bytes must not panic or over-read).
 fuzz:
 	$(GO) test ./internal/engine/ -run FuzzPlanCache -fuzz FuzzPlanCache -fuzztime 20s
 	$(GO) test ./internal/engine/ -run FuzzParsersAgree -fuzz FuzzParsersAgree -fuzztime 20s
@@ -87,6 +91,7 @@ fuzz:
 	$(GO) test ./internal/jauto/ -run FuzzJNLSat -fuzz FuzzJNLSat -fuzztime 30s
 	$(GO) test ./internal/containment/ -run FuzzContainment -fuzz FuzzContainment -fuzztime 30s
 	$(GO) test ./internal/store/ -run FuzzPostingsCodec -fuzz FuzzPostingsCodec -fuzztime 20s
+	$(GO) test ./internal/jsontree/ -run FuzzFactText -fuzz FuzzFactText -fuzztime 20s
 
 # The full complexity-reproduction benchmark suite (slow).
 bench:

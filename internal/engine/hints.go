@@ -21,6 +21,14 @@ import (
 // TestIndexFactExtraction and checked for soundness against random
 // plans and documents by TestIndexFactSoundness.
 //
+// Some find plans are exact as well (qir.Query.FactsExact): their
+// predicate holds exactly when every find fact does — a conjunction of
+// kind tests and scalar equalities at the ends of key/index paths, such
+// as {"meta.tenant":"t3"}. The store answers those by checking the
+// facts on each candidate's stored text instead of evaluating the
+// plan; TestExactFactsEquivalence checks the equivalence on random
+// plans and documents.
+//
 // Extraction is conservative: queries under negation, disjunction,
 // recursion or non-deterministic axes simply yield no facts and scan —
 // the fallback the differential store tests exercise alongside the
@@ -32,6 +40,7 @@ import (
 // called once from Plan.finish so Plans stay immutable afterwards.
 func (p *Plan) computeFacts() {
 	p.findFacts = p.query.FindFacts()
+	p.findExact = len(p.findFacts) > 0 && p.query.FactsExact()
 	p.selectFacts = p.query.SelectFacts()
 }
 
@@ -40,6 +49,13 @@ func (p *Plan) computeFacts() {
 // document matching and the store must scan. The slice is shared and
 // must not be modified.
 func (p *Plan) FindFacts() []jsontree.PathFact { return p.findFacts }
+
+// FindExact reports whether Validate holds on a document exactly when
+// every fact of FindFacts does, so checking the facts decides the
+// match. Facts borrowed later from a containing plan (semantic.go)
+// keep this true: each is a necessary condition of the plan, so adding
+// it to an equivalent conjunction leaves the conjunction equivalent.
+func (p *Plan) FindExact() bool { return p.findExact }
 
 // SelectFacts returns path facts necessary for Eval to select at least
 // one node. An empty result means the plan is not index-supported for

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -181,4 +182,108 @@ func TestIndexFactSoundness(t *testing.T) {
 		t.Fatal("property test never checked a fact; generators drifted")
 	}
 	t.Logf("checked %d fact obligations", checked)
+}
+
+// TestFindExactShapes pins which plans claim exact facts: conjunctions
+// of existentials over key/index paths ending in kind tests or scalar
+// equalities are exact; anything whose facts drop part of the
+// condition is not.
+func TestFindExactShapes(t *testing.T) {
+	cases := []struct {
+		lang  Language
+		src   string
+		exact bool
+	}{
+		{LangMongoFind, `{"meta.tenant":"t3"}`, true},
+		{LangJNL, `eq(/meta/tenant, "t3")`, true},
+		{LangJSL, `some("meta", some("tenant", eq("t3")))`, true},
+		{LangMongoFind, `{"a":1,"b.c":"x"}`, true},
+		{LangMongoFind, `{"a":{"$type":"array"}}`, true},
+		{LangJSL, `some("a", string && some("b", number))`, true}, // contradictory facts, unsatisfiable predicate
+		{LangJNL, `[/a/b]`, true},
+		{LangJSONPath, `$.a.b`, true},
+		{LangJSL, `object && some("a", number)`, true},
+		{LangMongoFind, `{}`, false},                // exact, but no facts to probe
+		{LangMongoFind, `{"a":{"x":1}}`, false},     // composite equality
+		{LangMongoFind, `{"a.b":{"$gt":3}}`, false}, // numeric test
+		{LangMongoFind, `{"tags.0":"x"}`, false},    // point slice
+		{LangMongoFind, `{"a":{"$ne":1}}`, false},
+		{LangMongoFind, `{"$or":[{"a":1},{"b":2}]}`, false},
+		{LangJSL, `all("a", number)`, false},
+		{LangJSL, `some(~"a.*", number)`, false},
+		{LangJSONPath, `$..a`, false},
+		{LangJSONPath, `$.a[*]`, false},
+	}
+	for _, c := range cases {
+		p := MustCompile(c.lang, c.src)
+		if got := p.FindExact(); got != c.exact {
+			t.Errorf("(%v, %q): FindExact = %v, want %v (pred %v, facts %v)",
+				c.lang, c.src, got, c.exact, p.Query().Pred, factStrings(p.FindFacts()))
+		}
+	}
+}
+
+// TestExactFactsEquivalence is the property exact finds rest on: for
+// a plan claiming FindExact, Validate holds on a document exactly when
+// every find fact does — on random plans from all four front ends and
+// on the tenant shapes, over random documents.
+func TestExactFactsEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(4321))
+	e := New(Options{PlanCacheSize: 128})
+	docOpts := gen.DocOptions{Fanout: 3, Depth: 3, Keys: 12, ArrayBias: 40, ValueRange: 20}
+	tenant := func() (Language, string) {
+		v := fmt.Sprintf(`"k%d"`, r.Intn(12))
+		if r.Intn(2) == 0 {
+			v = fmt.Sprint(r.Intn(20))
+		}
+		k1, k2 := fmt.Sprintf("k%d", r.Intn(12)), fmt.Sprintf("k%d", r.Intn(12))
+		switch r.Intn(3) {
+		case 0:
+			return LangMongoFind, fmt.Sprintf(`{"%s.%s":%s}`, k1, k2, v)
+		case 1:
+			return LangJNL, fmt.Sprintf(`eq(/%s/%s, %s)`, k1, k2, v)
+		}
+		return LangJSL, fmt.Sprintf(`some("%s", some("%s", eq(%s)))`, k1, k2, v)
+	}
+	sources := []func() (Language, string){
+		func() (Language, string) { return LangJNL, gen.RandomJNLSource(r, 3) },
+		func() (Language, string) { return LangJSL, gen.RandomJSLSource(r, 3) },
+		func() (Language, string) { return LangJSONPath, gen.RandomJSONPathSource(r) },
+		func() (Language, string) { return LangMongoFind, gen.RandomMongoSource(r, 2) },
+		tenant,
+	}
+	exact, matched := 0, 0
+	for i := 0; i < 6000; i++ {
+		lang, src := sources[i%len(sources)]()
+		p, err := e.Compile(lang, src)
+		if err != nil {
+			t.Fatalf("generator bug: (%v, %q): %v", lang, src, err)
+		}
+		if !p.FindExact() {
+			continue
+		}
+		exact++
+		for j := 0; j < 4; j++ {
+			tr := jsontree.FromValue(gen.Document(r, docOpts))
+			ok, err := e.Validate(p, tr)
+			if err != nil {
+				t.Fatalf("validate (%v, %q): %v", lang, src, err)
+			}
+			all := true
+			for _, f := range p.FindFacts() {
+				all = all && f.Holds(tr)
+			}
+			if ok != all {
+				t.Fatalf("(%v, %q) claims exact facts %v, but Validate = %v while the facts hold = %v\ntree: %s",
+					lang, src, factStrings(p.FindFacts()), ok, all, tr)
+			}
+			if ok {
+				matched++
+			}
+		}
+	}
+	if exact < 1000 || matched == 0 {
+		t.Fatalf("only %d exact plans (%d matches); generators drifted", exact, matched)
+	}
+	t.Logf("%d exact plans, %d matching (plan, document) pairs", exact, matched)
 }

@@ -88,8 +88,10 @@ type Plan struct {
 
 	// Index facts derived from the lowered query (hints.go): necessary
 	// conditions for Validate (findFacts) and for a non-empty Eval
-	// (selectFacts). Empty slices mean "not index-supported".
+	// (selectFacts). Empty slices mean "not index-supported". findExact
+	// marks find facts that are also sufficient (FindExact).
 	findFacts   []jsontree.PathFact
+	findExact   bool
 	selectFacts []jsontree.PathFact
 
 	// Semantic-pass results (semantic.go); zero values when the pass is

@@ -363,8 +363,8 @@ func TestExplain(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("explain: %d %v", code, body)
 	}
-	if body["access"] != "index" {
-		t.Fatalf("selective equality should be indexed: %v", body)
+	if body["access"] != "index" || body["exact"] != true {
+		t.Fatalf("selective equality should be an exact indexed find: %v", body)
 	}
 	plan := body["plan"].(map[string]any)
 	for _, key := range []string{"logical", "physical"} {
@@ -386,8 +386,8 @@ func TestExplain(t *testing.T) {
 
 	// A factless plan explains the scan.
 	code, body = do(t, "POST", ts.URL+"/explain", `{"lang":"mongo","query":"{\"kind\":{\"$ne\":1}}"}`)
-	if code != 200 || body["access"] != "scan" {
-		t.Fatalf("negation should explain a scan: %d %v", code, body)
+	if code != 200 || body["access"] != "scan" || body["exact"] != false {
+		t.Fatalf("negation should explain an inexact scan: %d %v", code, body)
 	}
 	if body["actual_candidates"].(float64) != 8 {
 		t.Fatalf("scan candidates: %v", body)

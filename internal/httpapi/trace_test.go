@@ -110,11 +110,11 @@ func TestSlowQueryEndToEnd(t *testing.T) {
 	if t.Failed() {
 		t.Fatalf("spans: %v", top["spans"])
 	}
-	if attrs["plan"]["access"] != "index" {
-		t.Fatalf("plan span access = %v, want index", attrs["plan"]["access"])
+	if attrs["plan"]["access"] != "index" || attrs["plan"]["exact"] != "true" {
+		t.Fatalf("plan span access = %v exact = %v, want an exact index find", attrs["plan"]["access"], attrs["plan"]["exact"])
 	}
-	if attrs["probe"]["lists"] == nil || attrs["probe"]["steps"] == nil {
-		t.Fatalf("probe span missing list/step attrs: %v", attrs["probe"])
+	if attrs["probe"]["lists"] == nil || attrs["probe"]["steps"] == nil || attrs["probe"]["verified"] == nil {
+		t.Fatalf("probe span missing list/step/check attrs: %v", attrs["probe"])
 	}
 	if attrs["eval"]["docs"] == nil {
 		t.Fatalf("eval span missing docs attr: %v", attrs["eval"])
@@ -291,5 +291,86 @@ func TestExplainCarriesTrace(t *testing.T) {
 	}
 	if !names["plan"] || !names["eval"] || !names["merge"] {
 		t.Fatalf("explain trace missing pipeline stages: %v", names)
+	}
+}
+
+// TestExactFindTraced drives an exact find over a reopened store, whose
+// documents all live in the segment tier: the plan span says exact, the
+// probe spans count the segment candidates the text check verified
+// (every hit) and their posting-list lengths include the segment tier,
+// and /explain reports exact for it and not for a range query.
+func TestExactFindTraced(t *testing.T) {
+	opts := store.Options{Shards: 4, DataDir: t.TempDir(), Fsync: store.FsyncOff, SnapshotEvery: -1}
+	st, err := store.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := st.Put(fmt.Sprintf("d%04d", i), fmt.Sprintf(`{"meta":{"tenant":"t%d"},"n":%d}`, i%10, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = store.Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	ts := httptest.NewServer(NewHandler(st, Options{Tracer: trace.New(trace.Options{SlowQuery: 0})}))
+	t.Cleanup(ts.Close)
+
+	query := `{"lang":"mongo","query":"{\"meta.tenant\":\"t3\"}"}`
+	if code, body := do(t, "POST", ts.URL+"/query", query); code != 200 || body["count"].(float64) != 20 {
+		t.Fatalf("/query: %d %v", code, body)
+	}
+	code, body := do(t, "GET", ts.URL+"/debug/queries?n=1", "")
+	if code != 200 {
+		t.Fatalf("/debug/queries: %d", code)
+	}
+	var exact any
+	var verified, rejected float64
+	var lists []string
+	var walk func(n map[string]any)
+	walk = func(n map[string]any) {
+		a, _ := n["attrs"].(map[string]any)
+		switch n["name"] {
+		case "plan":
+			exact = a["exact"]
+		case "eval":
+			if a["docs"].(float64) != 0 {
+				t.Errorf("eval span evaluated %v documents; the exact find matched them all on their text", a["docs"])
+			}
+		case "probe":
+			verified += a["verified"].(float64)
+			rejected += a["rejected"].(float64)
+			lists = append(lists, a["lists"].(string))
+		}
+		for _, c := range childSpans(n) {
+			walk(c)
+		}
+	}
+	walk(body["queries"].([]any)[0].(map[string]any)["spans"].([]any)[0].(map[string]any))
+	if exact != "true" || verified != 20 || rejected != 0 {
+		t.Fatalf("exact = %v, verified = %v, rejected = %v; want true, 20, 0", exact, verified, rejected)
+	}
+	for _, l := range lists {
+		for _, n := range strings.Split(l, ",") {
+			if n == "0" {
+				t.Fatalf("probe lists %v miss the segment tier's postings", lists)
+			}
+		}
+	}
+
+	code, body = do(t, "POST", ts.URL+"/explain", query)
+	if code != 200 || body["exact"] != true || body["access"] != "index" || body["actual_results"].(float64) != 20 {
+		t.Fatalf("explain of an exact find: %d %v", code, body)
+	}
+	code, body = do(t, "POST", ts.URL+"/explain", `{"lang":"mongo","query":"{\"meta.tenant\":\"t3\",\"n\":{\"$gte\":50}}"}`)
+	if code != 200 || body["exact"] != false || body["access"] != "index" || body["actual_results"].(float64) != 15 {
+		t.Fatalf("explain of a range find: %d %v", code, body)
 	}
 }

@@ -2,13 +2,14 @@ package qir
 
 import (
 	"jsonlogic/internal/jsontree"
+	"jsonlogic/internal/jsonval"
 )
 
 // Fact derivation over the unified algebra: the one code path through
 // which all four front ends get index support. FindFacts extracts
 // jsontree.PathFacts that are *necessary* for a tree's root to satisfy
 // the query's match predicate; the store intersects the corresponding
-// posting lists to prune candidates, so a fact never needs to be
+// posting lists to prune candidates, so a fact in general need not be
 // sufficient — only sound. Extraction descends where satisfaction
 // forces a condition (conjunctions, existentials over exact paths) and
 // stops at anything negated, disjunctive, universal or recursive.
@@ -17,6 +18,14 @@ import (
 // object, one with a positional successor an array, so every Exists
 // contributes a class fact for its source as well as presence facts
 // along its exact prefix.
+//
+// For one shape the facts are also sufficient: FactsExact reports a
+// predicate that is a conjunction of existentials over key and
+// non-negative index paths, each ending in a kind test or a scalar
+// equality. Along such a path every node has at most one successor
+// (JNL's deterministic X_w and X_i steps), so the predicate holds
+// exactly when its facts do, and the store may answer it by checking
+// the facts alone.
 
 // FindFacts returns path facts every tree whose root satisfies the
 // query must obey, deduplicated in first-appearance order. An empty
@@ -26,6 +35,52 @@ func (q *Query) FindFacts() []jsontree.PathFact {
 	var facts []jsontree.PathFact
 	appendNodeFacts(q.Pred, nil, &facts)
 	return dedupFacts(facts)
+}
+
+// FactsExact reports whether the match predicate is equivalent to the
+// conjunction of FindFacts, not merely implied by it: it is built only
+// from And, True, KindIs, scalar ValEq and Exists over paths of Key
+// and non-negative At parts. Anything else — filters, regexes, slices,
+// unions, closures, Not, Or, ForAll, Ref, EqPaths, numeric or string
+// tests, a composite ValEq — drops part of its condition from the
+// facts. A predicate of True alone is trivially exact but has no facts
+// to probe; the caller needs facts as well.
+func (q *Query) FactsExact() bool { return exactNode(q.Pred) }
+
+// exactNode reports whether appendNodeFacts captures all of n.
+func exactNode(n Node) bool {
+	switch t := n.(type) {
+	case True, KindIs:
+		return true
+	case ValEq:
+		k := t.Doc.Kind()
+		return k == jsonval.Number || k == jsonval.String
+	case And:
+		return exactNode(t.Left) && exactNode(t.Right)
+	case Exists:
+		return deterministicPath(t.Path) && exactNode(t.Inner)
+	}
+	return false
+}
+
+// deterministicPath reports whether p moves at least one step and every
+// step is a Key or a non-negative At: each node then has at most one
+// p-successor, and appendExistsFacts keeps the whole path as the
+// anchored prefix.
+func deterministicPath(p Path) bool {
+	parts := flattenPath(p, nil)
+	for _, part := range parts {
+		switch t := part.(type) {
+		case Key:
+		case At:
+			if t.Index < 0 {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return len(parts) > 0
 }
 
 // SelectFacts returns path facts necessary for the query's node

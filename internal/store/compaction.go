@@ -124,7 +124,7 @@ func (s *Store) snapshotShard(i int) error {
 		id := b.memIDs[src.memIdx]
 		if cur, ok := sh.ix.get(id); ok && cur == b.memTree[src.memIdx] {
 			migrated[id] = true
-			sr.cache[newOrd].Store(&docPair{id: id, tree: cur})
+			sr.cache[newOrd].Store(cur)
 		} else {
 			tombstone(newOrd)
 		}

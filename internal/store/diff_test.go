@@ -113,7 +113,7 @@ func allDocs(t *testing.T, s *Store) []docPair {
 	t.Helper()
 	var out []docPair
 	for i, sh := range s.shards {
-		pairs, _, err := sh.collectCandidates(nil, false, nil, i)
+		pairs, _, _, err := sh.collectCandidates(nil, false, nil, nil, i)
 		if err != nil {
 			t.Fatalf("reference candidates: %v", err)
 		}

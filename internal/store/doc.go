@@ -87,7 +87,10 @@
 // disjunction, recursion, non-deterministic axes), which transparently
 // fall back to scanning. Facts deeper than the index bound degrade to
 // the presence of their in-bound prefix rather than disabling the
-// index. Store.Explain reports the chosen plan with estimated versus
+// index. An exact find (engine.Plan.FindExact: facts that are also
+// sufficient) checks its segment candidates against every fact on
+// their stored text instead of parsing and evaluating them. Store.Explain
+// reports the chosen plan, whether it was exact, and estimated versus
 // actual cardinalities; the estimate provably bounds the candidate
 // count.
 //

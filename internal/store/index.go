@@ -59,7 +59,14 @@ func pathHash(steps []jsontree.Step) uint64 {
 // hash (jsonval.Value.Hash, which jsontree precomputes per node).
 func presenceTerm(path uint64) uint64               { return path }
 func classTerm(path uint64, k jsontree.Kind) uint64 { return fnvByte(fnvByte(path, 'C'), byte(k)) }
-func valueTerm(path uint64, valHash uint64) uint64  { return fnvUint64(fnvByte(path, 'V'), valHash) }
+func valueTerm(path uint64, valHash uint64) uint64 {
+	return fnvUint64(fnvByte(path, 'V'), valHash&valueHashMask)
+}
+
+// valueHashMask is all ones. Tests narrow it to a few bits so that
+// distinct values at one path share a value term, the collision an
+// exact find's text check must catch (exact_test.go).
+var valueHashMask = ^uint64(0)
 
 // effectiveFact returns the fact the index can actually answer: a
 // fact deeper than the index bound degrades to the presence of its

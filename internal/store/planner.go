@@ -87,6 +87,9 @@ type QueryPlan struct {
 	// Access is the chosen access path, Reason why.
 	Access AccessPath `json:"-"`
 	Reason string     `json:"reason"`
+	// Exact marks an indexed find whose facts are also sufficient, so
+	// its segment candidates are checked on their text (accessPlan).
+	Exact bool `json:"exact"`
 	// DocCount is the collection size the plan was made against.
 	DocCount int `json:"doc_count"`
 	// Terms lists every index-supported fact with its statistics,

@@ -31,7 +31,9 @@ type Selection struct {
 // latency, so this poll only matters for shards of tiny documents.
 const batchCancelDocs = 64
 
-// docPair is a snapshot of one stored document.
+// docPair is a snapshot of one stored document. A nil tree marks a
+// segment document an exact find already matched on its stored text
+// (collectCandidates); only the find collector ever sees one.
 type docPair struct {
 	id   string
 	tree *jsontree.Tree
@@ -53,30 +55,43 @@ type execInfo struct {
 // memtable's posting intersection and the segment's (tombstone-
 // filtered), the whole shard otherwise. Trees are immutable, so
 // evaluation happens after the lock is released; each query sees a
-// consistent per-shard snapshot. steps reports both tiers' merge
-// work. The error is a segment resolve/decode failure — impossible
-// while the mapping is intact, surfaced rather than swallowed. An
-// armed trace gets one "probe" span per indexed shard (posting-list
-// lengths, merge steps, gallop switches per tier, surviving
-// candidates); tr is nil on the untraced path.
-func (sh *shard) collectCandidates(terms []uint64, indexed bool, tr *trace.Trace, shardIdx int) (dst []docPair, steps int, err error) {
+// consistent per-shard snapshot. candidates counts what the access
+// path produced, steps both tiers' merge work.
+//
+// exact, non-nil only for an indexed exact find, is the plan's whole
+// fact set: each segment candidate is then checked against every fact
+// on its stored text, here under the lock that keeps the mapping
+// alive, and leaves as a matched ID with no tree — no parse, no resolve
+// cache fill, no evaluation. Checking every fact, not just the probed
+// terms, keeps the answer independent of the 64-bit term hashes, their
+// collisions and the terms the planner skipped. Memtable candidates
+// already hold trees and go to evaluation as usual.
+//
+// The error is a segment resolve/decode failure — impossible while the
+// mapping is intact, surfaced rather than swallowed. An armed trace
+// gets one "probe" span per indexed shard (both tiers' posting-list
+// lengths, merge steps, gallop switches per tier, surviving candidates,
+// and for an exact find the segment candidates verified and rejected);
+// tr is nil on the untraced path.
+func (sh *shard) collectCandidates(terms []uint64, indexed bool, exact []jsontree.PathFact, tr *trace.Trace, shardIdx int) (dst []docPair, candidates, steps int, err error) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	if !indexed {
 		err := sh.each(func(id string, t *jsontree.Tree) {
 			dst = append(dst, docPair{id: id, tree: t})
 		})
-		return dst, 0, err
+		return dst, len(dst), 0, err
 	}
 	sp := trace.None
 	if tr != nil {
 		sp = tr.Start(tr.Root(), "probe")
 		tr.Attr(sp, "shard", int64(shardIdx))
-		tr.AttrStr(sp, "lists", postingLengths(sh.ix, terms))
+		tr.AttrStr(sp, "lists", postingLengths(sh, terms))
 	}
 	scr := acquireProbeScratch()
 	defer releaseProbeScratch(scr)
 	ords, steps, gallops := sh.ix.probe(terms, scr)
+	dst = make([]docPair, 0, len(ords))
 	for _, ord := range ords {
 		// The probe result may carry tombstoned ordinals; the dictionary
 		// filters them here, while the lock still pins it.
@@ -89,33 +104,52 @@ func (sh *shard) collectCandidates(terms []uint64, indexed bool, tr *trace.Trace
 	// just consumed into dst. The tiers are disjoint, so appending
 	// cannot duplicate an ID.
 	segOrds, segSteps, segGallops, err := sh.seg.probe(terms, scr)
+	candidates = len(dst) + len(segOrds)
+	dst = slices.Grow(dst, len(segOrds))
+	verified := 0
 	for _, ord := range segOrds {
-		var d *docPair
+		if exact != nil {
+			var ok bool
+			if ok, err = sh.seg.r.matches(ord, exact); err != nil {
+				break
+			}
+			if ok {
+				dst = append(dst, docPair{id: sh.seg.r.id(ord)})
+				verified++
+			}
+			continue
+		}
+		var d docPair
 		if d, err = sh.seg.doc(ord); err != nil {
 			break
 		}
-		dst = append(dst, *d)
+		dst = append(dst, d)
 	}
 	steps += segSteps
 	tr.Attr(sp, "steps", int64(steps))
 	tr.Attr(sp, "gallops", int64(gallops))
 	tr.Attr(sp, "seg_steps", int64(segSteps))
 	tr.Attr(sp, "seg_gallops", int64(segGallops))
-	tr.Attr(sp, "candidates", int64(len(dst)))
+	tr.Attr(sp, "candidates", int64(candidates))
+	if exact != nil {
+		tr.Attr(sp, "verified", int64(verified))
+		tr.Attr(sp, "rejected", int64(len(segOrds)-verified))
+	}
 	tr.End(sp)
-	return dst, steps, err
+	return dst, candidates, steps, err
 }
 
-// postingLengths renders the probed terms' posting-list lengths
-// ("12,4096"), in term order — the trace's record of what the
-// intersection was up against on this shard.
-func postingLengths(ix *pathIndex, terms []uint64) string {
+// postingLengths renders the probed terms' posting-list lengths across
+// both tiers ("12,4096"), in term order — the trace's record of what
+// the intersection was up against on this shard. Like the planner's
+// statistics, the lengths may include tombstoned documents.
+func postingLengths(sh *shard, terms []uint64) string {
 	var b []byte
 	for i, term := range terms {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendInt(b, int64(len(ix.postings[term])), 10)
+		b = strconv.AppendInt(b, int64(len(sh.ix.postings[term])+sh.seg.cardinality(term)), 10)
 	}
 	return string(b)
 }
@@ -168,13 +202,14 @@ func (s *Store) fanOut(ctx context.Context, task func(shardIdx int) error) (int,
 }
 
 // annotatePlanSpan records the planner's verdict on the trace's plan
-// span: access path, justification, and the terms kept/skipped with
-// their cardinalities.
+// span: access path, whether the find is answered by exact facts,
+// justification, and the terms kept/skipped with their cardinalities.
 func annotatePlanSpan(tr *trace.Trace, sp trace.SpanID, plan *QueryPlan) {
 	if tr == nil {
 		return
 	}
 	tr.AttrStr(sp, "access", plan.Access.String())
+	tr.AttrStr(sp, "exact", strconv.FormatBool(plan.Exact))
 	tr.AttrStr(sp, "reason", plan.Reason)
 	tr.Attr(sp, "doc_count", int64(plan.DocCount))
 	skipped := plan.TermsSkipped()
@@ -214,8 +249,11 @@ func renderTerms(terms []TermPlan) string {
 // planner ("plan" span). The schema-pruned fact set is likewise
 // honoured only by a schema-enforcing store: without enforcement the
 // documents never passed conformance validation, so "universal over
-// conforming documents" promises nothing.
-func (s *Store) accessPlan(p *engine.Plan, facts []jsontree.PathFact, tr *trace.Trace) QueryPlan {
+// conforming documents" promises nothing. exact says the facts are
+// also sufficient (a find whose plan is FindExact); an indexed plan
+// then records Exact, and its segment candidates are checked on their
+// text rather than evaluated.
+func (s *Store) accessPlan(p *engine.Plan, facts []jsontree.PathFact, exact bool, tr *trace.Trace) QueryPlan {
 	verdict := ""
 	switch {
 	case p.Unsatisfiable():
@@ -239,6 +277,7 @@ func (s *Store) accessPlan(p *engine.Plan, facts []jsontree.PathFact, tr *trace.
 	}
 	sp := tr.Start(tr.Root(), "plan")
 	plan := s.planFacts(facts, pruned)
+	plan.Exact = exact && plan.Access == AccessIndex
 	annotatePlanSpan(tr, sp, &plan)
 	tr.End(sp)
 	return plan
@@ -263,6 +302,9 @@ type collector[R any] struct {
 var findCollector = collector[string]{
 	facts: (*engine.Plan).FindFacts,
 	collect: func(ctx context.Context, e *engine.Engine, p *engine.Plan, d docPair, kept []string, buf []jsontree.NodeID) ([]string, []jsontree.NodeID, error) {
+		if d.tree == nil { // matched on its text by an exact find
+			return append(kept, d.id), buf, nil
+		}
 		ok, err := e.ValidateCtx(ctx, p, d.tree)
 		if ok {
 			kept = append(kept, d.id)
@@ -306,17 +348,22 @@ func run[R any](ctx context.Context, s *Store, p *engine.Plan, tr *trace.Trace, 
 	var plan QueryPlan
 	if forced != nil {
 		plan = *forced
-	} else if plan = s.accessPlan(p, c.facts(p), tr); plan.Access == AccessSemantic {
+	} else if plan = s.accessPlan(p, c.facts(p), !c.sel && p.FindExact(), tr); plan.Access == AccessSemantic {
 		return nil, plan, execInfo{}, nil
 	}
+	var exact []jsontree.PathFact
+	if plan.Exact {
+		exact = p.FindFacts()
+	}
+	indexed := plan.Access == AccessIndex
 	perShard := make([][]R, len(s.shards))
 	var candidates, steps atomic.Int64
 	workers, err := s.fanOut(ctx, func(i int) error {
-		pairs, st, err := s.shards[i].collectCandidates(plan.probeTerms, plan.Access == AccessIndex, tr, i)
+		pairs, cands, st, err := s.shards[i].collectCandidates(plan.probeTerms, indexed, exact, tr, i)
 		if err != nil {
 			return err
 		}
-		candidates.Add(int64(len(pairs)))
+		candidates.Add(int64(cands))
 		steps.Add(int64(st))
 		sp := tr.Start(tr.Root(), "eval")
 		tr.Attr(sp, "shard", int64(i))
@@ -324,17 +371,26 @@ func run[R any](ctx context.Context, s *Store, p *engine.Plan, tr *trace.Trace, 
 			kept []R
 			buf  []jsontree.NodeID
 		)
+		if indexed {
+			// Every candidate may match; a scan's shard-sized candidate
+			// list would overstate most answers, so it grows instead.
+			kept = make([]R, 0, len(pairs))
+		}
+		evaluated := 0 // pairs less those an exact find already matched
 		for di, pair := range pairs {
 			if ctx != nil && di&(batchCancelDocs-1) == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
+			if pair.tree != nil {
+				evaluated++
+			}
 			if kept, buf, err = c.collect(ctx, s.eng, p, pair, kept, buf); err != nil {
 				return err
 			}
 		}
-		tr.Attr(sp, "docs", int64(len(pairs)))
+		tr.Attr(sp, "docs", int64(evaluated))
 		tr.Attr(sp, "matches", int64(len(kept)))
 		tr.End(sp)
 		perShard[i] = kept
@@ -420,8 +476,9 @@ func query[R any](ctx context.Context, s *Store, p *engine.Plan, tr *trace.Trace
 // semantics (engine.Validate), sorted. The cost-based planner decides
 // per query between posting-list intersection and a full scan; results
 // are identical either way — the plan's facts are necessary conditions
-// of matching. The returned indexed flag reports which access path
-// answered the query.
+// of matching, and an exact plan's segment candidates are checked
+// against all of them. The returned indexed flag reports which access
+// path answered the query.
 func (s *Store) Find(p *engine.Plan) (ids []string, indexed bool, err error) {
 	return query(nil, s, p, nil, nil, findCollector)
 }
@@ -478,6 +535,10 @@ type Explanation struct {
 	// planner's justification.
 	Access string `json:"access"`
 	Reason string `json:"reason"`
+	// Exact is true when an indexed find's facts are also sufficient
+	// (engine.Plan.FindExact): its segment candidates were checked on
+	// their stored text instead of evaluated.
+	Exact bool `json:"exact"`
 	// DocCount is the collection size at planning time.
 	DocCount int `json:"doc_count"`
 	// Terms are the index-supported facts with their statistics and
@@ -540,6 +601,7 @@ func (s *Store) Explain(ctx context.Context, p *engine.Plan, mode string) (Expla
 		Mode:             mode,
 		Access:           plan.Access.String(),
 		Reason:           plan.Reason,
+		Exact:            plan.Exact,
 		DocCount:         plan.DocCount,
 		Terms:            plan.Terms,
 		EstCandidates:    plan.EstCandidates,

@@ -6,14 +6,19 @@ package store
 // replay log of documents it holds the shard's dictionary and its
 // inverted index in their on-wire layout, so Open maps the file and
 // serves from it directly: no JSON is parsed and no posting list is
-// rebuilt at startup. Documents lazily parse into trees on first
-// access and are cached per ordinal; posting lists stay block-
-// compressed (postings_codec.go) and are intersected in place via
-// their skip tables. A parsed tree never points into the mapping:
-// jsontree.Parse copies keys and strings into the tree's own byte
-// heap, so a cached document is three pointer-free arrays behind one
-// Tree, which may outlive the file — compaction hands it to the next
-// reader and then unmaps this one.
+// rebuilt at startup. Posting lists stay block-compressed
+// (postings_codec.go) and are intersected in place via their skip
+// tables. An exact find (engine.Plan.FindExact) never parses a segment
+// document: each candidate's facts are checked on its stored bytes
+// (jsontree.PathFact.HoldsJSON) under the shard read lock, and a match
+// leaves as its ID alone. Every other read parses the document into a
+// tree on first access and caches it per ordinal. A parsed tree never
+// points into the mapping: jsontree.Parse copies keys and strings into
+// the tree's own byte heap, so a cached document is three pointer-free
+// arrays behind one Tree, which may outlive the file — compaction
+// hands it to the next reader and then unmaps this one. IDs likewise
+// never alias the mapping: the ID section is copied into one string at
+// open, and every ID handed out is a substring of it.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -85,10 +90,13 @@ type segmentReader struct {
 	postingEntries uint64
 
 	docs, docIdx, ids, idIdx, postings, termDir []byte
+	// idText is the ids section copied to the heap at open; id slices
+	// it, so an ID outlives the mapping without a copy per hit.
+	idText string
 
-	// cache holds lazily resolved documents; openSegment sizes it but
-	// resolves nothing, so open cost stays independent of parse cost.
-	cache []atomic.Pointer[docPair]
+	// cache holds lazily parsed documents; openSegment sizes it but
+	// parses nothing, so open cost stays independent of parse cost.
+	cache []atomic.Pointer[jsontree.Tree]
 }
 
 // openSegment maps (or, on platforms without mmap, reads) the segment
@@ -127,7 +135,8 @@ func openSegment(fs VFS, path string, gen uint64, noMmap bool) (*segmentReader, 
 		sr.close()
 		return nil, err
 	}
-	sr.cache = make([]atomic.Pointer[docPair], sr.n)
+	sr.idText = string(sr.ids)
+	sr.cache = make([]atomic.Pointer[jsontree.Tree], sr.n)
 	return sr, nil
 }
 
@@ -233,9 +242,9 @@ func (sr *segmentReader) close() error {
 	return unmapFile(data, sr.mapped)
 }
 
-func (sr *segmentReader) idBytes(ord ordinal) []byte {
+func (sr *segmentReader) id(ord ordinal) string {
 	le := binary.LittleEndian
-	return sr.ids[le.Uint64(sr.idIdx[ord*8:]):le.Uint64(sr.idIdx[(ord+1)*8:])]
+	return sr.idText[le.Uint64(sr.idIdx[ord*8:]):le.Uint64(sr.idIdx[(ord+1)*8:])]
 }
 
 func (sr *segmentReader) docBytes(ord ordinal) []byte {
@@ -249,25 +258,25 @@ func (sr *segmentReader) lookup(id string) (ordinal, bool) {
 	lo, hi := 0, sr.n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if string(sr.idBytes(ordinal(mid))) < id { // comparison only: no allocation
+		if sr.id(ordinal(mid)) < id {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < sr.n && string(sr.idBytes(ordinal(lo))) == id {
+	if lo < sr.n && sr.id(ordinal(lo)) == id {
 		return ordinal(lo), true
 	}
 	return 0, false
 }
 
-// resolve returns ordinal ord's document, parsing and caching it on
-// first access. Concurrent first accesses may parse twice; exactly
-// one result wins the cache and trees are immutable, so either is
-// correct.
-func (sr *segmentReader) resolve(ord ordinal) (*docPair, error) {
-	if d := sr.cache[ord].Load(); d != nil {
-		return d, nil
+// resolve returns ordinal ord's document, parsing and caching its
+// tree on first access. Concurrent first accesses may parse twice;
+// exactly one result wins the cache and trees are immutable, so either
+// is correct.
+func (sr *segmentReader) resolve(ord ordinal) (docPair, error) {
+	if t := sr.cache[ord].Load(); t != nil {
+		return docPair{id: sr.id(ord), tree: t}, nil
 	}
 	// The string conversion is a transient copy Parse's string input
 	// needs; the tree keeps none of it, holding its keys and strings
@@ -277,13 +286,29 @@ func (sr *segmentReader) resolve(ord ordinal) (*docPair, error) {
 	if err != nil {
 		// The file was CRC-valid at open; reaching here means the
 		// bytes changed underneath the map or a writer bug.
-		return nil, fmt.Errorf("%s: document %q: %w", sr.path, string(sr.idBytes(ord)), err)
+		return docPair{}, fmt.Errorf("%s: document %q: %w", sr.path, sr.id(ord), err)
 	}
-	d := &docPair{id: string(sr.idBytes(ord)), tree: t}
-	if !sr.cache[ord].CompareAndSwap(nil, d) {
-		d = sr.cache[ord].Load()
+	if !sr.cache[ord].CompareAndSwap(nil, t) {
+		t = sr.cache[ord].Load()
 	}
-	return d, nil
+	return docPair{id: sr.id(ord), tree: t}, nil
+}
+
+// matches reports whether ordinal ord's stored text satisfies every
+// fact, without parsing it. An unreadable document is an error, as in
+// resolve.
+func (sr *segmentReader) matches(ord ordinal, facts []jsontree.PathFact) (bool, error) {
+	doc := sr.docBytes(ord)
+	for _, f := range facts {
+		ok, err := f.HoldsJSON(doc)
+		if err != nil {
+			return false, fmt.Errorf("%s: document %q: %w", sr.path, sr.id(ord), err)
+		}
+		if !ok {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // termList locates a term's posting list via binary search over the
@@ -450,7 +475,7 @@ func (tier *segTier) kill(id string) bool {
 }
 
 // doc resolves an ordinal find or probe returned.
-func (tier *segTier) doc(ord ordinal) (*docPair, error) { return tier.r.resolve(ord) }
+func (tier *segTier) doc(ord ordinal) (docPair, error) { return tier.r.resolve(ord) }
 
 // probe is the reader's posting intersection filtered through the
 // tombstones (see segmentReader.probe for the scratch contract).
@@ -552,7 +577,7 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 			continue
 		}
 		survivors = append(survivors, survivor{
-			id:  string(b.old.idBytes(ordinal(ord))),
+			id:  b.old.id(ordinal(ord)),
 			src: segSource{fromSeg: true, oldOrd: ordinal(ord)},
 		})
 	}
