@@ -60,16 +60,18 @@ alloc-check:
 	$(GO) test -run 'ZeroAllocs|AllocsBounded' -count=1 ./internal/jsontree ./internal/qir ./internal/engine ./internal/store ./internal/trace ./internal/containment ./internal/jauto ./internal/schema ./internal/datalog
 
 # The robustness suite: fault-injected durability (a FaultFS injects
-# ENOSPC/EIO/short writes under the WAL and snapshotter; shards must
+# ENOSPC/EIO/short writes under the WAL and segment builds; shards must
 # degrade read-only, keep serving oracle-correct reads, survive a
 # crash without corruption and self-heal once the fault lifts),
-# cooperative query cancellation, Close racing in-flight queries, and
+# cooperative query cancellation, Close racing in-flight queries and
+# segment builds, the write-triggered roll (deterministic cuts, the
+# interval fsync never stalled by a build, the roll on reopen), and
 # the HTTP half (429 admission sheds, 503 degraded/drain contract,
 # 504 timeouts). Under -race — the close/cancel scenarios are
 # concurrency tests first. -count=1: faults must be injected, not
 # replayed from the test cache.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|Cancelled|Deadline|HonoursContext|ContextKinds|CloseRaces|QueryGate|QueryTimeout|Drain|Degraded|BulkByteGate' ./internal/store ./internal/httpapi
+	$(GO) test -race -count=1 -run 'Chaos|Cancelled|Deadline|HonoursContext|ContextKinds|CloseRaces|Roll|IntervalSync|QueryGate|QueryTimeout|Drain|Degraded|BulkByteGate' ./internal/store ./internal/httpapi
 
 # Short native-fuzz passes: the engine's plan-cache key path, the
 # witness-soundness targets for the semantic planner's decision

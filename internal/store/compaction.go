@@ -1,78 +1,129 @@
 package store
 
-// compaction.go: background segment building (what "snapshot"
-// means). A snapshot of shard i at generation g is the segment file
-// shard-NNNN/seg-g.seg holding every document the shard owned at the
-// instant wal-g.log started: the snapshotter rotates the WAL and
-// captures the shard's state under the shard lock (pointer copies —
-// trees are immutable, the old segment is immutable by construction),
-// then merges old segment + memtable into a new segment in the
-// background with no lock held, and finally swaps the new segment in
-// under the lock, reconciling against writes that landed during the
-// merge. The file is written to a temp name, fsynced and renamed into
-// place, so a *.seg file is complete by construction; the CRC'd
-// footer makes completeness verifiable independently of the rename.
-// Once the segment is durable, all earlier generations' files are
-// obsolete and removed.
+// compaction.go: segment rolls (what "snapshot" means). A roll of
+// shard i at generation g writes shard-NNNN/seg-g.seg: every document
+// the shard owned at the instant wal-g.log started. The write whose
+// append brings the WAL generation to SnapshotEvery records takes the
+// capture in the same shard-lock hold (the LSM memtable switch): a WAL
+// cut, which waits on no disk, plus pointer copies of the immutable
+// trees and old segment. A background goroutine merges them into the
+// new segment with no lock held and swaps it in under the lock. A
+// capture whose build has not started is replaced by the next cut; a
+// write that would reach the threshold while the shard's build runs
+// waits for it. So every cut falls at exactly SnapshotEvery records
+// however fast the writes came, and the segment holds the last one.
+// Snapshot, the heal probe and Open roll the same way. The file lands
+// via temp + fsync + rename with a CRC'd footer, so a *.seg file is
+// complete by construction; once it is durable, every earlier
+// generation's files are removed.
 
 import (
 	"fmt"
+	"log/slog"
 	"path/filepath"
 	"slices"
 
 	"jsonlogic/internal/jsontree"
 )
 
-// Snapshot forces a segment build of every shard and removes the WAL
-// generations it obsoletes. It runs concurrently with reads and
-// writes; the per-shard pauses are the WAL rotation plus a pointer
-// capture of the shard's state, and the post-merge swap. On an
-// in-memory store it is a no-op.
+// Snapshot rolls every shard and removes the WAL generations it
+// obsoletes. It runs concurrently with reads and writes; the per-shard
+// pauses are the capture and the post-merge swap. On an in-memory
+// store it is a no-op.
 func (s *Store) Snapshot() error {
 	if s.dur == nil {
 		return nil
 	}
-	s.dur.snapMu.Lock()
-	defer s.dur.snapMu.Unlock()
 	for i := range s.shards {
-		if err := s.snapshotShard(i); err != nil {
+		if err := s.rollShard(i); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// snapshotShard merges one shard's old segment and memtable into a
-// new segment at the rotated WAL's generation, then swaps it in. The
-// caller holds dur.snapMu. Three phases:
-//
-//  1. Under the shard lock: rotate the WAL and capture the state at
-//     that instant — the old segment (immutable), a copy of its
-//     tombstone bitmap, and the memtable's (id, tree) pairs (pointer
-//     copies).
-//  2. No lock held: buildSegment streams the merge to disk; reads and
-//     writes proceed against the live shard meanwhile.
-//  3. Under the shard lock: map the new segment and install it,
-//     reconciling writes that landed during the merge — a captured
-//     document that was overwritten or deleted since is tombstoned in
-//     the new segment (its WAL record is in the new generation, which
-//     replays over the segment on recovery, so the disk story is
-//     consistent too); everything else migrates out of the memtable
-//     with its parse cache warm.
-func (s *Store) snapshotShard(i int) error {
-	d := s.dur
-	sh := s.shards[i]
-	w := d.wals[i]
-	dir := d.shardDir(i)
+// due reports whether a WAL generation of n records has reached the
+// roll threshold.
+func (d *durability) due(n uint64) bool { return d.rollEvery > 0 && n >= d.rollEvery }
 
+// rollShard rolls shard i on the calling goroutine, after the shard's
+// running build if there is one; its capture supersedes a pending one.
+func (s *Store) rollShard(i int) error {
+	sh := s.shards[i]
 	sh.mu.Lock()
-	gen, err := w.rotate()
+	sh.awaitBuild(func() bool { return true })
+	b, err := s.capture(i)
+	if err == nil {
+		sh.pending, sh.building = nil, make(chan struct{})
+	}
+	sh.mu.Unlock()
 	if err != nil {
-		sh.mu.Unlock()
-		d.snapshotErrors.Add(1)
 		return err
 	}
-	b := &segBuild{old: sh.seg.r, oldDead: slices.Clone(sh.seg.dead)}
+	return s.install(b)
+}
+
+// startRoll captures shard i for a build on a goroutine Close waits
+// for. The caller holds the shard lock with no build running. A failed
+// capture has degraded the WAL, which the heal probe repairs.
+func (s *Store) startRoll(i int) {
+	b, err := s.capture(i)
+	if err != nil {
+		return
+	}
+	sh := s.shards[i]
+	first := sh.pending == nil
+	sh.pending = b
+	if first {
+		s.dur.bg.Add(1)
+		go s.build(i)
+	}
+}
+
+// build runs shard i's pending capture. Builds run one at a time: a
+// bulk load cuts every shard at about the same moment, and as many
+// concurrent builds as shards starved the load of CPU (its ingest rate
+// fell 30-50 %). A cut that comes while the capture waits its turn
+// replaces it, so a lagging builder builds each shard once for
+// several cuts.
+func (s *Store) build(i int) {
+	defer s.dur.bg.Done()
+	s.dur.buildMu.Lock()
+	defer s.dur.buildMu.Unlock()
+	sh := s.shards[i]
+	sh.mu.Lock()
+	b := sh.pending
+	if b != nil {
+		sh.pending, sh.building = nil, make(chan struct{})
+	}
+	sh.mu.Unlock()
+	if b == nil {
+		return // a Snapshot or heal roll superseded it
+	}
+	if err := s.install(b); err != nil {
+		slog.Warn("store: segment build failed; the heal probe retries it", "shard", i, "err", err)
+	}
+}
+
+// capture is phase 1 of a roll, under the shard lock: cut the WAL
+// (its seal runs in the background) and copy the state at that instant
+// — the old segment, its tombstone bitmap, the memtable's (id, tree)
+// pairs.
+func (s *Store) capture(i int) (*segBuild, error) {
+	sh := s.shards[i]
+	gen, seal, err := s.dur.wals[i].cut()
+	if err != nil {
+		s.dur.snapshotErrors.Add(1)
+		return nil, err
+	}
+	s.dur.bg.Add(1)
+	go func() {
+		defer s.dur.bg.Done()
+		if seal() != nil {
+			s.dur.snapshotErrors.Add(1)
+		}
+	}()
+	b := &segBuild{shard: i, gen: gen, old: sh.seg.r, oldDead: slices.Clone(sh.seg.dead)}
 	n := sh.ix.live()
 	b.memIDs = make([]string, 0, n)
 	b.memTree = make([]*jsontree.Tree, 0, n)
@@ -80,30 +131,62 @@ func (s *Store) snapshotShard(i int) error {
 		b.memIDs = append(b.memIDs, id)
 		b.memTree = append(b.memTree, t)
 	})
-	sh.mu.Unlock()
+	return b, nil
+}
 
+// install runs phases 2 and 3 of a roll and ends the shard's build; a
+// failed build marks the shard for the heal probe.
+//
+//  2. No lock held: buildSegment streams the merge to disk; reads and
+//     writes proceed against the live shard meanwhile.
+//  3. Under the shard lock: map the new segment and swap it in.
+func (s *Store) install(b *segBuild) error {
+	d := s.dur
+	sh := s.shards[b.shard]
+	dir := d.shardDir(b.shard)
+	if d.beforeBuild != nil {
+		d.beforeBuild(b.shard)
+	}
 	// Persist the bulk auto-ID high-water mark alongside the shard:
 	// IDs of documents deleted before this segment disappear from both
 	// the segment and the GC'd WAL generations, and must still never
 	// be recycled after a restart. Any value ≥ every ID assigned so
 	// far is correct; the current counter is exactly that.
-	if err := s.buildSegment(dir, gen, b, s.seq.Load()); err != nil {
-		d.snapshotErrors.Add(1)
-		return fmt.Errorf("store: snapshot shard %d: %w", i, err)
+	err := s.buildSegment(dir, b, s.seq.Load())
+	var sr *segmentReader
+	if err == nil {
+		sr, err = openSegment(d.fs, segFilePath(dir, b.gen), b.gen, false)
 	}
-	sr, err := openSegment(d.fs, segFilePath(dir, gen), gen, false)
+	sh.mu.Lock()
+	old := sh.seg
+	if err == nil {
+		s.swap(sh, b, sr)
+	}
+	close(sh.building)
+	sh.building = nil
+	sh.rollFailed.Store(err != nil)
+	sh.mu.Unlock()
 	if err != nil {
 		d.snapshotErrors.Add(1)
-		return fmt.Errorf("store: snapshot shard %d: %w", i, err)
+		return fmt.Errorf("store: snapshot shard %d: %w", b.shard, err)
 	}
+	old.r.close()
+	d.compactions.Add(1)
+	removeObsolete(d.fs, dir, b.gen)
+	return nil
+}
 
-	// Swap. Writes that arrived after the capture fall into three
-	// cases, keyed by comparing live state to the captured pointers:
-	// a brand-new document (stays in the rebuilt memtable), an
-	// overwrite of a captured one (captured version tombstoned in the
-	// new segment, the new version stays in the memtable) and a delete
-	// of a captured one (tombstoned, nothing retained).
-	sh.mu.Lock()
+// swap installs sr, built from b, as the shard's segment tier. No
+// other build installs into the shard between b's capture and here (a
+// capture is built or replaced, never queued behind another), so
+// sh.seg is still the captured b.old. Writes since the capture are reconciled by comparing
+// live state to the captured pointers: a new document stays in the
+// rebuilt memtable; an overwritten or deleted captured one is
+// tombstoned in the new segment (its WAL record is in the new
+// generation, which replays over the segment on recovery), the new
+// version staying in the memtable; everything else migrates out of the
+// memtable with its parse cache warm. Caller holds the shard lock.
+func (s *Store) swap(sh *shard, b *segBuild, sr *segmentReader) {
 	next, old := newSegTier(sr), sh.seg
 	tombstone := func(newOrd int) {
 		bitSet(next.dead, ordinal(newOrd))
@@ -136,12 +219,6 @@ func (s *Store) snapshotShard(i int) error {
 		}
 	})
 	sh.seg, sh.ix = next, newIx
-	sh.mu.Unlock()
-	old.r.close()
-
-	d.compactions.Add(1)
-	removeObsolete(d.fs, dir, gen)
-	return nil
 }
 
 // removeObsolete deletes segment files (and stale legacy snapshots)

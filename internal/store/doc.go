@@ -17,9 +17,10 @@
 // replayed WAL record — is the same function (write, in store.go):
 // degraded gate, WAL frame rendered outside the lock by the one tree
 // encoder (jsontree.Tree.AppendJSON), shard lock, precondition, WAL
-// append, apply, unlock, commit. Its mode flags are all the callers
-// differ in: ifAbsent (bulk auto-IDs never clobber), deferCommit (bulk
-// forces once per batch) and noLog (replay).
+// append, apply, the roll capture if the append brought the WAL
+// generation to SnapshotEvery, unlock, commit. Its mode flags are all
+// the callers differ in: ifAbsent (bulk auto-IDs never clobber),
+// deferCommit (bulk forces once per batch) and noLog (replay).
 //
 // # One query pipeline
 //
@@ -102,8 +103,10 @@
 // is held — so log order equals apply order — and acknowledged only
 // once the configured FsyncPolicy holds: always (group-commit fsync
 // per acknowledgement), interval (a 100 ms background timer), or off
-// (OS write-back; Close still flushes and syncs). Background compaction
-// (compaction.go) rotates a shard's WAL and merges the shard into an
+// (OS write-back; Close still flushes and syncs). Compaction
+// (compaction.go) is taken by the write that brings a shard's WAL
+// generation to SnapshotEvery records: it cuts the WAL and captures
+// the shard, and a background build merges the shard into an
 // immutable segment file with write-temp-then-rename atomicity;
 // recovery maps the newest segment that validates end-to-end — it
 // becomes the shard's segTier, one concrete struct (reader, tombstone

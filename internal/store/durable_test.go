@@ -16,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"jsonlogic/internal/engine"
 	"jsonlogic/internal/gen"
@@ -430,8 +429,9 @@ func TestDurableSnapshotAndTail(t *testing.T) {
 	compareStores(t, s3, ref)
 }
 
-// TestDurableBackgroundSnapshot: the maintenance loop snapshots a
-// shard once its segment exceeds SnapshotEvery records.
+// TestDurableBackgroundSnapshot: the write that brings a shard's WAL
+// generation to SnapshotEvery records rolls it, so 60 puts at 20 leave
+// every document in segments and none in the memtable.
 func TestDurableBackgroundSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Shards: 1, DataDir: dir, Fsync: FsyncAlways, SnapshotEvery: 20}
@@ -441,13 +441,9 @@ func TestDurableBackgroundSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := 0
-	for s.Stats().Durability.Compactions == 0 {
-		deadline++
-		if deadline > 200 {
-			t.Fatal("background snapshotter never fired")
-		}
-		time.Sleep(10 * time.Millisecond)
+	waitBuilds(s)
+	if d := s.Stats().Durability; d.SegmentDocs != 60 || d.MemtableDocs != 0 {
+		t.Fatalf("after 60 puts at SnapshotEvery 20: segment docs %d, memtable docs %d; want 60, 0", d.SegmentDocs, d.MemtableDocs)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -593,8 +589,11 @@ func TestDurableTornMiddleSegmentRefusedRepeatedly(t *testing.T) {
 	// segment.
 	sh := s.shards[0]
 	sh.mu.Lock()
-	_, err := s.dur.wals[0].rotate()
+	_, seal, err := s.dur.wals[0].cut()
 	sh.mu.Unlock()
+	if err == nil {
+		err = seal()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,10 +674,10 @@ func TestWALRejectsOversizedRecord(t *testing.T) {
 	}
 	defer w.close()
 	big := strings.Repeat("x", maxRecordPayload)
-	if _, err := w.append(encodeRecord("big", jsontree.FromValue(jsonval.Str(big)))); err == nil {
+	if _, _, err := w.append(encodeRecord("big", jsontree.FromValue(jsonval.Str(big)))); err == nil {
 		t.Fatal("oversized record accepted; it would be lost as a torn tail on replay")
 	}
-	if _, err := w.append(encodeRecord("ok", jsontree.MustParse(`{"a":1}`))); err != nil {
+	if _, _, err := w.append(encodeRecord("ok", jsontree.MustParse(`{"a":1}`))); err != nil {
 		t.Fatalf("rejected record poisoned the WAL: %v", err)
 	}
 }
@@ -693,7 +692,7 @@ func TestWALCommitAfterCloseSucceeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := w.append(encodeRecord("a", jsontree.MustParse(`{"x":1}`)))
+		seq, _, err := w.append(encodeRecord("a", jsontree.MustParse(`{"x":1}`)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -703,7 +702,7 @@ func TestWALCommitAfterCloseSucceeds(t *testing.T) {
 		if err := w.commit(seq); err != nil {
 			t.Fatalf("%v: commit of a record close made durable failed: %v", policy, err)
 		}
-		if _, err := w.append(encodeRecord("b", jsontree.MustParse(`{"x":2}`))); err == nil {
+		if _, _, err := w.append(encodeRecord("b", jsontree.MustParse(`{"x":2}`))); err == nil {
 			t.Fatalf("%v: append after close succeeded", policy)
 		}
 	}

@@ -132,18 +132,6 @@ func (s *Store) commitBulk() error {
 	if s.dur == nil {
 		return nil
 	}
-	if s.dur.policy != FsyncAlways {
-		var first error
-		for _, w := range s.dur.wals {
-			if w.degraded.Load() {
-				continue
-			}
-			if err := w.commit(0); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
 	errs := make([]error, len(s.dur.wals))
 	var wg sync.WaitGroup
 	for i, w := range s.dur.wals {
@@ -151,10 +139,14 @@ func (s *Store) commitBulk() error {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, w *shardWAL) {
+		go func() {
 			defer wg.Done()
-			errs[i] = w.syncNow()
-		}(i, w)
+			if s.dur.policy == FsyncAlways {
+				errs[i] = w.syncNow()
+			} else {
+				errs[i] = w.commit(0) // the flush loop syncs; report sticky errors
+			}
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -16,8 +16,8 @@ package store
 // Generation g's segment pairs with generation g's WAL: seg-g is the
 // state at the moment wal-g began, so recovery is map(seg-G) then
 // replay wal-G, wal-G+1, … for the greatest valid G. Failed segment
-// builds leave extra WAL generations behind (a rotation happens
-// before the segment is written); they replay in order like any
+// builds leave extra WAL generations behind (a cut happens before
+// the segment is written); they replay in order like any
 // other. A shard whose base would be a snap-*.snap record stream —
 // the format pre-segment builds wrote — is refused (errLegacySnapshot)
 // rather than opened without the documents only that file holds.
@@ -57,19 +57,18 @@ type manifest struct {
 const manifestVersion = 1
 
 // durability is the durable half of a Store: one WAL per shard plus
-// the snapshotter/flusher state. Nil on in-memory stores.
+// the roll, flush and heal state. Nil on in-memory stores.
 type durability struct {
-	dir           string
-	fs            VFS
-	policy        FsyncPolicy
-	snapshotEvery int
-	retryBase     time.Duration // initial heal/snapshot-retry backoff
+	dir       string
+	fs        VFS
+	policy    FsyncPolicy
+	rollEvery uint64        // Options.SnapshotEvery; 0 disables write-triggered rolls
+	retryBase time.Duration // initial heal backoff
 
 	wals     []*shardWAL
 	recovery RecoveryStats
 	lock     *os.File // flock'd LOCK file; held until Close
 
-	snapMu         sync.Mutex // serializes snapshots (manual and background)
 	snapshotErrors atomic.Uint64
 	compactions    atomic.Uint64 // segment builds (merge + swap) completed
 
@@ -79,8 +78,13 @@ type durability struct {
 	walRetries atomic.Uint64
 	walHeals   atomic.Uint64
 
+	buildMu     sync.Mutex      // one write-triggered build at a time
+	beforeBuild func(shard int) // test hook: runs as each segment build starts
+
+	// stop ends the flush and heal loops; bg counts what Close waits
+	// for — those loops, the WAL seals and the segment builds.
 	stop chan struct{}
-	done chan struct{}
+	bg   sync.WaitGroup
 
 	// closeOnce runs the shutdown sequence exactly once (Close or
 	// crashForTest); closedCh is closed after closeErr is final, so
@@ -134,8 +138,8 @@ type RecoveryStats struct {
 // variant.
 func Open(opts Options) (*Store, error) { return open(opts, retryBackoff) }
 
-// open is Open with the initial heal and snapshot-retry backoff as a
-// parameter, which the chaos tests shorten.
+// open is Open with the initial heal backoff as a parameter, which the
+// chaos tests shorten.
 func open(opts Options, retryBase time.Duration) (*Store, error) {
 	if opts.DataDir == "" {
 		return nil, errors.New("store: Open requires Options.DataDir; use New for an in-memory store")
@@ -209,15 +213,16 @@ func open(opts Options, retryBase time.Duration) (*Store, error) {
 
 	s := newStore(opts)
 	d := &durability{
-		dir:           opts.DataDir,
-		fs:            fs,
-		policy:        opts.Fsync,
-		snapshotEvery: opts.SnapshotEvery,
-		retryBase:     retryBase,
-		wals:          make([]*shardWAL, len(s.shards)),
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
-		closedCh:      make(chan struct{}),
+		dir:       opts.DataDir,
+		fs:        fs,
+		policy:    opts.Fsync,
+		retryBase: retryBase,
+		wals:      make([]*shardWAL, len(s.shards)),
+		stop:      make(chan struct{}),
+		closedCh:  make(chan struct{}),
+	}
+	if opts.SnapshotEvery > 0 {
+		d.rollEvery = uint64(opts.SnapshotEvery)
 	}
 	s.dur = d
 	defer func() {
@@ -287,11 +292,25 @@ func open(opts Options, retryBase time.Duration) (*Store, error) {
 	d.lock = lock
 	locked = false // ownership passes to the store; released in Close
 
-	// maintain always runs on a durable store: even under FsyncAlways
-	// with automatic snapshots disabled it owns the degraded-shard
-	// heal probe, without which a transient disk fault would leave the
-	// store read-only forever.
-	go d.maintain(s)
+	// The heal probe always runs on a durable store: even under
+	// FsyncAlways with automatic rolls disabled, a transient disk fault
+	// would otherwise leave the store read-only forever. The flush loop
+	// runs where a commit does not sync by itself.
+	d.bg.Add(1)
+	go d.healLoop(s)
+	if d.policy != FsyncAlways {
+		d.bg.Add(1)
+		go d.flushLoop()
+	}
+	// Roll what the replayed tails already owe: no write would cut a
+	// generation recovery left at or over the threshold.
+	for i, sh := range s.shards {
+		sh.mu.Lock()
+		if d.due(d.wals[i].segmentRecords()) {
+			s.startRoll(i)
+		}
+		sh.mu.Unlock()
+	}
 	return s, nil
 }
 
@@ -453,25 +472,12 @@ func (s *Store) recoverShard(i int, rs *RecoveryStats, maxSeq *uint64) error {
 // ("wal"), an index segment file ("seg"), a legacy snapshot ("snap")
 // or neither (""), returning its generation number.
 func parseGenName(name string) (gen uint64, kind string) {
-	cut := func(prefix, suffix string) (string, bool) {
-		if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) && len(name) > len(prefix)+len(suffix) {
-			return name[len(prefix) : len(name)-len(suffix)], true
-		}
-		return "", false
-	}
-	if mid, ok := cut("wal-", ".log"); ok {
-		if g, err := strconv.ParseUint(mid, 10, 64); err == nil {
-			return g, "wal"
-		}
-	}
-	if mid, ok := cut("seg-", ".seg"); ok {
-		if g, err := strconv.ParseUint(mid, 10, 64); err == nil {
-			return g, "seg"
-		}
-	}
-	if mid, ok := cut("snap-", ".snap"); ok {
-		if g, err := strconv.ParseUint(mid, 10, 64); err == nil {
-			return g, "snap"
+	for _, k := range [...][2]string{{"wal", ".log"}, {"seg", ".seg"}, {"snap", ".snap"}} {
+		mid, ok := strings.CutPrefix(name, k[0]+"-")
+		if mid, ok2 := strings.CutSuffix(mid, k[1]); ok && ok2 {
+			if g, err := strconv.ParseUint(mid, 10, 64); err == nil {
+				return g, k[0]
+			}
 		}
 	}
 	return 0, ""
@@ -515,25 +521,35 @@ func (s *Store) replayWAL(path string, last bool, maxSeq *uint64) (records int, 
 	return records, true, size - good, nil
 }
 
-// maintain is the background loop of a durable store: the periodic
-// flush (every flushPeriod) that implements FsyncInterval (and bounds
-// the buffered tail under FsyncOff), the snapshot trigger that rolls a
-// shard's WAL into a segment once it accumulates SnapshotEvery records
-// (failures are logged and retried with per-shard exponential backoff,
-// never dropped), and the heal probe that retries degraded shards until
-// the disk recovers.
-func (d *durability) maintain(s *Store) {
-	defer close(d.done)
-	// Under FsyncAlways every commit already syncs; don't wake 10×/s
-	// for a no-op. A nil channel blocks forever in select.
-	var flushC <-chan time.Time
-	if d.policy == FsyncInterval || d.policy == FsyncOff {
-		flush := time.NewTicker(flushPeriod)
-		defer flush.Stop()
-		flushC = flush.C
+// flushLoop syncs every shard's WAL each flushPeriod under
+// FsyncInterval and flushes it to the OS under FsyncOff. It never
+// builds a segment, so a build in flight cannot stretch the interval a
+// crash may lose.
+func (d *durability) flushLoop() {
+	defer d.bg.Done()
+	flush := time.NewTicker(flushPeriod)
+	defer flush.Stop()
+	for {
+		select {
+		case <-d.stop:
+			return
+		case <-flush.C:
+		}
+		for _, w := range d.wals {
+			if d.policy == FsyncInterval {
+				w.syncNow() // sticky errors surface via Stats/Close
+			} else {
+				w.flushOnly()
+			}
+		}
 	}
-	snap := time.NewTicker(snapshotPoll)
-	defer snap.Stop()
+}
+
+// healLoop is the heal probe: it retries every shard that is degraded
+// (its WAL failed) or whose last segment build failed, with per-shard
+// exponential backoff, until the disk recovers.
+func (d *durability) healLoop(s *Store) {
+	defer d.bg.Done()
 	probe := time.NewTicker(degradedPoll)
 	defer probe.Stop()
 	// Per-shard retry state, owned by this goroutine: when the next
@@ -541,89 +557,53 @@ func (d *durability) maintain(s *Store) {
 	// these gates are what implement "exponential backoff".
 	healAt := make([]time.Time, len(d.wals))
 	healBackoff := make([]time.Duration, len(d.wals))
-	snapAt := make([]time.Time, len(d.wals))
-	snapBackoff := make([]time.Duration, len(d.wals))
 	for {
 		select {
 		case <-d.stop:
 			return
-		case <-flushC:
-			switch d.policy {
-			case FsyncInterval:
-				for _, w := range d.wals {
-					w.syncNow() // sticky errors surface via Stats/Close
-				}
-			case FsyncOff:
-				for _, w := range d.wals {
-					w.flushOnly()
-				}
-			}
-		case <-snap.C:
-			if d.snapshotEvery <= 0 {
+		case <-probe.C:
+		}
+		now := time.Now()
+		for i, w := range d.wals {
+			degraded := w.degraded.Load()
+			if !degraded && !s.shards[i].rollFailed.Load() || now.Before(healAt[i]) {
 				continue
 			}
-			now := time.Now()
-			d.snapMu.Lock()
-			for i, w := range d.wals {
-				// A degraded shard is healShard's problem (its heal ends
-				// in exactly this snapshot); a failed shard that is not
-				// yet degraded cannot rotate anyway.
-				if w.degraded.Load() || now.Before(snapAt[i]) {
-					continue
-				}
-				if w.segmentRecords() >= uint64(d.snapshotEvery) {
-					if err := s.snapshotShard(i); err != nil {
-						snapBackoff[i] = nextBackoff(snapBackoff[i], d.retryBase)
-						snapAt[i] = now.Add(snapBackoff[i])
-						slog.Warn("store: background snapshot failed; retrying",
-							"shard", i, "backoff", snapBackoff[i], "err", err)
-					} else {
-						snapBackoff[i] = 0
-					}
-				}
-			}
-			d.snapMu.Unlock()
-		case <-probe.C:
-			now := time.Now()
-			for i, w := range d.wals {
-				if !w.degraded.Load() || now.Before(healAt[i]) {
-					continue
-				}
+			if degraded {
 				d.walRetries.Add(1)
-				if err := s.healShard(i); err != nil {
-					healBackoff[i] = nextBackoff(healBackoff[i], d.retryBase)
-					healAt[i] = now.Add(healBackoff[i])
-					slog.Warn("store: degraded shard heal failed; backing off",
-						"shard", i, "backoff", healBackoff[i], "err", err)
-				} else {
-					healBackoff[i] = 0
-					d.walHeals.Add(1)
-					slog.Info("store: shard healed; writes re-enabled", "shard", i)
-				}
+			}
+			if err := s.healShard(i); err != nil {
+				healBackoff[i] = nextBackoff(healBackoff[i], d.retryBase)
+				healAt[i] = now.Add(healBackoff[i])
+				slog.Warn("store: shard heal failed; backing off",
+					"shard", i, "degraded", degraded, "backoff", healBackoff[i], "err", err)
+				continue
+			}
+			healBackoff[i] = 0
+			if degraded {
+				d.walHeals.Add(1)
+				slog.Info("store: shard healed; writes re-enabled", "shard", i)
 			}
 		}
 	}
 }
 
 // healShard brings a degraded shard back to writable: reset abandons
-// the failed WAL generation and opens a fresh one, and a snapshot
-// folds the shard's full in-memory state into a new segment — records
-// the broken WAL dropped from its buffer were never acknowledged, but
-// they were applied in memory, and the segment re-captures them so
-// disk and memory reconverge. Only after both steps does the shard
-// accept writes again. Each step is idempotent: if reset succeeds and
-// the snapshot fails, the next probe finds a healthy WAL (reset
-// no-ops) and retries just the snapshot.
+// the failed WAL generation and opens a fresh one, and a roll folds
+// the shard's full in-memory state into a new segment — records the
+// broken WAL dropped from its buffer were never acknowledged, but they
+// were applied in memory, and the segment re-captures them so disk and
+// memory reconverge. Only after both steps does the shard accept
+// writes again. Each step is idempotent: if reset succeeds and the
+// roll fails, the next probe finds a healthy WAL (reset no-ops) and
+// retries just the roll — which is all a shard whose build failed
+// needs.
 func (s *Store) healShard(i int) error {
-	d := s.dur
-	w := d.wals[i]
+	w := s.dur.wals[i]
 	if err := w.reset(); err != nil {
 		return err
 	}
-	d.snapMu.Lock()
-	err := s.snapshotShard(i)
-	d.snapMu.Unlock()
-	if err != nil {
+	if err := s.rollShard(i); err != nil {
 		return err
 	}
 	w.degraded.Store(false)
@@ -641,10 +621,6 @@ func nextBackoff(cur, base time.Duration) time.Duration {
 	return cur
 }
 
-// snapshotPoll is how often the background snapshotter checks segment
-// sizes against Options.SnapshotEvery.
-const snapshotPoll = 500 * time.Millisecond
-
 // degradedPoll is how often the heal probe scans for degraded shards.
 // The scan is a per-shard atomic load when healthy, so it can afford
 // to be frequent; actual heal attempts are paced by the exponential
@@ -656,19 +632,21 @@ const degradedPoll = 50 * time.Millisecond
 const flushPeriod = 100 * time.Millisecond
 
 // retryBackoff is the initial backoff between heal attempts on a
-// degraded shard, and between retries of a failed background
-// snapshot; it doubles per failure up to maxRetryBackoff.
+// degraded shard or one whose segment build failed; it doubles per
+// failure up to maxRetryBackoff.
 const retryBackoff = 500 * time.Millisecond
 
-// maxRetryBackoff caps the heal and snapshot-retry backoff.
+// maxRetryBackoff caps the heal backoff.
 const maxRetryBackoff = 30 * time.Second
 
 // Close flushes and fsyncs every shard's WAL (whatever the fsync
-// policy — a clean shutdown loses nothing), stops the background
-// flusher and snapshotter, and closes the log files. Further writes
-// fail. Close is idempotent and safe to call concurrently — every
-// caller returns the one true result after the shutdown finished; on
-// an in-memory store it is a no-op.
+// policy — a clean shutdown loses nothing), stops the flush and heal
+// loops, closes the log files and returns once every segment build,
+// running or waiting its turn, has installed or failed, so no file
+// changes after it. Further
+// writes fail. Close is idempotent and safe to call concurrently —
+// every caller returns the one true result after the shutdown
+// finished; on an in-memory store it is a no-op.
 func (s *Store) Close() error {
 	if s.dur == nil {
 		return nil
@@ -676,13 +654,11 @@ func (s *Store) Close() error {
 	d := s.dur
 	d.closeOnce.Do(func() {
 		defer close(d.closedCh)
-		close(d.stop)
-		<-d.done
-		for _, w := range d.wals {
+		s.shutdown(func(w *shardWAL) {
 			if err := w.close(); err != nil && d.closeErr == nil {
 				d.closeErr = err
 			}
-		}
+		})
 		d.lock.Close() // releases the flock
 	})
 	<-d.closedCh
@@ -701,17 +677,29 @@ func (s *Store) crashForTest() {
 	}
 	d.closeOnce.Do(func() {
 		defer close(d.closedCh)
-		close(d.stop)
-		<-d.done
-		for _, w := range d.wals {
-			w.crashForTest()
-		}
+		s.shutdown((*shardWAL).crashForTest)
 		// A real process death releases the flock with the process;
 		// closing the fd is the in-process equivalent.
 		d.lock.Close()
 		d.closeErr = errWALClosed
 	})
 	<-d.closedCh
+}
+
+// shutdown stops the background loops, ends every WAL with end and
+// waits for the loops, the seals and the builds. end runs under the
+// shard lock, where captures happen, so no capture follows it and the
+// wait covers every build.
+func (s *Store) shutdown(end func(*shardWAL)) {
+	d := s.dur
+	close(d.stop)
+	for i, w := range d.wals {
+		sh := s.shards[i]
+		sh.mu.Lock()
+		end(w)
+		sh.mu.Unlock()
+	}
+	d.bg.Wait()
 }
 
 // writeFileAtomic writes data via a temp file and rename, fsyncing

@@ -45,13 +45,16 @@ package store
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"jsonlogic/internal/jsontree"
@@ -528,6 +531,8 @@ type segSource struct {
 // segBuild is the frozen input of one segment build, captured under
 // the shard lock at WAL rotation, plus the outputs the swap needs.
 type segBuild struct {
+	shard   int
+	gen     uint64         // the rotated WAL's, which the segment pairs with
 	old     *segmentReader // previous segment (immutable)
 	oldDead []uint64       // tombstones at rotation (copy)
 	memIDs  []string       // live memtable documents at rotation
@@ -554,7 +559,7 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// buildSegment writes generation gen's segment file for one shard
+// buildSegment writes generation b.gen's segment file for one shard
 // from b's frozen inputs: documents stream straight from the old
 // mapping (no JSON parse) and from the captured memtable trees, and
 // posting lists merge term-by-term — the old segment's compressed
@@ -562,7 +567,7 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 // documents are re-walked once. The file lands via temp + fsync +
 // rename, so a crash mid-build leaves only a swept .tmp. On return
 // b.sources maps every new ordinal to its origin.
-func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) error {
+func (s *Store) buildSegment(dir string, b *segBuild, seq uint64) error {
 	oldN := b.old.n
 	// Survivor set, sorted by ID. Live memtable IDs and live old-
 	// segment IDs are disjoint: a put that shadows a segment document
@@ -608,26 +613,31 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 		}
 	}
 
-	// Memtable postings, keyed and then sorted by term hash. The walk
-	// happens here — once per captured document — rather than under
-	// any lock.
-	memPost := make(map[uint64][]ordinal)
+	// Memtable postings as (term, ordinal) pairs sorted by term, then
+	// ordinal: each term's posting list is one run. The walk happens
+	// here — once per captured document — rather than under any lock.
+	type posting struct {
+		term uint64
+		ord  ordinal
+	}
+	var mem []posting
 	for i, t := range b.memTree {
 		for _, term := range docTerms(t, s.opts.MaxIndexDepth) {
-			memPost[term] = append(memPost[term], memOrd[i])
+			mem = append(mem, posting{term, memOrd[i]})
 		}
 	}
-	memTerms := make([]uint64, 0, len(memPost))
-	for term := range memPost {
-		memTerms = append(memTerms, term)
-	}
-	sort.Slice(memTerms, func(i, j int) bool { return memTerms[i] < memTerms[j] })
-	for _, post := range memPost {
-		sort.Slice(post, func(i, j int) bool { return post[i] < post[j] })
+	slices.SortFunc(mem, func(a, b posting) int {
+		return cmp.Or(cmp.Compare(a.term, b.term), cmp.Compare(a.ord, b.ord))
+	})
+	memTerms := 0
+	for i := range mem {
+		if i == 0 || mem[i].term != mem[i-1].term {
+			memTerms++
+		}
 	}
 
 	fs := s.dur.fs
-	tmp := segTempPath(dir, gen)
+	tmp := segTempPath(dir, b.gen)
 	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -637,7 +647,10 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 		fs.Remove(tmp)
 		return err
 	}
-	cw := &crcWriter{w: bufio.NewWriterSize(f, 1<<20)}
+	bw := segWriters.Get().(*bufio.Writer)
+	bw.Reset(f)
+	defer func() { bw.Reset(nil); segWriters.Put(bw) }()
+	cw := &crcWriter{w: bw}
 	le := binary.LittleEndian
 	if _, err := io.WriteString(cw, segMagic); err != nil {
 		return fail(err)
@@ -687,9 +700,9 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 	// a shared hash merges the two remapped ordinal lists.
 	postingsOff := cw.off
 	oldTerms := b.old.termCount
-	termDir := make([]byte, 0, (oldTerms+len(memTerms))*termDirEntry)
+	termDir := make([]byte, 0, (oldTerms+memTerms)*termDirEntry)
 	var encBuf []byte
-	var listBuf, decBuf []ordinal
+	var listBuf, decBuf, memBuf []ordinal
 	entries := 0
 	emit := func(term uint64, ords []ordinal) error {
 		if len(ords) == 0 {
@@ -724,8 +737,17 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 		}
 		return listBuf, nil
 	}
+	// memList gathers the run of mem starting at mi into memBuf and
+	// returns the index past it.
+	memList := func(mi int) int {
+		memBuf = memBuf[:0]
+		for j := mi; j < len(mem) && mem[j].term == mem[mi].term; j++ {
+			memBuf = append(memBuf, mem[j].ord)
+		}
+		return mi + len(memBuf)
+	}
 	oi, mi := 0, 0
-	for oi < oldTerms || mi < len(memTerms) {
+	for oi < oldTerms || mi < len(mem) {
 		var oldHash uint64
 		var oldPl postingList
 		if oi < oldTerms {
@@ -734,7 +756,7 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 			oldPl, _ = b.old.termList(oldHash)
 		}
 		switch {
-		case mi >= len(memTerms) || (oi < oldTerms && oldHash < memTerms[mi]):
+		case mi >= len(mem) || (oi < oldTerms && oldHash < mem[mi].term):
 			ords, err := remapOld(oldPl)
 			if err != nil {
 				return fail(err)
@@ -743,22 +765,22 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 				return fail(err)
 			}
 			oi++
-		case oi >= oldTerms || memTerms[mi] < oldHash:
-			if err := emit(memTerms[mi], memPost[memTerms[mi]]); err != nil {
+		case oi >= oldTerms || mem[mi].term < oldHash:
+			term := mem[mi].term
+			mi = memList(mi)
+			if err := emit(term, memBuf); err != nil {
 				return fail(err)
 			}
-			mi++
 		default: // same term in both tiers: merge the sorted lists
 			ords, err := remapOld(oldPl)
 			if err != nil {
 				return fail(err)
 			}
-			merged := mergeSorted(ords, memPost[memTerms[mi]])
-			if err := emit(oldHash, merged); err != nil {
+			mi = memList(mi)
+			if err := emit(oldHash, mergeSorted(ords, memBuf)); err != nil {
 				return fail(err)
 			}
 			oi++
-			mi++
 		}
 	}
 	termDirOff := cw.off
@@ -799,7 +821,7 @@ func (s *Store) buildSegment(dir string, gen uint64, b *segBuild, seq uint64) er
 		fs.Remove(tmp)
 		return err
 	}
-	if err := fs.Rename(tmp, segFilePath(dir, gen)); err != nil {
+	if err := fs.Rename(tmp, segFilePath(dir, b.gen)); err != nil {
 		fs.Remove(tmp)
 		return err
 	}
@@ -824,3 +846,7 @@ func mergeSorted(a, b []ordinal) []ordinal {
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
 }
+
+// segWriters recycles the builds' 1 MiB file buffers, which a roll at
+// every SnapshotEvery records would otherwise allocate per cut.
+var segWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<20) }}

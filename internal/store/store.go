@@ -44,9 +44,10 @@ type Options struct {
 	// Fsync selects the WAL durability guarantee (default FsyncAlways;
 	// see FsyncPolicy).
 	Fsync FsyncPolicy
-	// SnapshotEvery triggers a background snapshot of a shard once its
-	// active WAL segment holds that many records (default 10000).
-	// Negative disables automatic snapshots; Snapshot still works.
+	// SnapshotEvery rolls a shard into a new segment at the write that
+	// brings its active WAL generation to that many records, and at Open
+	// for a replayed generation that long (default 10000). Negative
+	// disables automatic rolls; Snapshot still works.
 	SnapshotEvery int
 	// VFS is the filesystem the durable layers (WAL, snapshots,
 	// segments, recovery) perform their file operations through. Nil
@@ -134,6 +135,24 @@ type shard struct {
 	mu  sync.RWMutex
 	ix  *pathIndex
 	seg *segTier
+	// building (guarded by mu) is non-nil while a segment build of the
+	// shard runs and closed when it ends; pending (guarded by mu) is a
+	// capture whose build has not started; rollFailed marks a failed
+	// build for the heal probe.
+	building   chan struct{}
+	pending    *segBuild
+	rollFailed atomic.Bool
+}
+
+// awaitBuild waits, lock released, while a build of the shard runs
+// and more reports true. Caller holds the write lock.
+func (sh *shard) awaitBuild(more func() bool) {
+	for sh.building != nil && more() {
+		wait := sh.building
+		sh.mu.Unlock()
+		<-wait
+		sh.mu.Lock()
+	}
 }
 
 // live is the shard's document count: memtable plus the segment's
@@ -342,9 +361,10 @@ const (
 // write is the one mutation body — every put, delete, bulk line and
 // replayed WAL record goes through it: degraded gate → WAL frame
 // rendered outside the lock (trees are immutable) → shard lock →
-// precondition → WAL append → apply → unlock → commit. A nil t deletes
-// id, and a delete's precondition is that id is live (an absent ID is
-// neither logged nor applied). applied reports whether the
+// precondition → WAL append → apply → roll capture if the append
+// brought the WAL generation to SnapshotEvery → unlock → commit. A nil
+// t deletes id, and a delete's precondition is that id is live (an
+// absent ID is neither logged nor applied). applied reports whether the
 // precondition held and the mutation was applied in memory; a commit
 // failure returns (true, err).
 //
@@ -353,9 +373,9 @@ const (
 func (s *Store) write(id string, t *jsontree.Tree, mode writeMode) (applied bool, err error) {
 	i := s.shardIndex(id)
 	var (
-		w     *shardWAL
-		frame []byte
-		seq   uint64
+		w      *shardWAL
+		frame  []byte
+		seq, n uint64
 	)
 	if s.dur != nil && mode&noLog == 0 {
 		w = s.dur.wals[i]
@@ -370,6 +390,11 @@ func (s *Store) write(id string, t *jsontree.Tree, mode writeMode) (applied bool
 	}
 	sh := s.shards[i]
 	sh.mu.Lock()
+	if w != nil {
+		// Reaching the threshold while the shard's build runs waits for
+		// it: every cut lands exactly at SnapshotEvery records.
+		sh.awaitBuild(func() bool { return s.dur.due(w.segmentRecords() + 1) })
+	}
 	if t == nil || mode&ifAbsent != 0 {
 		// A delete needs id live; an ifAbsent put needs it free.
 		if sh.has(id) != (t == nil) {
@@ -378,7 +403,7 @@ func (s *Store) write(id string, t *jsontree.Tree, mode writeMode) (applied bool
 		}
 	}
 	if w != nil {
-		if seq, err = w.append(frame); err != nil {
+		if seq, n, err = w.append(frame); err != nil {
 			sh.mu.Unlock()
 			return false, err
 		}
@@ -387,6 +412,10 @@ func (s *Store) write(id string, t *jsontree.Tree, mode writeMode) (applied bool
 		sh.put(id, t)
 	} else {
 		sh.del(id)
+	}
+	// After a failed build the heal probe's backoff paces the retry.
+	if w != nil && s.dur.due(n) && sh.building == nil && !sh.rollFailed.Load() {
+		s.startRoll(int(i))
 	}
 	sh.mu.Unlock()
 	if w != nil && mode&deferCommit == 0 {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"strings"
 	"sync"
@@ -208,112 +209,74 @@ func (ffs *FaultFS) check(op FaultOp, path string) (err error, shortWrite bool) 
 	return nil, false
 }
 
-func opName(op FaultOp) string {
-	switch op {
-	case OpOpen:
-		return "open"
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpSync:
-		return "sync"
-	case OpClose:
-		return "close"
-	case OpRename:
-		return "rename"
-	case OpRemove:
-		return "remove"
-	case OpTruncate:
-		return "truncate"
-	case OpReadDir:
-		return "readdir"
-	case OpMkdir:
-		return "mkdir"
+// opNames spells the FaultOp bits in order, for injected errors.
+var opNames = [...]string{"open", "read", "write", "sync", "close", "rename", "remove", "truncate", "readdir", "mkdir"}
+
+func opName(op FaultOp) string { return opNames[bits.TrailingZeros32(uint32(op))] }
+
+// gate runs do unless a rule fails op on path first.
+func gate[T any](ffs *FaultFS, op FaultOp, path string, do func() (T, error)) (T, error) {
+	if err, _ := ffs.check(op, path); err != nil {
+		var zero T
+		return zero, err
 	}
-	return "op"
+	return do()
+}
+
+// gateErr is gate for the operations that return only an error.
+func (ffs *FaultFS) gateErr(op FaultOp, path string, do func() error) error {
+	if err, _ := ffs.check(op, path); err != nil {
+		return err
+	}
+	return do()
+}
+
+// file threads an opened descriptor's operations through the rule set.
+func (ffs *FaultFS) file(f File, err error) (File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &faultFile{f: f, ffs: ffs}, nil
 }
 
 func (ffs *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	if err, _ := ffs.check(OpOpen, name); err != nil {
-		return nil, err
-	}
-	f, err := ffs.inner.OpenFile(name, flag, perm)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{f: f, ffs: ffs}, nil
+	return ffs.file(gate(ffs, OpOpen, name, func() (File, error) { return ffs.inner.OpenFile(name, flag, perm) }))
 }
 
 func (ffs *FaultFS) Open(name string) (File, error) {
-	if err, _ := ffs.check(OpOpen, name); err != nil {
-		return nil, err
-	}
-	f, err := ffs.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{f: f, ffs: ffs}, nil
+	return ffs.file(gate(ffs, OpOpen, name, func() (File, error) { return ffs.inner.Open(name) }))
 }
 
 func (ffs *FaultFS) CreateTemp(dir, pattern string) (File, error) {
-	if err, _ := ffs.check(OpOpen, dir+"/"+pattern); err != nil {
-		return nil, err
-	}
-	f, err := ffs.inner.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return &faultFile{f: f, ffs: ffs}, nil
+	return ffs.file(gate(ffs, OpOpen, dir+"/"+pattern, func() (File, error) { return ffs.inner.CreateTemp(dir, pattern) }))
 }
 
 func (ffs *FaultFS) Rename(oldpath, newpath string) error {
-	if err, _ := ffs.check(OpRename, newpath); err != nil {
-		return err
-	}
-	return ffs.inner.Rename(oldpath, newpath)
+	return ffs.gateErr(OpRename, newpath, func() error { return ffs.inner.Rename(oldpath, newpath) })
 }
 
 func (ffs *FaultFS) Remove(name string) error {
-	if err, _ := ffs.check(OpRemove, name); err != nil {
-		return err
-	}
-	return ffs.inner.Remove(name)
+	return ffs.gateErr(OpRemove, name, func() error { return ffs.inner.Remove(name) })
 }
 
 func (ffs *FaultFS) Truncate(name string, size int64) error {
-	if err, _ := ffs.check(OpTruncate, name); err != nil {
-		return err
-	}
-	return ffs.inner.Truncate(name, size)
+	return ffs.gateErr(OpTruncate, name, func() error { return ffs.inner.Truncate(name, size) })
 }
 
 func (ffs *FaultFS) ReadDir(name string) ([]os.DirEntry, error) {
-	if err, _ := ffs.check(OpReadDir, name); err != nil {
-		return nil, err
-	}
-	return ffs.inner.ReadDir(name)
+	return gate(ffs, OpReadDir, name, func() ([]os.DirEntry, error) { return ffs.inner.ReadDir(name) })
 }
 
 func (ffs *FaultFS) ReadFile(name string) ([]byte, error) {
-	if err, _ := ffs.check(OpReadDir, name); err != nil {
-		return nil, err
-	}
-	return ffs.inner.ReadFile(name)
+	return gate(ffs, OpReadDir, name, func() ([]byte, error) { return ffs.inner.ReadFile(name) })
 }
 
 func (ffs *FaultFS) MkdirAll(path string, perm os.FileMode) error {
-	if err, _ := ffs.check(OpMkdir, path); err != nil {
-		return err
-	}
-	return ffs.inner.MkdirAll(path, perm)
+	return ffs.gateErr(OpMkdir, path, func() error { return ffs.inner.MkdirAll(path, perm) })
 }
 
 func (ffs *FaultFS) SyncDir(dir string) error {
-	if err, _ := ffs.check(OpSync, dir); err != nil {
-		return err
-	}
-	return ffs.inner.SyncDir(dir)
+	return ffs.gateErr(OpSync, dir, func() error { return ffs.inner.SyncDir(dir) })
 }
 
 // faultFile threads per-descriptor operations back through the rule
@@ -324,17 +287,11 @@ type faultFile struct {
 }
 
 func (f *faultFile) Read(p []byte) (int, error) {
-	if err, _ := f.ffs.check(OpRead, f.f.Name()); err != nil {
-		return 0, err
-	}
-	return f.f.Read(p)
+	return gate(f.ffs, OpRead, f.f.Name(), func() (int, error) { return f.f.Read(p) })
 }
 
 func (f *faultFile) ReadAt(p []byte, off int64) (int, error) {
-	if err, _ := f.ffs.check(OpRead, f.f.Name()); err != nil {
-		return 0, err
-	}
-	return f.f.ReadAt(p, off)
+	return gate(f.ffs, OpRead, f.f.Name(), func() (int, error) { return f.f.ReadAt(p, off) })
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
@@ -354,12 +311,7 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	return f.f.Write(p)
 }
 
-func (f *faultFile) Sync() error {
-	if err, _ := f.ffs.check(OpSync, f.f.Name()); err != nil {
-		return err
-	}
-	return f.f.Sync()
-}
+func (f *faultFile) Sync() error { return f.ffs.gateErr(OpSync, f.f.Name(), f.f.Sync) }
 
 func (f *faultFile) Close() error {
 	if err, _ := f.ffs.check(OpClose, f.f.Name()); err != nil {

@@ -11,6 +11,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,8 +35,9 @@ const (
 	// machine crashes. Group commit amortizes the fsync across
 	// concurrent writers and across each bulk-ingest batch.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs on a 100ms background timer: a crash may lose
-	// at most the last interval of acknowledged writes.
+	// FsyncInterval syncs on a 100ms background timer, which no segment
+	// build ever delays: a crash may lose at most the last interval of
+	// acknowledged writes.
 	FsyncInterval
 	// FsyncOff never syncs explicitly; the operating system writes the
 	// log back at its leisure. A process crash loses at most the
@@ -191,11 +193,16 @@ type shardWAL struct {
 	degraded atomic.Bool
 
 	mu   sync.Mutex
-	cond sync.Cond // waits on mu for the in-flight group fsync
-	f    File
+	cond sync.Cond // waits on mu for the in-flight group fsync or seal
+	f    File      // nil from a cut until its seal succeeds
 	bw   *bufio.Writer
 	gen  uint64
 	err  error // sticky: first I/O failure (or errWALClosed)
+
+	// sealing is set from a cut until its seal attaches the successor
+	// generation; meanwhile bw buffers into pend.
+	sealing bool
+	pend    bytes.Buffer
 
 	// Group commit: writeSeq counts buffered records, syncSeq records
 	// proven durable. While syncing is set one goroutine owns the
@@ -206,7 +213,7 @@ type shardWAL struct {
 	syncSeq  uint64
 	syncing  bool
 
-	segRecords uint64 // records in the active segment (snapshot trigger)
+	segRecords uint64 // records in the active segment (the roll trigger)
 
 	appends uint64
 	bytes   uint64
@@ -262,10 +269,11 @@ func (w *shardWAL) setErr(err error) {
 }
 
 // append writes one encodeRecord frame into the buffered writer and
-// returns its commit sequence number. The caller holds the owning
+// returns its commit sequence number and the active segment's record
+// count including it (the roll trigger). The caller holds the owning
 // shard's lock, which is what orders the log; append itself never
 // blocks on I/O beyond a buffer spill.
-func (w *shardWAL) append(frame []byte) (uint64, error) {
+func (w *shardWAL) append(frame []byte) (seq, n uint64, err error) {
 	// Enforce the replay-side frame bound at write time: a larger
 	// record would be fsynced, acknowledged, and then rejected as a
 	// torn tail on reopen — truncating it and everything after it.
@@ -273,22 +281,22 @@ func (w *shardWAL) append(frame []byte) (uint64, error) {
 	// Deliberately not an ErrWAL: the input is the problem (the log is
 	// healthy), so the daemon's 400-vs-500 classification stays honest.
 	if payload := len(frame) - 8; payload > maxRecordPayload {
-		return 0, fmt.Errorf("store: wal shard %d: record payload %d bytes exceeds the %d-byte bound", w.shard, payload, maxRecordPayload)
+		return 0, 0, fmt.Errorf("store: wal shard %d: record payload %d bytes exceeds the %d-byte bound", w.shard, payload, maxRecordPayload)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
-		return 0, w.err
+		return 0, 0, w.err
 	}
 	if _, err := w.bw.Write(frame); err != nil {
 		w.setErr(fmt.Errorf("store: wal shard %d: append: %w: %w", w.shard, ErrWAL, err))
-		return 0, w.err
+		return 0, 0, w.err
 	}
 	w.writeSeq++
 	w.segRecords++
 	w.appends++
 	w.bytes += uint64(len(frame))
-	return w.writeSeq, nil
+	return w.writeSeq, w.segRecords, nil
 }
 
 // commit makes the record at seq durable per the fsync policy and
@@ -329,7 +337,7 @@ func (w *shardWAL) groupSync(seq uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for w.syncSeq < seq && w.err == nil {
-		if w.syncing {
+		if w.syncing || w.sealing {
 			w.cond.Wait()
 			continue
 		}
@@ -373,49 +381,83 @@ func (w *shardWAL) flushOnly() error {
 	return w.err
 }
 
-// rotate seals the active segment (flush, fsync, close — regardless of
-// policy, so everything before a snapshot is durable) and starts
-// generation gen+1. The caller holds the owning shard's lock, so no
-// append races the switch; rotate itself waits out any in-flight
-// group fsync. It returns the new generation.
-func (w *shardWAL) rotate() (uint64, error) {
+// cut ends the active generation after the last appended record
+// without waiting on the disk: the buffered tail spills into the old
+// file, and later appends buffer in memory until seal, which the caller
+// runs on any goroutine, has made the old generation durable and
+// attached its successor. It returns the successor's number. The
+// caller holds the owning shard's lock, so no append races the cut.
+func (w *shardWAL) cut() (gen uint64, seal func() error, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.syncing {
-		w.cond.Wait()
-	}
+	w.idle()
 	if w.err != nil {
-		return 0, w.err
-	}
-	fail := func(stage string, err error) (uint64, error) {
-		w.setErr(fmt.Errorf("store: wal shard %d: rotate: %s: %w: %w", w.shard, stage, ErrWAL, err))
-		return 0, w.err
+		return 0, nil, w.err
 	}
 	if err := w.bw.Flush(); err != nil {
-		return fail("flush", err)
+		w.setErr(fmt.Errorf("store: wal shard %d: cut: %w: %w", w.shard, ErrWAL, err))
+		return 0, nil, w.err
 	}
-	if err := w.f.Sync(); err != nil {
-		return fail("sync", err)
+	old, sealed, gen := w.f, w.writeSeq, w.gen+1
+	w.f, w.sealing, w.segRecords = nil, true, 0
+	w.pend.Reset()
+	w.pend.WriteString(walMagic)
+	w.bw.Reset(&w.pend)
+	return gen, func() error { return w.seal(old, sealed, gen) }, nil
+}
+
+// seal fsyncs and closes the generation a cut ended, and only then
+// creates its successor gen: recovery refuses a torn generation that
+// has a successor, so none may exist beside an unsealed predecessor.
+// It then attaches the successor, writing out the records buffered
+// since the cut. A failure is the WAL's sticky error.
+func (w *shardWAL) seal(old File, sealed, gen uint64) error {
+	err := old.Sync()
+	if cerr := old.Close(); err == nil {
+		err = cerr
 	}
-	if err := w.f.Close(); err != nil {
-		return fail("close", err)
+	var f File
+	if err == nil {
+		f, err = w.create(gen, os.O_EXCL)
 	}
-	w.syncSeq = w.writeSeq
-	w.gen++
-	f, err := w.fs.OpenFile(walPath(w.dir, w.gen), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.sealing = false
+	w.cond.Broadcast()
+	if err == nil {
+		w.bw.Flush() // into pend, which cannot fail
+		w.f, w.gen = f, gen
+		w.bw.Reset(f)
+		_, err = f.Write(w.pend.Bytes())
+	}
 	if err != nil {
-		return fail("create", err)
+		w.setErr(fmt.Errorf("store: wal shard %d: seal: %w: %w", w.shard, ErrWAL, err))
+		return w.err
 	}
-	w.f = f
-	w.bw = bufio.NewWriterSize(f, walBufSize)
-	w.bw.WriteString(walMagic)
-	w.segRecords = 0
-	// Make the new segment's directory entry durable before records
-	// appended to it are acknowledged.
+	w.syncSeq = max(w.syncSeq, sealed)
+	return nil
+}
+
+// create makes generation gen's file, its directory entry durable
+// before any record in it can be acknowledged. flag is O_EXCL after a
+// cut and O_TRUNC on a reset.
+func (w *shardWAL) create(gen uint64, flag int) (File, error) {
+	f, err := w.fs.OpenFile(walPath(w.dir, gen), os.O_CREATE|os.O_WRONLY|flag, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("create: %w", err)
+	}
 	if err := w.fs.SyncDir(w.dir); err != nil {
-		return fail("sync dir", err)
+		f.Close()
+		return nil, fmt.Errorf("sync dir: %w", err)
 	}
-	return w.gen, nil
+	return f, nil
+}
+
+// idle waits out an in-flight group fsync and seal. Caller holds w.mu.
+func (w *shardWAL) idle() {
+	for w.syncing || w.sealing {
+		w.cond.Wait()
+	}
 }
 
 // close flushes, fsyncs and closes the active segment. Further appends
@@ -423,9 +465,7 @@ func (w *shardWAL) rotate() (uint64, error) {
 func (w *shardWAL) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.syncing {
-		w.cond.Wait()
-	}
+	w.idle()
 	if w.f == nil {
 		if errors.Is(w.err, errWALClosed) {
 			return nil
@@ -470,9 +510,7 @@ func (w *shardWAL) close() error {
 func (w *shardWAL) reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.syncing {
-		w.cond.Wait()
-	}
+	w.idle()
 	if w.err == nil {
 		return nil // healthy (or a previous reset already succeeded)
 	}
@@ -493,24 +531,15 @@ func (w *shardWAL) reset() error {
 	if err := truncateTornTail(w.fs, walPath(w.dir, w.gen)); err != nil {
 		return fmt.Errorf("store: wal shard %d: reset: %w: %w", w.shard, ErrWAL, err)
 	}
-	gen := w.gen + 1
-	// O_TRUNC, not O_EXCL: a previous reset attempt may have created
-	// the file and then failed before clearing w.err; nothing in it
-	// was ever acknowledged.
-	f, err := w.fs.OpenFile(walPath(w.dir, gen), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	// O_TRUNC, not O_EXCL: a previous reset attempt (or a failed seal)
+	// may have created the file; nothing in it was ever acknowledged.
+	f, err := w.create(w.gen+1, os.O_TRUNC)
 	if err != nil {
-		return fmt.Errorf("store: wal shard %d: reset: create: %w: %w", w.shard, ErrWAL, err)
+		return fmt.Errorf("store: wal shard %d: reset: %w: %w", w.shard, ErrWAL, err)
 	}
-	bw := bufio.NewWriterSize(f, walBufSize)
-	bw.WriteString(walMagic)
-	if err := w.fs.SyncDir(w.dir); err != nil {
-		f.Close()
-		return fmt.Errorf("store: wal shard %d: reset: sync dir: %w: %w", w.shard, ErrWAL, err)
-	}
-	w.f = f
-	w.bw = bw
-	w.gen = gen
-	w.segRecords = 0
+	w.f, w.gen, w.segRecords = f, w.gen+1, 0
+	w.bw.Reset(f)
+	w.bw.WriteString(walMagic)
 	// Nothing is pending in the new generation; commits blocked on the
 	// failure have already returned their errors.
 	w.syncSeq = w.writeSeq
@@ -580,9 +609,7 @@ func truncateTornTail(fs VFS, path string) error {
 func (w *shardWAL) crashForTest() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.syncing {
-		w.cond.Wait()
-	}
+	w.idle()
 	if w.f != nil {
 		w.f.Close()
 		w.f = nil
