@@ -47,7 +47,8 @@ race-core:
 # disabled/pooled trace recorder, the store's steady-state segment
 # probe, the durable write path (PutTree: index insert plus one WAL
 # frame rendered straight from the tree arena), tree construction
-# (jsontree.Parse and a reused Builder: four allocations a document),
+# (jsontree.Parse and a reused Builder: four allocations a document;
+# PUT's engine.BuildTree: six, with its read buffer and string),
 # a plan-cache miss beside disjoint resident plans (the semantic
 # dedup skips their containment proofs), the exact-find text check
 # (no allocation) and an exact find on a reopened segment store
@@ -80,8 +81,10 @@ chaos:
 # production evaluator), the segment posting-list codec (round-
 # trip fidelity; hostile bytes must error, never panic or over-read),
 # the three text-to-tree routes (jsonval.Parse+FromValue,
-# jsontree.Parse and the tokenizer→Builder route accept the same
-# documents and build the same trees), JSONPath selection (the
+# jsontree.Parse and PUT's engine.BuildTree accept the same documents
+# and build the same trees), the §6 streaming tokenizer (accepts
+# exactly the store's document language, and streams each document as
+# its value's events), JSONPath selection (the
 # executor's set-at-a-time enumerators select exactly the nodes of the
 # reference JNL evaluator) and the exact-find text check (HoldsJSON
 # on a document's bytes answers as Holds on its parsed tree; hostile
@@ -89,6 +92,7 @@ chaos:
 fuzz:
 	$(GO) test ./internal/engine/ -run FuzzPlanCache -fuzz FuzzPlanCache -fuzztime 20s
 	$(GO) test ./internal/engine/ -run FuzzParsersAgree -fuzz FuzzParsersAgree -fuzztime 20s
+	$(GO) test ./internal/stream/ -run FuzzTokenizerAgrees -fuzz FuzzTokenizerAgrees -fuzztime 20s
 	$(GO) test ./internal/engine/ -run FuzzSelectionAgrees -fuzz FuzzSelectionAgrees -fuzztime 20s
 	$(GO) test ./internal/jauto/ -run FuzzJNLSat -fuzz FuzzJNLSat -fuzztime 30s
 	$(GO) test ./internal/containment/ -run FuzzContainment -fuzz FuzzContainment -fuzztime 30s

@@ -789,9 +789,10 @@ const corpusDoc = `{"meta":{"region":"r4","seq":4,"tenant":"t4"},"payload":{"k10
 
 // BenchmarkTreeParse measures building one stored document's tree —
 // ns/op and allocs/op are per document. "parse" is jsontree.Parse,
-// the route of segment resolves, WAL replay and Store.Put; "tokenizer"
-// is engine.BuildTree over a reused Builder, the route of PUT /docs
-// and /bulk.
+// the route of segment resolves, WAL replay, Store.Put and /bulk;
+// "reader" is engine.BuildTree over a strings.Reader and a reused
+// Builder, the route of PUT /docs: the same parse plus reading the
+// body into a string.
 func BenchmarkTreeParse(b *testing.B) {
 	b.Run("parse", func(b *testing.B) {
 		b.ReportAllocs()
@@ -802,7 +803,7 @@ func BenchmarkTreeParse(b *testing.B) {
 			}
 		}
 	})
-	b.Run("tokenizer", func(b *testing.B) {
+	b.Run("reader", func(b *testing.B) {
 		builder := jsontree.NewBuilder()
 		b.ReportAllocs()
 		b.SetBytes(int64(len(corpusDoc)))
@@ -815,7 +816,7 @@ func BenchmarkTreeParse(b *testing.B) {
 }
 
 // BenchmarkEngineValidateNDJSON measures the end-to-end NDJSON path —
-// tokenize, build trees through the pooled builders, validate — on the
+// split lines, parse trees through the pooled builders, validate — on the
 // engine's GOMAXPROCS reader workers. B/op covers parsing and
 // evaluation for the whole batch.
 func BenchmarkEngineValidateNDJSON(b *testing.B) {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"jsonlogic/internal/jsontree"
@@ -52,5 +53,30 @@ func TestCompileTracedUntracedZeroAllocs(t *testing.T) {
 		if n != 0 {
 			t.Fatalf("untraced cache-hit compile+ValidateCtx(%s) allocates: %v allocs/op, want 0", c.name, n)
 		}
+	}
+}
+
+// corpusDoc is shaped like the benchmark corpus (benchmark/jsonbench):
+// a meta block and a three-level payload, 327 bytes, key-sorted as the
+// store writes documents.
+const corpusDoc = `{"meta":{"region":"r4","seq":4,"tenant":"t4"},"payload":{"k10":{"k0":{"k1":59,"k10":"s30","k9":89},"k1":{"k10":"s12","k3":"s46","k7":16},"k2":{"k3":87,"k6":59}},"k6":{"k10":{"k10":87,"k2":21,"k9":56},"k4":{"k0":"s2","k2":31,"k9":"s74"},"k6":[73,53,27]},"k9":[["s71","s40",81],[9,56,"s80"],{"k0":"s65","k11":"s80","k5":"s78"}]}}`
+
+// TestBuildTreeAllocsBounded pins PUT /docs' tree construction:
+// BuildTree over a reused Builder costs the Tree's four allocations
+// plus the read buffer and the string parsed from it — six a
+// document.
+func TestBuildTreeAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	b := jsontree.NewBuilder()
+	var r strings.Reader
+	if n := measureAllocs(func() {
+		r.Reset(corpusDoc)
+		if _, err := BuildTree(&r, b); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 6 {
+		t.Errorf("BuildTree: %.1f allocs per document, want ≤ 6", n)
 	}
 }

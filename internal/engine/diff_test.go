@@ -254,7 +254,7 @@ func TestDifferentialBatchAndNDJSON(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("NDJSON doc %d: %v", i, res.Err)
 		}
-		// The NDJSON path builds its tree through jsontree.Builder; node
+		// The NDJSON path builds its tree through jsontree.Parse; node
 		// ids can differ from FromValue only if construction disagrees,
 		// which the selection comparison below would expose.
 		want := jnl.NewEvaluator(res.Tree).Eval(u).Slice()

@@ -42,12 +42,13 @@
 // # Streaming entry points
 //
 // The NDJSON path (EvalReader, ValidateReader) accepts an io.Reader
-// holding one JSON document per line; lines are tokenized with
-// internal/stream's tokenizer and materialized through
-// jsontree.Builder — one pooled Builder per worker, GOMAXPROCS
-// workers, reset between documents — then evaluated in parallel. A
-// malformed line fails that line only, not the batch. Fanning a plan
-// out over stored documents is internal/store's job (Find, Select).
+// holding one JSON document per line; ScanNDJSON splits the lines —
+// the rule the store's bulk ingest shares — and GOMAXPROCS workers
+// parse each with jsontree.Parse, the store's route, then evaluate
+// in parallel. A malformed line fails that line only, not the batch.
+// BuildTree is PUT /docs' reader-to-tree step over the same parser.
+// Fanning a plan out over stored documents is internal/store's job
+// (Find, Select).
 //
 // # Relation to the reference semantics
 //

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"jsonlogic/internal/jsontree"
-	"jsonlogic/internal/stream"
 )
 
 // DocResult is the outcome for one document of an NDJSON batch.
@@ -33,20 +32,41 @@ type DocResult struct {
 	Err error
 }
 
-// MaxNDJSONLine bounds one line of NDJSON input (16 MiB), shared by
-// the engine's readers and the store's bulk ingest so the two NDJSON
-// surfaces accept exactly the same documents.
+// MaxNDJSONLine bounds one line of NDJSON input (16 MiB). ScanNDJSON
+// enforces it for the engine's readers and the store's bulk ingest
+// alike, so the two NDJSON surfaces accept exactly the same documents.
 const MaxNDJSONLine = 16 << 20
+
+// ScanNDJSON is the one line rule of the NDJSON surfaces. It calls fn
+// with each non-blank line of r and its 1-based line number. A line
+// is trimmed of JSON whitespace only — TrimSpace would also strip
+// Unicode spaces the document language rejects — and one left empty
+// is skipped. A non-nil error from fn stops the scan and is returned;
+// otherwise the result is the reader's own failure (an I/O error or a
+// line over MaxNDJSONLine, after which the stream cannot be
+// resynchronized), nil at a clean end.
+func ScanNDJSON(r io.Reader, fn func(line int, text string) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), MaxNDJSONLine)
+	for line := 1; sc.Scan(); line++ {
+		if text := strings.Trim(sc.Text(), " \t\r\n"); text != "" {
+			if err := fn(line, text); err != nil {
+				return err
+			}
+		}
+	}
+	return sc.Err()
+}
 
 // EvalReader runs the plan's node-selection semantics over every
 // document of an NDJSON stream (one JSON document per line; blank
-// lines are skipped). Lines are tokenized with the §6 streaming
-// tokenizer and materialized through a per-worker jsontree.Builder, so
-// the jsonval layer is bypassed entirely. The returned error reports a
-// failure of the reader itself — an I/O error or a line exceeding 16
-// MiB, after which the stream cannot be resynchronized — not of
-// individual documents; the results computed before the failure are
-// returned alongside it.
+// lines are skipped; see ScanNDJSON). Each line is parsed straight
+// into a tree by jsontree.Parse, the store's route, so the jsonval
+// layer is bypassed entirely. The returned error reports a failure of
+// the reader itself — an I/O error or a line exceeding 16 MiB, after
+// which the stream cannot be resynchronized — not of individual
+// documents; the results computed before the failure are returned
+// alongside it.
 func (e *Engine) EvalReader(p *Plan, r io.Reader) ([]DocResult, error) {
 	return e.runNDJSON(p, r, false)
 }
@@ -68,21 +88,12 @@ func (e *Engine) runNDJSON(p *Plan, r io.Reader, validate bool) ([]DocResult, er
 	scanErr := make(chan error, 1)
 	go func() {
 		defer close(items)
-		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 64*1024), MaxNDJSONLine)
-		index, lineNo := 0, 0
-		for sc.Scan() {
-			lineNo++
-			// JSON whitespace only: TrimSpace would also strip
-			// Unicode spaces the document language rejects.
-			text := strings.Trim(sc.Text(), " \t\r\n")
-			if text == "" {
-				continue
-			}
-			items <- ndjsonItem{index: index, line: lineNo, text: text}
+		index := 0
+		scanErr <- ScanNDJSON(r, func(line int, text string) error {
+			items <- ndjsonItem{index: index, line: line, text: text}
 			index++
-		}
-		scanErr <- sc.Err()
+			return nil
+		})
 	}()
 
 	var (
@@ -94,10 +105,9 @@ func (e *Engine) runNDJSON(p *Plan, r io.Reader, validate bool) ([]DocResult, er
 	for w := 0; w < e.workers; w++ {
 		go func() {
 			defer wg.Done()
-			b := jsontree.NewBuilder()
 			for it := range items {
 				res := DocResult{Index: it.index, Line: it.line}
-				tree, err := BuildTree(strings.NewReader(it.text), b)
+				tree, err := jsontree.Parse(it.text)
 				switch {
 				case err != nil:
 					res.Err = err
@@ -118,41 +128,15 @@ func (e *Engine) runNDJSON(p *Plan, r io.Reader, validate bool) ([]DocResult, er
 	return results, <-scanErr
 }
 
-// BuildTree tokenizes one JSON document from r (via the §6 streaming
-// tokenizer) and replays the token stream into the reused builder,
-// materializing a tree without going through the jsonval layer. It is
-// the shared line-to-tree path of the engine's NDJSON readers and the
-// store's bulk ingest.
+// BuildTree reads one JSON document from r to its end and parses it
+// into a tree with b. It is PUT /docs' body reader: the caller bounds
+// r (PUT passes http.MaxBytesReader), and a read error — that bound's
+// *http.MaxBytesError included — is returned unwrapped, before any
+// parsing.
 func BuildTree(r io.Reader, b *jsontree.Builder) (*jsontree.Tree, error) {
-	b.Reset()
-	tok := stream.NewTokenizer(r)
-	for {
-		t, err := tok.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch t.Kind {
-		case stream.BeginObject:
-			err = b.BeginObject()
-		case stream.EndObject:
-			err = b.EndObject()
-		case stream.BeginArray:
-			err = b.BeginArray()
-		case stream.EndArray:
-			err = b.EndArray()
-		case stream.KeyTok:
-			err = b.Key(t.Str)
-		case stream.StringTok:
-			err = b.String(t.Str)
-		case stream.NumberTok:
-			err = b.Number(t.Num)
-		}
-		if err != nil {
-			return nil, err
-		}
+	text, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
-	return b.Tree()
+	return b.Parse(string(text))
 }

@@ -10,10 +10,12 @@ import (
 
 // parsersAgree holds the three routes from text to tree to one
 // language. jsonval.Parse followed by jsontree.FromValue is the
-// reference; jsontree.Parse scans text straight into a Builder
-// (Store.Put, WAL replay, segment resolve, /validate's inline doc);
-// BuildTree replays the streaming tokenizer into one (PUT /docs,
-// /bulk). What a document is must not depend on the route: all three
+// reference; jsontree.Parse scans text into a pooled Builder
+// (Store.Put, /bulk, the NDJSON readers, WAL replay, segment resolve,
+// /validate's inline doc); BuildTree reads a reader to its end and
+// parses into a reused Builder (PUT /docs), so it also pins that a
+// Builder carries nothing from one document, failed or not, into the
+// next. What a document is must not depend on the route: all three
 // accept or all reject, and on accept the trees have the same node
 // count, structural hash (so the same index value terms), height,
 // well-formedness, rendered bytes (so the same WAL records and segment

@@ -163,9 +163,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // hitting the MaxBytesReader limit is 413 Request Entity Too Large
 // (the body was bigger than the server accepts), everything else —
 // malformed JSON, an early disconnect — is the client's 400. The
-// *http.MaxBytesError survives errors.As through the tokenizer, the
-// bulk scanner and json.Decoder, all of which return reader errors
-// unwrapped (or wrapped with %w / errors.Join).
+// *http.MaxBytesError survives errors.As through engine.BuildTree's
+// read, the bulk scanner and json.Decoder, all of which return reader
+// errors unwrapped (or wrapped with %w / errors.Join).
 func bodyErrStatus(err error) int {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
@@ -256,8 +256,8 @@ func (s *server) admit(w http.ResponseWriter, ctx context.Context, tr *trace.Tra
 
 func (s *server) putDoc(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	// Stream the body straight into a tree — the same tokenizer path as
-	// /bulk — instead of buffering and re-materializing through jsonval.
+	// Read the capped body, then parse it with jsontree's one route —
+	// the parser of /bulk and Store.Put — without a jsonval detour.
 	t, err := engine.BuildTree(http.MaxBytesReader(w, r.Body, s.maxBody), jsontree.NewBuilder())
 	if err != nil {
 		writeError(w, bodyErrStatus(err), "%v", err)

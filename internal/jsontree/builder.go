@@ -1,7 +1,6 @@
 package jsontree
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -10,17 +9,11 @@ import (
 	"jsonlogic/internal/jsonval"
 )
 
-// Builder constructs a Tree incrementally from a stream of structural
-// events, without materializing an intermediate jsonval.Value. It is
-// the one tree-construction body: Parse scans text straight into a
-// pooled Builder, FromValue walks a Value into one, and the engine's
-// tokenizer route (PUT /docs, /bulk, the NDJSON readers) replays
-// tokens into one through the event methods below.
-//
-// Events mirror JSON structure: BeginObject/EndObject, BeginArray/
-// EndArray, Key (before each object member's value), and the leaf events
-// String and Number. Whatever the route, the trees are the same:
-// children of objects are key-sorted, subtree hashes agree with
+// Builder constructs Trees. It is the one tree-construction body:
+// its Parse scans JSON text straight into its arenas (the package's
+// Parse is the same over a pooled Builder), and FromValue walks a
+// Value into a pooled one. Whatever the route, the trees are the
+// same: children of objects are key-sorted, subtree hashes agree with
 // jsonval.Value.Hash, and Tree.Validate holds.
 //
 // Nodes are appended in preorder, so when a container closes its
@@ -34,6 +27,7 @@ import (
 //
 // A Builder is not safe for concurrent use; pool one per goroutine.
 type Builder struct {
+	lex   jsonval.Lexer
 	nodes []node
 	kids  []NodeID
 	heap  []byte
@@ -41,22 +35,18 @@ type Builder struct {
 	// node id: close sorts, checks and hashes object members by them
 	// rather than by slices of heap.
 	keys []string
-	// stack holds the node ids of the open containers.
+	// stack holds the node ids of the open containers; its length is
+	// the nesting depth.
 	stack []NodeID
 	// reordered records that some object's members arrived out of key
 	// order; ids is tree's scratch for renumbering them.
 	reordered bool
 	ids       []NodeID
-	// pendingKey is the key of the next object member, set by Key.
-	pendingKey string
-	hasKey     bool
-	done       bool
-	err        error
 }
 
 // NewBuilder returns an empty Builder with room for a typical stored
-// document (64 nodes, 512 bytes of keys and strings), so building one
-// into a fresh Builder — PUT /docs takes one per request — costs one
+// document (64 nodes, 512 bytes of keys and strings), so parsing one
+// with a fresh Builder — PUT /docs takes one per request — costs one
 // allocation per arena rather than one per doubling.
 func NewBuilder() *Builder {
 	return &Builder{
@@ -68,11 +58,12 @@ func NewBuilder() *Builder {
 	}
 }
 
-// Reset discards all state so the Builder can build another tree. The
-// arenas' capacity is retained across documents; the handed-in keys
-// are cleared so a reused Builder does not keep the last document's
-// strings alive.
-func (b *Builder) Reset() {
+// reset discards all state so the Builder can build another tree. The
+// arenas' capacity is retained across documents; the lexer's input
+// and the handed-in keys are cleared so a reused Builder does not
+// keep the last document's text alive.
+func (b *Builder) reset() {
+	b.lex.Reset("")
 	b.nodes = b.nodes[:0]
 	b.kids = b.kids[:0]
 	b.heap = b.heap[:0]
@@ -80,23 +71,10 @@ func (b *Builder) Reset() {
 	b.keys = b.keys[:0]
 	b.stack = b.stack[:0]
 	b.reordered = false
-	b.pendingKey = ""
-	b.hasKey = false
-	b.done = false
-	b.err = nil
 }
 
-func (b *Builder) fail(format string, args ...any) error {
-	if b.err == nil {
-		b.err = fmt.Errorf("jsontree: builder: "+format, args...)
-	}
-	return b.err
-}
-
-// The unchecked primitives below are what every route shares: Parse
-// and FromValue call them directly, since their input is well formed
-// by construction, and the event methods call them after checking
-// the event order.
+// The unchecked primitives below are what every route shares: Parse's
+// grammar and FromValue call them directly.
 
 // push appends the next preorder node, under the innermost open
 // container (or as the root), and returns it for the caller to fill.
@@ -239,149 +217,21 @@ func (b *Builder) tree() *Tree {
 	return &Tree{nodes: nodes, kids: kids, heap: heap}
 }
 
-// begin checks that a value may start now and returns its edge key.
-func (b *Builder) begin() (string, error) {
-	if b.err != nil {
-		return "", b.err
-	}
-	if b.done {
-		return "", b.fail("value after the top-level value completed")
-	}
-	if len(b.stack) == 0 || b.nodes[b.stack[len(b.stack)-1]].kind != ObjectNode {
-		return "", nil
-	}
-	if !b.hasKey {
-		return "", b.fail("object member without a key")
-	}
-	b.hasKey = false
-	return b.pendingKey, nil
-}
-
-// BeginObject opens an object value.
-func (b *Builder) BeginObject() error {
-	key, err := b.begin()
-	if err == nil {
-		b.open(ObjectNode, key)
-	}
-	return err
-}
-
-// BeginArray opens an array value.
-func (b *Builder) BeginArray() error {
-	key, err := b.begin()
-	if err == nil {
-		b.open(ArrayNode, key)
-	}
-	return err
-}
-
-// Key supplies the key of the next member of the open object.
-func (b *Builder) Key(k string) error {
-	if b.err != nil {
-		return b.err
-	}
-	if len(b.stack) == 0 || b.nodes[b.stack[len(b.stack)-1]].kind != ObjectNode {
-		return b.fail("key %q outside an object", k)
-	}
-	if b.hasKey {
-		return b.fail("two keys in a row (%q, %q)", b.pendingKey, k)
-	}
-	b.pendingKey = k
-	b.hasKey = true
-	return nil
-}
-
-// String appends a string leaf.
-func (b *Builder) String(s string) error {
-	key, err := b.begin()
-	if err == nil {
-		b.addString(key, s)
-		b.done = len(b.stack) == 0
-	}
-	return err
-}
-
-// Number appends a natural-number leaf.
-func (b *Builder) Number(v uint64) error {
-	key, err := b.begin()
-	if err == nil {
-		b.addNumber(key, v)
-		b.done = len(b.stack) == 0
-	}
-	return err
-}
-
-// EndObject closes the open object.
-func (b *Builder) EndObject() error {
-	if err := b.end(ObjectNode); err != nil {
-		return err
-	}
-	if b.hasKey {
-		return b.fail("object ends after key %q with no value", b.pendingKey)
-	}
-	if key, dup := b.close(); dup {
-		return b.fail("duplicate object key %q", key)
-	}
-	b.done = len(b.stack) == 0
-	return nil
-}
-
-// EndArray closes the open array.
-func (b *Builder) EndArray() error {
-	if err := b.end(ArrayNode); err != nil {
-		return err
-	}
-	b.close()
-	b.done = len(b.stack) == 0
-	return nil
-}
-
-// end checks that a container of the given kind is the one open.
-func (b *Builder) end(kind Kind) error {
-	if b.err != nil {
-		return b.err
-	}
-	if len(b.stack) == 0 {
-		return b.fail("end of %s with no open container", kind)
-	}
-	if open := b.nodes[b.stack[len(b.stack)-1]].kind; open != kind {
-		return b.fail("end of %s closing an %s", kind, open)
-	}
-	return nil
-}
-
-// Tree returns the completed tree. It fails if no value was built, a
-// container is still open, or any event errored. The returned tree owns
-// its nodes: calling Reset and building again does not disturb it.
-func (b *Builder) Tree() (*Tree, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	if !b.done {
-		if len(b.stack) > 0 {
-			return nil, b.fail("%d containers still open", len(b.stack))
-		}
-		return nil, b.fail("no value built")
-	}
-	return b.tree(), nil
-}
-
-// pool recycles the state of Parse and FromValue — a Builder's arenas
-// and the lexer's escape buffer — across calls. Builders that grew
-// past maxPooledNodes nodes or maxPooledHeap heap bytes are dropped
-// rather than pinned in the pool.
-var pool = sync.Pool{New: func() any { return new(parser) }}
+// pool recycles Builders — their arenas and the lexer's escape
+// buffer — across Parse and FromValue calls. Builders that grew past
+// maxPooledNodes nodes or maxPooledHeap heap bytes are dropped rather
+// than pinned in the pool.
+var pool = sync.Pool{New: func() any { return new(Builder) }}
 
 const (
 	maxPooledNodes = 1 << 16
 	maxPooledHeap  = 1 << 20
 )
 
-func release(p *parser) {
-	if cap(p.b.nodes) <= maxPooledNodes && cap(p.b.heap) <= maxPooledHeap {
-		p.b.Reset()
-		p.Reset("")
-		pool.Put(p)
+func release(b *Builder) {
+	if cap(b.nodes) <= maxPooledNodes && cap(b.heap) <= maxPooledHeap {
+		b.reset()
+		pool.Put(b)
 	}
 }
 
@@ -391,10 +241,10 @@ func release(p *parser) {
 // unordered, so the order of object children is not meaningful), array
 // edges labelled by position.
 func FromValue(v *jsonval.Value) *Tree {
-	p := pool.Get().(*parser)
-	defer release(p)
-	p.b.addValue("", v)
-	return p.b.tree()
+	b := pool.Get().(*Builder)
+	defer release(b)
+	b.addValue("", v)
+	return b.tree()
 }
 
 func (b *Builder) addValue(key string, v *jsonval.Value) {

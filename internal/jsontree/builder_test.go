@@ -7,64 +7,20 @@ import (
 	"jsonlogic/internal/jsonval"
 )
 
-// feedValue drives a Builder with the event stream of a value, the same
-// traversal a tokenizer would produce (document member order, not
-// key-sorted).
-func feedValue(t *testing.T, b *Builder, v *jsonval.Value) {
-	t.Helper()
-	if err := replay(b, v); err != nil {
-		t.Fatalf("builder event failed: %v", err)
-	}
-}
-
-func replay(b *Builder, v *jsonval.Value) error {
-	switch v.Kind() {
-	case jsonval.Number:
-		return b.Number(v.Num())
-	case jsonval.String:
-		return b.String(v.Str())
-	case jsonval.Array:
-		if err := b.BeginArray(); err != nil {
-			return err
-		}
-		for _, e := range v.Elems() {
-			if err := replay(b, e); err != nil {
-				return err
-			}
-		}
-		return b.EndArray()
-	default:
-		if err := b.BeginObject(); err != nil {
-			return err
-		}
-		for _, m := range v.Members() {
-			if err := b.Key(m.Key); err != nil {
-				return err
-			}
-			if err := replay(b, m.Value); err != nil {
-				return err
-			}
-		}
-		return b.EndObject()
-	}
-}
-
-// TestBuilderMatchesFromValue: a Builder-made tree must be structurally
-// identical to FromValue — same value, same subtree hashes, valid per
-// §3.1 — across many random documents, reusing one Builder throughout.
-// Random values render their object members unsorted, so the node
-// numbering of the Builder and of Parse on that text must still match
-// FromValue's node for node: selections are reported in node order.
+// TestBuilderMatchesFromValue: a tree parsed by a reused Builder must
+// be structurally identical to FromValue — same value, same subtree
+// hashes, valid per §3.1 — across many random documents. Random values
+// render their object members unsorted, so the node numbering of the
+// parsed tree must still match FromValue's node for node: selections
+// are reported in node order.
 func TestBuilderMatchesFromValue(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	b := NewBuilder()
 	for i := 0; i < 300; i++ {
 		v := randomValue(r, 4)
-		b.Reset()
-		feedValue(t, b, v)
-		built, err := b.Tree()
+		built, err := b.Parse(v.String())
 		if err != nil {
-			t.Fatalf("doc %d: Tree: %v", i, err)
+			t.Fatalf("doc %d: Parse(%s): %v", i, v, err)
 		}
 		ref := FromValue(v)
 		if err := built.Validate(); err != nil {
@@ -88,38 +44,13 @@ func TestBuilderMatchesFromValue(t *testing.T) {
 		if err := sameTree(built, ref); err != nil {
 			t.Fatalf("doc %d %s: Builder vs FromValue: %v", i, v, err)
 		}
-		parsed, err := Parse(v.String())
-		if err != nil {
-			t.Fatalf("doc %d: Parse(%s): %v", i, v, err)
-		}
-		if err := sameTree(parsed, ref); err != nil {
-			t.Fatalf("doc %d %s: Parse vs FromValue: %v", i, v, err)
-		}
 	}
 }
 
-// TestBuilderObjectCanonicalization: members fed in any order produce
-// key-sorted children with correct positions and the same hash.
+// TestBuilderObjectCanonicalization: members written in any order
+// produce key-sorted children with correct positions.
 func TestBuilderObjectCanonicalization(t *testing.T) {
-	b := NewBuilder()
-	for _, err := range []error{
-		b.BeginObject(), b.Key("zebra"), b.Number(1),
-		b.Key("apple"), b.String("x"), b.Key("mid"),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.BeginArray(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.EndArray(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.EndObject(); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := b.Tree()
+	tr, err := NewBuilder().Parse(`{"zebra":1,"apple":"x","mid":[]}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,78 +73,48 @@ func TestBuilderObjectCanonicalization(t *testing.T) {
 	}
 }
 
-// TestBuilderErrors: malformed event sequences are rejected, not built.
+// TestBuilderErrors: malformed structure is rejected, not built, and
+// a failed Parse leaves nothing behind — open containers, keys, heap
+// bytes — for the Builder's next document to inherit.
 func TestBuilderErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		feed func(b *Builder) error
-	}{
-		{"empty", func(b *Builder) error { return nil }},
-		{"open object", func(b *Builder) error { return b.BeginObject() }},
-		{"key at top", func(b *Builder) error { return b.Key("a") }},
-		{"value without key", func(b *Builder) error {
-			if err := b.BeginObject(); err != nil {
-				return err
-			}
-			return b.Number(1)
-		}},
-		{"dangling key", func(b *Builder) error {
-			if err := b.BeginObject(); err != nil {
-				return err
-			}
-			if err := b.Key("a"); err != nil {
-				return err
-			}
-			return b.EndObject()
-		}},
-		{"duplicate key", func(b *Builder) error {
-			for _, err := range []error{b.BeginObject(), b.Key("a"), b.Number(1), b.Key("a"), b.Number(2)} {
-				if err != nil {
-					return err
-				}
-			}
-			return b.EndObject()
-		}},
-		{"mismatched close", func(b *Builder) error {
-			if err := b.BeginArray(); err != nil {
-				return err
-			}
-			return b.EndObject()
-		}},
-		{"second root", func(b *Builder) error {
-			if err := b.Number(1); err != nil {
-				return err
-			}
-			return b.Number(2)
-		}},
-	}
-	for _, tc := range cases {
+	const good = `{"b":[1,{"c":"x"}],"a":2}`
+	want := MustParse(good)
+	b := NewBuilder()
+	for _, tc := range []struct{ name, text string }{
+		{"empty", ``},
+		{"open object", `{"a":[1,{"b":"x"`},
+		{"key at top", `"a":1`},
+		{"value without key", `{1}`},
+		{"dangling key", `{"a"}`},
+		{"duplicate key", `{"a":1,"b":[2],"a":2}`},
+		{"mismatched close", `[{"a":1]`},
+		{"second root", `{"a":1} 2`},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := NewBuilder()
-			err := tc.feed(b)
-			if err == nil {
-				_, err = b.Tree()
+			if tr, err := b.Parse(tc.text); err == nil {
+				t.Fatalf("Parse(%q) = %s, want error", tc.text, tr)
 			}
-			if err == nil {
-				t.Fatal("want error, got none")
+			got, err := b.Parse(good)
+			if err != nil {
+				t.Fatalf("Parse after the failure: %v", err)
+			}
+			if err := sameTree(got, want); err != nil {
+				t.Fatalf("Parse after the failure: %v", err)
 			}
 		})
 	}
 }
 
-// TestBuilderResetIsolation: a tree returned by Tree must not be
-// disturbed by further building on the same (reset) Builder.
+// TestBuilderResetIsolation: a tree returned by Parse must not be
+// disturbed by further parsing on the same Builder.
 func TestBuilderResetIsolation(t *testing.T) {
 	b := NewBuilder()
-	feedValue(t, b, jsonval.MustParse(`{"a":[1,2],"b":"x"}`))
-	first, err := b.Tree()
+	first, err := b.Parse(`{"b":"x","a":[1,2]}`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := first.String()
-	b.Reset()
-	feedValue(t, b, jsonval.MustParse(`{"zz":{"deep":[9,8,7,6]}}`))
-	if _, err := b.Tree(); err != nil {
+	if _, err := b.Parse(`{"zz":{"deep":[9,8,7,6]}}`); err != nil {
 		t.Fatal(err)
 	}
 	if first.String() != want {

@@ -104,9 +104,9 @@ const corpusDoc = `{"meta":{"region":"r4","seq":4,"tenant":"t4"},"payload":{"k10
 
 // TestParseAllocsBounded pins tree construction at the Tree's four
 // allocations (node arena, child table, heap, Tree) — through Parse's
-// pooled state and through a reused Builder's events alike. The heap
-// holds the keys and strings, which the tree used to share with the
-// input text it kept alive.
+// pooled Builder and through a reused one alike. The heap holds the
+// keys and strings, which the tree used to share with the input text
+// it kept alive.
 func TestParseAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
@@ -121,14 +121,9 @@ func TestParseAllocsBounded(t *testing.T) {
 	}); n > 4 {
 		t.Errorf("Parse: %.1f allocs per document, want ≤ 4", n)
 	}
-	v := jsonval.MustParse(corpusDoc)
 	b := NewBuilder()
 	if n := testing.AllocsPerRun(200, func() {
-		b.Reset()
-		if err := replay(b, v); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.Tree(); err != nil {
+		if _, err := b.Parse(corpusDoc); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 4 {

@@ -2,11 +2,11 @@ package jsonval
 
 // Incremental structural hashing. These helpers expose the hash scheme
 // used by Value.Hash so that tree representations built without
-// materializing Values (notably jsontree.Builder, fed by the streaming
-// tokenizer) produce hashes identical to FromValue construction. The
-// json(n) = A comparisons across the system rely on that agreement:
-// jnl's EQDoc and jsl's EqDoc compare subtree hashes of trees against
-// Value hashes of constants.
+// materializing Values (notably jsontree.Builder, which parses text
+// straight into a tree) produce hashes identical to FromValue
+// construction. The json(n) = A comparisons across the system rely on
+// that agreement: jnl's EQDoc and jsl's EqDoc compare subtree hashes
+// of trees against Value hashes of constants.
 //
 // The scheme is FNV-1a over a post-order serialization of the value,
 // with object members folded commutatively (sum and xor of per-member

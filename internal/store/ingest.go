@@ -1,11 +1,9 @@
 package store
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"jsonlogic/internal/engine"
@@ -44,9 +42,9 @@ type BulkResult struct {
 // after which the stream cannot be resynchronized — documents ingested
 // before the failure remain stored.
 //
-// Lines are tokenized with the §6 streaming tokenizer and materialized
-// through a reused jsontree.Builder, bypassing the jsonval layer like
-// the engine's NDJSON paths.
+// Lines are split by engine.ScanNDJSON, the line rule of the engine's
+// NDJSON readers, and parsed by jsontree.Parse, the route of Put, so a
+// document is refused by bulk exactly when Put refuses it.
 //
 // On a durable store, WAL appends are batched: per-line records are
 // buffered as they are applied and forced durable once at the end of
@@ -68,48 +66,42 @@ func (s *Store) BulkNDJSON(r io.Reader) (BulkResult, error) {
 		res.Durable = len(res.IDs)
 		return err
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), engine.MaxNDJSONLine)
-	b := jsontree.NewBuilder()
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		// JSON whitespace only, as in the engine's NDJSON readers:
-		// TrimSpace would also strip Unicode spaces that Put rejects.
-		text := strings.Trim(sc.Text(), " \t\r\n")
-		if text == "" {
-			continue
-		}
-		t, err := engine.BuildTree(strings.NewReader(text), b)
+	// failedLine is the line whose write stopped the scan, 0 if none.
+	failedLine := 0
+	err := engine.ScanNDJSON(r, func(line int, text string) error {
+		t, err := jsontree.Parse(text)
 		if err != nil {
-			res.Errors = append(res.Errors, BulkError{Line: lineNo, Err: err})
-			continue
+			res.Errors = append(res.Errors, BulkError{Line: line, Err: err})
+			return nil
 		}
 		// Schema enforcement is per line, like parse errors: one
 		// nonconforming document is rejected without aborting the batch.
 		if err := s.validateSchema(t); err != nil {
-			res.Errors = append(res.Errors, BulkError{Line: lineNo, Err: fmt.Errorf("store: bulk line %d: %w", lineNo, err)})
-			continue
+			res.Errors = append(res.Errors, BulkError{Line: line, Err: fmt.Errorf("store: bulk line %d: %w", line, err)})
+			return nil
 		}
 		// Draw sequence IDs until one inserts: taken IDs (user-chosen
 		// names, or a concurrent Put racing the sequence) are skipped
 		// atomically, never overwritten.
-		var id string
 		for {
-			id = fmt.Sprintf("d%08d", s.seq.Add(1)-1)
+			id := fmt.Sprintf("d%08d", s.seq.Add(1)-1)
 			ok, err := s.write(id, t, ifAbsent|deferCommit)
 			if err != nil {
-				err = abort(err)
-				return res, fmt.Errorf("bulk line %d (after %d durable): %w", lineNo, res.Durable, err)
+				failedLine = line
+				return err
 			}
 			if ok {
-				break
+				res.IDs = append(res.IDs, id)
+				return nil
 			}
 		}
-		res.IDs = append(res.IDs, id)
-	}
-	if err := sc.Err(); err != nil {
-		return res, abort(err)
+	})
+	if err != nil {
+		err = abort(err)
+		if failedLine > 0 {
+			err = fmt.Errorf("bulk line %d (after %d durable): %w", failedLine, res.Durable, err)
+		}
+		return res, err
 	}
 	if err := s.commitBulk(); err != nil {
 		return res, fmt.Errorf("bulk commit (0 of %d lines known durable): %w", len(res.IDs), err)

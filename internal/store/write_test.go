@@ -223,11 +223,11 @@ func TestPutTreeAllocsBounded(t *testing.T) {
 	t.Logf("durable PutTree: %v allocs/op", n)
 }
 
-// TestPutRejectsWhatBulkRejects: Put parses with jsontree.Parse, PUT
-// /docs and bulk with the tokenizer; a document one route refuses must
-// be refused by the other. Invalid UTF-8 used to pass Put and be
-// logged as U+FFFD, so the recovered tree differed from the one in
-// memory.
+// TestPutRejectsWhatBulkRejects: Put and bulk both parse with
+// jsontree.Parse; a document one route refuses must be refused by the
+// other, whatever bulk's line handling adds. Invalid UTF-8 used to
+// pass Put and be logged as U+FFFD, so the recovered tree differed
+// from the one in memory.
 func TestPutRejectsWhatBulkRejects(t *testing.T) {
 	s := New(Options{Shards: 1})
 	for _, doc := range []string{"\"\xff\"", "{\"k\xc3\":1}", strings.Repeat("[", 10_001) + strings.Repeat("]", 10_001)} {

@@ -4,7 +4,10 @@
 #  1. cmd/jsonstored's import graph contains none of the research-only
 #     packages (datalog, xmlenc, projection, gen): they exist to
 #     reproduce the paper's claims and to drive tests, and must not
-#     ride into the daemon.
+#     ride into the daemon. Nor does it contain the §6 streaming
+#     tokenizer and validator (stream) or the translations only they
+#     use (translate): the daemon builds every tree with
+#     jsontree.Parse, so a second text-to-tree route there is a fork.
 #  2. Non-test code in internal/store and internal/httpapi never calls
 #     (*jsontree.Tree).Value: the jsonval.Value detour is the test
 #     oracle for the one tree encoder (Tree.AppendJSON), not a
@@ -16,9 +19,9 @@ set -u
 fail=0
 
 deps=$(go list -deps ./cmd/jsonstored) || exit 1
-for pkg in datalog xmlenc projection gen; do
+for pkg in datalog xmlenc projection gen stream translate; do
     if echo "$deps" | grep -qx "jsonlogic/internal/$pkg"; then
-        echo "deps-check: cmd/jsonstored depends on research-only package internal/$pkg"
+        echo "deps-check: cmd/jsonstored depends on internal/$pkg"
         fail=1
     fi
 done
