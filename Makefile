@@ -48,7 +48,8 @@ race-core:
 # probe, the durable write path (PutTree: index insert plus one WAL
 # frame rendered straight from the tree arena), tree construction
 # (jsontree.Parse and a reused Builder: four allocations a document;
-# PUT's engine.BuildTree: six, with its read buffer and string),
+# PUT's body read and pooled parse, and engine.BuildTree: six, with the
+# read buffer and string),
 # a plan-cache miss beside disjoint resident plans (the semantic
 # dedup skips their containment proofs), the exact-find text check
 # (no allocation) and an exact find on a reopened segment store
@@ -58,7 +59,7 @@ race-core:
 # -count=1 defeats the test cache so the numbers are measured, not
 # replayed.
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|AllocsBounded' -count=1 ./internal/jsontree ./internal/qir ./internal/engine ./internal/store ./internal/trace ./internal/containment ./internal/jauto ./internal/schema ./internal/datalog
+	$(GO) test -run 'ZeroAllocs|AllocsBounded' -count=1 ./internal/jsontree ./internal/qir ./internal/engine ./internal/store ./internal/trace ./internal/httpapi ./internal/containment ./internal/jauto ./internal/schema ./internal/datalog
 
 # The robustness suite: fault-injected durability (a FaultFS injects
 # ENOSPC/EIO/short writes under the WAL and segment builds; shards must
@@ -81,10 +82,11 @@ chaos:
 # production evaluator), the segment posting-list codec (round-
 # trip fidelity; hostile bytes must error, never panic or over-read),
 # the three text-to-tree routes (jsonval.Parse+FromValue,
-# jsontree.Parse and PUT's engine.BuildTree accept the same documents
-# and build the same trees), the §6 streaming tokenizer (accepts
-# exactly the store's document language, and streams each document as
-# its value's events), JSONPath selection (the
+# jsontree.Parse and engine.BuildTree accept the same documents and
+# build the same trees), the §6 streaming tokenizer (accepts exactly
+# the store's document language, streams each document as its value's
+# events, and rejects a bad literal with jsonval's error and offset),
+# JSONPath selection (the
 # executor's set-at-a-time enumerators select exactly the nodes of the
 # reference JNL evaluator) and the exact-find text check (HoldsJSON
 # on a document's bytes answers as Holds on its parsed tree; hostile
@@ -115,11 +117,13 @@ bench-store:
 
 # One iteration of a representative benchmark per tier (evaluator,
 # engine — plan-cache misses with the semantic pass included —, store,
-# planner, the scan-eval query shapes through the QIR executor, and
-# the query-cold tenant pass on a reopened segment tier) — catches
-# bit-rot, not regressions; CI runs this on every push.
+# planner, the scan-eval query shapes through the QIR executor, the
+# query-cold tenant pass on a reopened segment tier, and both kinds of
+# jsonval.Lexer driver: tree parsing over string input and the §6
+# streaming validator over byte input) — catches bit-rot, not
+# regressions; CI runs this on every push.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkP1EvalDeterministic|BenchmarkStoreFindMongo|BenchmarkStorePlanner|BenchmarkStoreScanEval|BenchmarkStoreColdPass' -benchtime 1x ./...
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkP1EvalDeterministic|BenchmarkStoreFindMongo|BenchmarkStorePlanner|BenchmarkStoreScanEval|BenchmarkStoreColdPass|BenchmarkTreeParse|BenchmarkStreamValidate' -benchtime 1x ./...
 
 # The repo's benchmark (benchmark/, see BENCHMARK.json) is a module of
 # its own that builds the system under test from this checkout, so the

@@ -791,8 +791,8 @@ const corpusDoc = `{"meta":{"region":"r4","seq":4,"tenant":"t4"},"payload":{"k10
 // ns/op and allocs/op are per document. "parse" is jsontree.Parse,
 // the route of segment resolves, WAL replay, Store.Put and /bulk;
 // "reader" is engine.BuildTree over a strings.Reader and a reused
-// Builder, the route of PUT /docs: the same parse plus reading the
-// body into a string.
+// Builder: the same parse plus reading the input into a string, as
+// PUT /docs does before it parses.
 func BenchmarkTreeParse(b *testing.B) {
 	b.Run("parse", func(b *testing.B) {
 		b.ReportAllocs()

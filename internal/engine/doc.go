@@ -46,7 +46,8 @@
 // the rule the store's bulk ingest shares — and GOMAXPROCS workers
 // parse each with jsontree.Parse, the store's route, then evaluate
 // in parallel. A malformed line fails that line only, not the batch.
-// BuildTree is PUT /docs' reader-to-tree step over the same parser.
+// BuildTree is the same parser behind a read of an io.Reader, into a
+// Builder the caller keeps.
 // Fanning a plan out over stored documents is internal/store's job
 // (Find, Select).
 //

@@ -129,9 +129,9 @@ func (e *Engine) runNDJSON(p *Plan, r io.Reader, validate bool) ([]DocResult, er
 }
 
 // BuildTree reads one JSON document from r to its end and parses it
-// into a tree with b. It is PUT /docs' body reader: the caller bounds
-// r (PUT passes http.MaxBytesReader), and a read error — that bound's
-// *http.MaxBytesError included — is returned unwrapped, before any
+// into a tree with b, for a caller that keeps its own Builder (PUT
+// /docs parses through jsontree.Parse's pool instead). The caller
+// bounds r, and a read error is returned unwrapped, before any
 // parsing.
 func BuildTree(r io.Reader, b *jsontree.Builder) (*jsontree.Tree, error) {
 	text, err := io.ReadAll(r)

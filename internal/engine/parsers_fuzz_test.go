@@ -12,8 +12,9 @@ import (
 // language. jsonval.Parse followed by jsontree.FromValue is the
 // reference; jsontree.Parse scans text into a pooled Builder
 // (Store.Put, /bulk, the NDJSON readers, WAL replay, segment resolve,
-// /validate's inline doc); BuildTree reads a reader to its end and
-// parses into a reused Builder (PUT /docs), so it also pins that a
+// /validate's inline doc, PUT /docs after reading its body); BuildTree
+// reads a reader to its end and parses into a reused Builder, so it
+// also pins that a
 // Builder carries nothing from one document, failed or not, into the
 // next. What a document is must not depend on the route: all three
 // accept or all reject, and on accept the trees have the same node

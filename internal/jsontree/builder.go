@@ -27,7 +27,7 @@ import (
 //
 // A Builder is not safe for concurrent use; pool one per goroutine.
 type Builder struct {
-	lex   jsonval.Lexer
+	lex   jsonval.Lexer[string]
 	nodes []node
 	kids  []NodeID
 	heap  []byte
@@ -46,8 +46,8 @@ type Builder struct {
 
 // NewBuilder returns an empty Builder with room for a typical stored
 // document (64 nodes, 512 bytes of keys and strings), so parsing one
-// with a fresh Builder — PUT /docs takes one per request — costs one
-// allocation per arena rather than one per doubling.
+// with a fresh Builder costs one allocation per arena rather than one
+// per doubling.
 func NewBuilder() *Builder {
 	return &Builder{
 		nodes: make([]node, 0, 64),

@@ -2,10 +2,8 @@ package jsontree
 
 import (
 	"fmt"
-	"math"
 	"strings"
-	"unicode/utf16"
-	"unicode/utf8"
+	"sync"
 
 	"jsonlogic/internal/jsonval"
 )
@@ -58,21 +56,28 @@ func (f PathFact) Holds(t *Tree) bool {
 
 // HoldsJSON reports whether the JSON document text doc satisfies the
 // fact, reading the bytes in place: it walks the fact's keys and
-// indices, skipping sibling values without decoding them, and tests
-// the reached value's kind and, for a scalar Value, the number or the
-// decoded string itself. It allocates nothing and builds no tree. On
-// any text Parse accepts it agrees with Holds(Parse(doc)). Bytes it
-// cannot read — a malformed value on the way, a truncated document —
-// are an error, never a silent false; so are the facts it cannot
-// decide on text alone, a negative index (which counts from the end)
-// and a container Value. Text after the reached value is not read, so
-// a document broken only there may still answer.
+// indices over a jsonval.Lexer, skipping sibling values, and tests the
+// reached value's kind and, for a scalar Value, the number or the
+// string itself. Keys and strings are compared as views of doc (or of
+// the pooled Lexer's scratch, for those with escapes), so it allocates
+// nothing and builds no tree. On any text Parse accepts it agrees with
+// Holds(Parse(doc)). Bytes it cannot read — a malformed value on the
+// way, a truncated document — are an error, never a silent false; so
+// are the facts it cannot decide on text alone, a negative index
+// (which counts from the end) and a container Value. Text after the
+// reached value is not read, so a document broken only there may
+// still answer.
 func (f PathFact) HoldsJSON(doc []byte) (bool, error) {
 	if f.Value != nil && f.Value.Kind() != jsonval.Number && f.Value.Kind() != jsonval.String {
 		return false, fmt.Errorf("jsontree: fact %s: container values are not checked on text", f)
 	}
-	s := textScan{b: doc}
-	s.space()
+	l := lexers.Get().(*jsonval.Lexer[[]byte])
+	defer func() {
+		l.Reset(nil) // forget doc: it may be a mapped segment
+		lexers.Put(l)
+	}()
+	l.Reset(doc)
+	l.SkipSpace()
 	for _, st := range f.Steps {
 		want := ObjectNode
 		if !st.IsKey {
@@ -81,286 +86,109 @@ func (f PathFact) HoldsJSON(doc []byte) (bool, error) {
 			}
 			want = ArrayNode
 		}
-		if kind, err := s.kind(); err != nil || kind != want {
+		if kind, err := textKind(l); err != nil || kind != want {
 			return false, err
 		}
-		if found, err := s.seek(st, true, 0); err != nil || !found {
+		if found, err := seek(l, st, true, 0); err != nil || !found {
 			return false, err
 		}
 	}
-	kind, err := s.kind()
+	kind, err := textKind(l)
 	if err != nil {
 		return false, err
 	}
 	if f.HasClass && kind != f.Class {
 		return false, nil
 	}
-	if f.Value == nil {
+	switch {
+	case f.Value == nil:
 		return true, nil
-	}
-	if f.Value.Kind() == jsonval.Number {
+	case f.Value.Kind() == jsonval.Number:
 		if kind != NumberNode {
 			return false, nil
 		}
-		n, err := s.number()
+		n, err := l.ScanNumber()
 		return err == nil && n == f.Value.Num(), err
-	}
-	if kind != StringNode {
+	case kind != StringNode:
 		return false, nil
 	}
-	return s.str(f.Value.Str(), true)
+	s, err := l.ScanString()
+	return err == nil && string(s) == f.Value.Str(), err
 }
 
-// textScan is HoldsJSON's cursor over one document's bytes. It accepts
-// the token language of jsonval.Lexer — whitespace, strict UTF-8, the
-// escape and surrogate rules, naturals without leading zeros within
-// uint64 — and checks the structure of every value it skips, but
-// decodes nothing into memory.
-type textScan struct {
-	b   []byte
-	pos int
-}
+// lexers pools HoldsJSON's Lexers, so a string with escapes is decoded
+// into scratch that outlives one call.
+var lexers = sync.Pool{New: func() any { return new(jsonval.Lexer[[]byte]) }}
 
-func (s *textScan) errorf(format string, args ...any) error {
-	return &jsonval.SyntaxError{Offset: s.pos, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (s *textScan) space() {
-	for s.pos < len(s.b) {
-		switch s.b[s.pos] {
-		case ' ', '\t', '\n', '\r':
-			s.pos++
-		default:
-			return
+// textKind classifies the value starting at l's offset by its first
+// byte.
+func textKind(l *jsonval.Lexer[[]byte]) (Kind, error) {
+	if l.Pos < len(l.In) {
+		switch c := l.In[l.Pos]; {
+		case c == '{':
+			return ObjectNode, nil
+		case c == '[':
+			return ArrayNode, nil
+		case c == '"':
+			return StringNode, nil
+		case c >= '0' && c <= '9':
+			return NumberNode, nil
 		}
 	}
+	return 0, l.ValueError()
 }
 
-// kind classifies the value starting at the cursor by its first byte.
-func (s *textScan) kind() (Kind, error) {
-	if s.pos >= len(s.b) {
-		return 0, s.errorf("unexpected end of input, want a value")
-	}
-	switch c := s.b[s.pos]; {
-	case c == '{':
-		return ObjectNode, nil
-	case c == '[':
-		return ArrayNode, nil
-	case c == '"':
-		return StringNode, nil
-	case c >= '0' && c <= '9':
-		return NumberNode, nil
-	}
-	return 0, s.errorf("unexpected character %q, want a value", s.b[s.pos])
-}
-
-// more consumes what follows a member or element: a ',' (more) or the
-// container's closer.
-func (s *textScan) more(closer byte) (bool, error) {
-	s.space()
-	if s.pos < len(s.b) {
-		switch s.b[s.pos] {
-		case ',':
-			s.pos++
-			s.space()
-			return true, nil
-		case closer:
-			s.pos++
-			return false, nil
-		}
-	}
-	return false, s.errorf("want ',' or %q", closer)
-}
-
-// seek enters the object or array at the cursor and, when find is set,
+// seek enters the object or array at l's offset and, when find is set,
 // stops at the value of the member named st.Key or of element
 // st.Index, reporting true. Otherwise — nothing to find, or no such
 // member or element — it consumes the container whole, checking every
 // value it skips. depth bounds the nesting as jsonval.MaxDepth bounds
 // the parsers'.
-func (s *textScan) seek(st Step, find bool, depth int) (bool, error) {
+func seek(l *jsonval.Lexer[[]byte], st Step, find bool, depth int) (bool, error) {
 	if depth >= jsonval.MaxDepth {
-		return false, s.errorf("nesting depth exceeds %d", jsonval.MaxDepth)
+		return false, l.Errorf("nesting depth exceeds %d", jsonval.MaxDepth)
 	}
-	object := s.b[s.pos] == '{'
 	closer := byte(']')
-	if object {
+	if l.In[l.Pos] == '{' {
 		closer = '}'
 	}
-	s.pos++
-	s.space()
-	if s.pos < len(s.b) && s.b[s.pos] == closer {
-		s.pos++
+	if l.Open() {
 		return false, nil
 	}
 	for i := 0; ; i++ {
 		hit := find && i == st.Index
-		if object {
-			if s.pos >= len(s.b) || s.b[s.pos] != '"' {
-				return false, s.errorf("want object key string")
-			}
-			var err error
-			if hit, err = s.str(st.Key, find); err != nil {
+		if closer == '}' {
+			key, err := l.ObjectKey()
+			if err != nil {
 				return false, err
 			}
-			s.space()
-			if s.pos >= len(s.b) || s.b[s.pos] != ':' {
-				return false, s.errorf("want ':' after object key")
-			}
-			s.pos++
-			s.space()
+			hit = find && string(key) == st.Key
 		}
 		if hit {
 			return true, nil
 		}
-		if err := s.skip(depth + 1); err != nil {
+		if err := skip(l, depth+1); err != nil {
 			return false, err
 		}
-		if more, err := s.more(closer); err != nil || !more {
+		if more, err := l.More(closer); err != nil || !more {
 			return false, err
 		}
 	}
 }
 
-// skip consumes the value at the cursor, checking its structure.
-func (s *textScan) skip(depth int) error {
-	kind, err := s.kind()
+// skip consumes the value at l's offset, checking its structure.
+func skip(l *jsonval.Lexer[[]byte], depth int) error {
+	kind, err := textKind(l)
 	switch {
 	case err != nil:
 	case kind == StringNode:
-		_, err = s.str("", false)
+		_, err = l.ScanString()
 	case kind == NumberNode:
-		_, err = s.number()
+		_, err = l.ScanNumber()
 	default:
-		_, err = s.seek(Step{}, false, depth)
+		_, err = seek(l, Step{}, false, depth)
 	}
 	return err
-}
-
-// number consumes the natural number at the cursor.
-func (s *textScan) number() (uint64, error) {
-	start := s.pos
-	var n uint64
-	for s.pos < len(s.b) && s.b[s.pos] >= '0' && s.b[s.pos] <= '9' {
-		d := uint64(s.b[s.pos] - '0')
-		if n > (math.MaxUint64-d)/10 {
-			return 0, s.errorf("number out of range")
-		}
-		n = n*10 + d
-		s.pos++
-	}
-	if s.pos < len(s.b) {
-		switch s.b[s.pos] {
-		case '.', 'e', 'E':
-			return 0, s.errorf("fractional and exponent numbers are outside the paper's value model")
-		}
-	}
-	if s.pos-start > 1 && s.b[start] == '0' {
-		return 0, s.errorf("leading zeros are not permitted in numbers")
-	}
-	return n, nil
-}
-
-// str consumes the string literal at the cursor and, when compare is
-// set, reports whether it decodes to exactly want — comparing as it
-// decodes, so nothing is copied.
-func (s *textScan) str(want string, compare bool) (bool, error) {
-	s.pos++ // the opening quote
-	eq, i := compare, 0
-	// match compares the next decoded bytes against want.
-	match := func(p []byte) {
-		if eq {
-			eq = i+len(p) <= len(want) && string(p) == want[i:i+len(p)]
-			i += len(p)
-		}
-	}
-	var enc [utf8.UTFMax]byte
-	for s.pos < len(s.b) {
-		c := s.b[s.pos]
-		switch {
-		case c == '"':
-			s.pos++
-			return eq && i == len(want), nil
-		case c == '\\':
-			if s.pos+1 >= len(s.b) {
-				return false, s.errorf("unterminated escape")
-			}
-			esc := s.b[s.pos+1]
-			s.pos += 2
-			switch esc {
-			case '"', '\\', '/':
-				enc[0] = esc
-			case 'b':
-				enc[0] = '\b'
-			case 'f':
-				enc[0] = '\f'
-			case 'n':
-				enc[0] = '\n'
-			case 'r':
-				enc[0] = '\r'
-			case 't':
-				enc[0] = '\t'
-			case 'u':
-				r, err := s.hex4()
-				if err != nil {
-					return false, err
-				}
-				if utf16.IsSurrogate(r) {
-					if s.pos+1 >= len(s.b) || s.b[s.pos] != '\\' || s.b[s.pos+1] != 'u' {
-						return false, s.errorf("unpaired surrogate in \\u escape")
-					}
-					s.pos += 2
-					r2, err := s.hex4()
-					if err != nil {
-						return false, err
-					}
-					if r = utf16.DecodeRune(r, r2); r == utf8.RuneError {
-						return false, s.errorf("invalid surrogate pair in \\u escape")
-					}
-				}
-				match(enc[:utf8.EncodeRune(enc[:], r)])
-				continue
-			default:
-				return false, s.errorf("invalid escape \\%c", esc)
-			}
-			match(enc[:1])
-		case c < 0x20:
-			return false, s.errorf("raw control character in string")
-		case c < utf8.RuneSelf:
-			match(s.b[s.pos : s.pos+1])
-			s.pos++
-		default:
-			r, size := utf8.DecodeRune(s.b[s.pos:])
-			if r == utf8.RuneError && size <= 1 {
-				return false, s.errorf("invalid UTF-8 in string")
-			}
-			match(s.b[s.pos : s.pos+size])
-			s.pos += size
-		}
-	}
-	return false, s.errorf("unterminated string")
-}
-
-func (s *textScan) hex4() (rune, error) {
-	if s.pos+4 > len(s.b) {
-		return 0, s.errorf("truncated \\u escape")
-	}
-	var r rune
-	for _, c := range s.b[s.pos : s.pos+4] {
-		r <<= 4
-		switch {
-		case c >= '0' && c <= '9':
-			r |= rune(c - '0')
-		case c >= 'a' && c <= 'f':
-			r |= rune(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			r |= rune(c-'A') + 10
-		default:
-			return 0, s.errorf("invalid hex digit %q in \\u escape", c)
-		}
-	}
-	s.pos += 4
-	return r, nil
 }
 
 // Depth returns the number of navigation steps of the fact.

@@ -171,9 +171,22 @@ func TestHoldsJSONZeroAllocs(t *testing.T) {
 		{Steps: []Step{Key("payload"), Key("k9"), Index(2), Key("k5")}, Value: jsonval.Str("s78")},
 		{Steps: []Step{Key("payload"), Key("k6"), Key("k6"), Index(1)}, Value: jsonval.Num(53)},
 	}
+	// Non-ASCII keys and strings, and escapes skipped and compared.
+	intl := []byte(`{"café":"x\ny","héllo":{"wörld":["∀x","\ud83d\ude00",12]},"z":"é\"q"}`)
+	intlFacts := []PathFact{
+		{Steps: []Step{Key("z")}, Value: jsonval.Str("é\"q")},
+		{Steps: []Step{Key("héllo"), Key("wörld"), Index(2)}, Value: jsonval.Num(12)},
+		{Steps: []Step{Key("héllo"), Key("wörld"), Index(1)}, Value: jsonval.Str("😀")},
+		{Steps: []Step{Key("café")}, Value: jsonval.Str("x\ny")},
+	}
 	n := testing.AllocsPerRun(200, func() {
 		for _, f := range facts {
 			if ok, err := f.HoldsJSON(doc); !ok || err != nil {
+				t.Fatalf("HoldsJSON(%s) = %v, %v", f, ok, err)
+			}
+		}
+		for _, f := range intlFacts {
+			if ok, err := f.HoldsJSON(intl); !ok || err != nil {
 				t.Fatalf("HoldsJSON(%s) = %v, %v", f, ok, err)
 			}
 		}
@@ -187,7 +200,10 @@ func TestHoldsJSONZeroAllocs(t *testing.T) {
 // derived fact without error and as Holds does on the tree; on any
 // other bytes it may answer or fail, but never panics or reads out of
 // bounds (the fuzzer's slices are exactly the input). key and val
-// build one more fact the document's own shape would not suggest.
+// build one more fact the document's own shape would not suggest. The
+// seeds after the first six are FuzzTokenizerAgrees' token edges —
+// invalid UTF-8, lone surrogates, \u0000, leading zeros, 2^64, raw
+// control bytes — so the byte-input Lexer is fuzzed on them too.
 func FuzzFactText(f *testing.F) {
 	for _, seed := range []string{
 		corpusDoc,
@@ -196,6 +212,14 @@ func FuzzFactText(f *testing.F) {
 		`{"meta":{"tenant":"t3"}}`,
 		`{"a":[1 2]}`,
 		`{"z":"v\`,
+		"\"\xff\"", "\"caf\xc3\"", "\"\xc3\x28\"", "{\"k\x80\":1}", "\"\xed\xa0\x80\"", "\"\xf4\x90\x80\x80\"", "\"\xef\xbf\xbd\"",
+		`"\ud800"`, `"\udc00"`, `"\ud800\u0041"`, `"\ud83d\ude00"`, `"\u0000"`, `"\/"`,
+		`{"a":1,"a":2}`, `{"a":{"b":1,"b":2}}`, `{"b":1,"a":2}`,
+		`01`, `0`, `00`, `[01]`, `-0`, `1.0`, `1e2`,
+		`18446744073709551615`, `18446744073709551616`, `99999999999999999999999`,
+		`1 2`, `{} x`, `[] ]`, `"a" "b"`, "1\n", " \t\r\n[ 1 , 2 ] \n", "1\x00", "\xef\xbb\xbf1",
+		``, ` `, `[`, `{`, `{"a"`, `{"a":`, `[1,`, `[1,]`, `{,}`, `"`, `"\`, `"\u12`, "\"\x01\"", `true`, `null`,
+		"{\"meta\":{\"t\\u0000\":\"\xc3\"}}", "{\"meta\":[01]}", "{\"meta\":18446744073709551616}", "{\"meta\":\"a\tb\"}",
 	} {
 		f.Add(seed, "meta", "t3", uint8(0))
 	}

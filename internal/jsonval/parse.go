@@ -2,7 +2,7 @@ package jsonval
 
 import (
 	"fmt"
-	"strconv"
+	"math"
 	"unicode/utf16"
 	"unicode/utf8"
 )
@@ -33,7 +33,7 @@ const MaxDepth = 10000
 // nesting deeper than MaxDepth. Trailing non-whitespace input is an
 // error.
 func Parse(input string) (*Value, error) {
-	p := &parser{Lexer: Lexer{In: input}}
+	p := &parser{Lexer: Lexer[string]{In: input}}
 	p.SkipSpace()
 	v, err := p.value()
 	if err != nil {
@@ -54,7 +54,7 @@ func ParseBytes(input []byte) (*Value, error) { return Parse(string(input)) }
 // permits trailing input, so callers can embed JSON literals inside a
 // larger syntax (the JNL and JSON Schema parsers do this).
 func ParsePrefix(input string) (*Value, int, error) {
-	p := &parser{Lexer: Lexer{In: input}}
+	p := &parser{Lexer: Lexer[string]{In: input}}
 	p.SkipSpace()
 	v, err := p.value()
 	if err != nil {
@@ -74,7 +74,7 @@ func MustParse(input string) *Value {
 
 // parser is the Value-building grammar over the shared Lexer.
 type parser struct {
-	Lexer
+	Lexer[string]
 	depth int // open containers around Pos
 }
 
@@ -166,12 +166,15 @@ func (p *parser) array() (*Value, error) {
 // strings, numbers and the punctuation around members and elements,
 // with the language's rules — strict UTF-8, the escape and
 // surrogate-pair rules, no leading zeros, the uint64 range, no
-// negative or fractional numbers — and their errors. Parse drives it
-// to build Values; jsontree.Parse drives the same Lexer to build trees
-// straight from text, so each parser holds only its recursion and its
-// build step, and the two cannot drift apart.
-type Lexer struct {
-	In  string // the input
+// negative or fractional numbers — and their errors. It is the one
+// implementation of those rules, and it scans whatever its caller
+// holds: Parse and jsontree.Parse drive a Lexer[string] over text;
+// jsontree's PathFact.HoldsJSON drives a Lexer[[]byte] over a stored
+// document's bytes, and the streaming tokenizer (internal/stream) one
+// over each string or number literal it reads. Each driver holds only
+// its own structure and build step, so none can drift from the others.
+type Lexer[T ~string | ~[]byte] struct {
+	In  T      // the input
 	Pos int    // byte offset of the next unread byte
 	buf []byte // decoding scratch for strings with escapes
 }
@@ -182,7 +185,7 @@ const maxScratch = 64 << 10
 // Reset points the Lexer at the start of in. The decoding buffer is
 // kept for reuse unless a long escaped string grew it past maxScratch,
 // so a pooled Lexer does not pin one large document's worth of memory.
-func (l *Lexer) Reset(in string) {
+func (l *Lexer[T]) Reset(in T) {
 	l.In, l.Pos = in, 0
 	if cap(l.buf) > maxScratch {
 		l.buf = nil
@@ -190,7 +193,7 @@ func (l *Lexer) Reset(in string) {
 }
 
 // Errorf returns a *SyntaxError at the current offset.
-func (l *Lexer) Errorf(format string, args ...any) error {
+func (l *Lexer[T]) Errorf(format string, args ...any) error {
 	return &SyntaxError{Offset: l.Pos, Msg: fmt.Sprintf(format, args...)}
 }
 
@@ -201,7 +204,7 @@ func DuplicateKeyError(offset int, key string) error {
 }
 
 // SkipSpace advances past JSON whitespace (space, tab, CR, LF).
-func (l *Lexer) SkipSpace() {
+func (l *Lexer[T]) SkipSpace() {
 	for l.Pos < len(l.In) {
 		switch l.In[l.Pos] {
 		case ' ', '\t', '\n', '\r':
@@ -216,7 +219,7 @@ func (l *Lexer) SkipSpace() {
 // after it, and reports whether the container is empty, consuming its
 // closing byte too if so. Otherwise a member or element starts at the
 // new offset.
-func (l *Lexer) Open() (empty bool) {
+func (l *Lexer[T]) Open() (empty bool) {
 	closer := byte(']')
 	if l.In[l.Pos] == '{' {
 		closer = '}'
@@ -231,19 +234,21 @@ func (l *Lexer) Open() (empty bool) {
 }
 
 // ObjectKey scans an object member's `"key" :` and the space after
-// it, so the member's value starts at the new offset.
-func (l *Lexer) ObjectKey() (string, error) {
+// it, so the member's value starts at the new offset. The key is as
+// ScanString returns it.
+func (l *Lexer[T]) ObjectKey() (T, error) {
+	var key T
 	l.SkipSpace()
 	if l.Pos >= len(l.In) || l.In[l.Pos] != '"' {
-		return "", l.Errorf("want object key string")
+		return key, l.Errorf("want object key string")
 	}
 	key, err := l.ScanString()
 	if err != nil {
-		return "", err
+		return key, err
 	}
 	l.SkipSpace()
 	if l.Pos >= len(l.In) || l.In[l.Pos] != ':' {
-		return "", l.Errorf("want ':' after object key")
+		return key, l.Errorf("want ':' after object key")
 	}
 	l.Pos++
 	l.SkipSpace()
@@ -253,7 +258,7 @@ func (l *Lexer) ObjectKey() (string, error) {
 // More scans what follows a member or element of the container that
 // closer ('}' or ']') ends: a ',' and the space after it, reporting
 // more, or closer itself, reporting the container closed.
-func (l *Lexer) More(closer byte) (more bool, err error) {
+func (l *Lexer[T]) More(closer byte) (more bool, err error) {
 	what := "array"
 	if closer == '}' {
 		what = "object"
@@ -279,7 +284,7 @@ func (l *Lexer) More(closer byte) (more bool, err error) {
 // input ended, or its byte starts a negative number, a boolean, null
 // or nothing the language has. Parsers call it for any byte that is
 // not '{', '[', '"' or a digit.
-func (l *Lexer) ValueError() error {
+func (l *Lexer[T]) ValueError() error {
 	if l.Pos >= len(l.In) {
 		return l.Errorf("unexpected end of input, want a value")
 	}
@@ -296,11 +301,16 @@ func (l *Lexer) ValueError() error {
 }
 
 // ScanNumber scans the natural number starting at the current offset,
-// which must be a digit.
-func (l *Lexer) ScanNumber() (uint64, error) {
+// which must be a digit. It reads no byte past the digits and the one
+// after them.
+func (l *Lexer[T]) ScanNumber() (uint64, error) {
 	start := l.Pos
-	for l.Pos < len(l.In) && l.In[l.Pos] >= '0' && l.In[l.Pos] <= '9' {
-		l.Pos++
+	var n uint64
+	overflow := false
+	for ; l.Pos < len(l.In) && l.In[l.Pos] >= '0' && l.In[l.Pos] <= '9'; l.Pos++ {
+		d := uint64(l.In[l.Pos] - '0')
+		overflow = overflow || n > (math.MaxUint64-d)/10
+		n = n*10 + d
 	}
 	if l.Pos < len(l.In) {
 		switch l.In[l.Pos] {
@@ -308,57 +318,49 @@ func (l *Lexer) ScanNumber() (uint64, error) {
 			return 0, l.Errorf("fractional and exponent numbers are outside the paper's value model (only naturals)")
 		}
 	}
-	lit := l.In[start:l.Pos]
-	if len(lit) > 1 && lit[0] == '0' {
+	if l.Pos-start > 1 && l.In[start] == '0' {
 		return 0, &SyntaxError{Offset: start, Msg: "leading zeros are not permitted in numbers"}
 	}
-	n, err := strconv.ParseUint(lit, 10, 64)
-	if err != nil {
-		return 0, &SyntaxError{Offset: start, Msg: "number out of range: " + lit}
+	if overflow {
+		return 0, &SyntaxError{Offset: start, Msg: "number out of range: " + string(l.In[start:l.Pos])}
 	}
 	return n, nil
 }
 
 // ScanString scans the string literal whose opening quote is at the
 // current offset and returns its decoded contents. A string without
-// escapes or non-ASCII bytes is returned as a substring of In, sharing
-// its memory; any other allocates its decoded copy.
-func (l *Lexer) ScanString() (string, error) {
-	l.Pos++ // consume opening quote
-	start := l.Pos
-	// Fast path: no escapes, ASCII-printable content.
-	for i := l.Pos; i < len(l.In); i++ {
-		c := l.In[i]
-		if c == '"' {
-			l.Pos = i + 1
-			return l.In[start:i], nil
-		}
-		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
-			break
-		}
-	}
+// escapes is returned as a slice of In, sharing its memory. One with
+// escapes is decoded into the Lexer's scratch: as a string that is a
+// copy, as a []byte a view of the scratch, valid until the next scan.
+// No byte past the closing quote changes the outcome, so a caller may
+// hand it exactly one literal.
+func (l *Lexer[T]) ScanString() (T, error) {
+	var zero T
+	l.Pos++ // the opening quote
+	start, mark := l.Pos, l.Pos
 	sb := l.buf[:0]
+	escaped := false
 	for l.Pos < len(l.In) {
-		c := l.In[l.Pos]
-		switch {
+		switch c := l.In[l.Pos]; {
 		case c == '"':
 			l.Pos++
-			l.buf = sb
-			return string(sb), nil
+			if !escaped {
+				return l.In[start : l.Pos-1], nil
+			}
+			l.buf = append(sb, l.In[mark:l.Pos-1]...)
+			return T(l.buf), nil
 		case c == '\\':
+			sb = append(sb, l.In[mark:l.Pos]...)
+			escaped = true
 			l.Pos++
 			if l.Pos >= len(l.In) {
-				return "", l.Errorf("unterminated escape")
+				return zero, l.Errorf("unterminated escape")
 			}
 			esc := l.In[l.Pos]
 			l.Pos++
 			switch esc {
-			case '"':
-				sb = append(sb, '"')
-			case '\\':
-				sb = append(sb, '\\')
-			case '/':
-				sb = append(sb, '/')
+			case '"', '\\', '/':
+				sb = append(sb, esc)
 			case 'b':
 				sb = append(sb, '\b')
 			case 'f':
@@ -372,54 +374,58 @@ func (l *Lexer) ScanString() (string, error) {
 			case 'u':
 				r, err := l.hex4()
 				if err != nil {
-					return "", err
+					return zero, err
 				}
 				if utf16.IsSurrogate(r) {
-					// Strict surrogate handling (matching the streaming
-					// tokenizer): a high surrogate must be followed by a
-					// low one; anything else is rejected rather than
-					// replaced.
-					if l.Pos+1 < len(l.In) && l.In[l.Pos] == '\\' && l.In[l.Pos+1] == 'u' {
-						l.Pos += 2
-						r2, err := l.hex4()
-						if err != nil {
-							return "", err
-						}
-						r = utf16.DecodeRune(r, r2)
-						if r == utf8.RuneError {
-							return "", l.Errorf("invalid surrogate pair in \\u escape")
-						}
-					} else {
-						return "", l.Errorf("unpaired surrogate in \\u escape")
+					// Strict surrogate handling: a high surrogate must be
+					// followed by a low one; anything else is rejected
+					// rather than replaced.
+					if l.Pos+1 >= len(l.In) || l.In[l.Pos] != '\\' || l.In[l.Pos+1] != 'u' {
+						return zero, l.Errorf("unpaired surrogate in \\u escape")
+					}
+					l.Pos += 2
+					r2, err := l.hex4()
+					if err != nil {
+						return zero, err
+					}
+					if r = utf16.DecodeRune(r, r2); r == utf8.RuneError {
+						return zero, l.Errorf("invalid surrogate pair in \\u escape")
 					}
 				}
 				sb = utf8.AppendRune(sb, r)
 			default:
-				return "", l.Errorf("invalid escape \\%c", esc)
+				return zero, l.Errorf("invalid escape \\%c", esc)
 			}
+			mark = l.Pos
 		case c < 0x20:
-			return "", l.Errorf("raw control character in string")
+			return zero, l.Errorf("raw control character in string")
+		case c < utf8.RuneSelf:
+			l.Pos++
 		default:
-			r, size := utf8.DecodeRuneInString(l.In[l.Pos:])
+			// Rejected, not replaced: a U+FFFD substitution would make
+			// the stored tree differ from its own serialization. At most
+			// UTFMax bytes are converted, so a []byte input does not
+			// copy.
+			end := min(l.Pos+utf8.UTFMax, len(l.In))
+			r, size := utf8.DecodeRuneInString(string(l.In[l.Pos:end]))
 			if r == utf8.RuneError && size <= 1 {
-				// Rejected, not replaced (matching the streaming
-				// tokenizer): a U+FFFD substitution would make the
-				// stored tree differ from its own serialization.
-				return "", l.Errorf("invalid UTF-8 in string")
+				return zero, l.Errorf("invalid UTF-8 in string")
 			}
-			sb = append(sb, l.In[l.Pos:l.Pos+size]...)
 			l.Pos += size
 		}
 	}
-	return "", l.Errorf("unterminated string")
+	return zero, l.Errorf("unterminated string")
 }
 
-func (l *Lexer) hex4() (rune, error) {
-	if l.Pos+4 > len(l.In) {
-		return 0, l.Errorf("truncated \\u escape")
-	}
+// hex4 decodes the four hex digits of a \u escape. A non-hex byte is
+// reported before a short input, so a literal cut at its closing quote
+// fails as the whole document does.
+func (l *Lexer[T]) hex4() (rune, error) {
 	var r rune
 	for i := 0; i < 4; i++ {
+		if l.Pos+i >= len(l.In) {
+			return 0, l.Errorf("truncated \\u escape")
+		}
 		c := l.In[l.Pos+i]
 		r <<= 4
 		switch {

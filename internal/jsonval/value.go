@@ -6,8 +6,10 @@
 //
 // The package provides an immutable value ADT, a hand-written
 // lexer/parser that enforces the paper's restrictions (duplicate keys are
-// rejected, numbers must be naturals) — the Lexer is exported so that
-// jsontree.Parse scans text with the same code — serializers (compact,
+// rejected, numbers must be naturals) — the Lexer is exported, generic
+// over string and []byte input, so that jsontree's parser and text
+// check and the streaming tokenizer scan with the same code —
+// serializers (compact,
 // indented and canonical forms), deep structural equality and
 // structural hashing.
 package jsonval

@@ -31,12 +31,25 @@ func valueEvents(dst []Token, v *jsonval.Value) []Token {
 	return append(dst, Token{Kind: EndObject})
 }
 
+// literalErrors are the messages with which jsonval's Lexer rejects a
+// string or number literal — the errors the tokenizer's Lexer must
+// report as jsonval.Parse does. Structural errors are worded by each
+// driver and fall outside them.
+var literalErrors = []string{
+	"unterminated string", "unterminated escape", "invalid escape",
+	"truncated \\u escape", "invalid hex digit", "unpaired surrogate",
+	"invalid surrogate pair", "raw control character", "invalid UTF-8",
+	"fractional and exponent numbers", "leading zeros", "number out of range",
+}
+
 // tokenizerAgrees holds the §6 tokenizer to the store's document
 // language, so the streaming validator decides over exactly the
 // documents the store holds: it accepts what jsonval.Parse accepts
 // (the parser jsontree.Parse shares its lexer with), and on accept
-// its token stream is the parsed value's event traversal. It reports
-// whether the document was accepted.
+// its token stream is the parsed value's event traversal. When
+// jsonval.Parse rejects a literal, the tokenizer rejects it with the
+// same message at the same offset. It reports whether the document was
+// accepted.
 func tokenizerAgrees(t testing.TB, doc string) bool {
 	t.Helper()
 	shown := doc
@@ -49,6 +62,13 @@ func tokenizerAgrees(t testing.TB, doc string) bool {
 		t.Fatalf("tokenizer disagrees with jsonval.Parse on %q:\n  jsonval.Parse: %v\n  tokenizer:     %v", shown, rerr, terr)
 	}
 	if rerr != nil {
+		re := rerr.(*jsonval.SyntaxError)
+		if slices.ContainsFunc(literalErrors, func(m string) bool { return strings.HasPrefix(re.Msg, m) }) {
+			te, ok := terr.(*SyntaxError)
+			if !ok || te.Offset != int64(re.Offset) || te.Msg != re.Msg {
+				t.Fatalf("tokenizer rejects the literal in %q otherwise than jsonval.Parse:\n  jsonval.Parse: %v\n  tokenizer:     %v", shown, rerr, terr)
+			}
+		}
 		return false
 	}
 	sameEvent := func(a, b Token) bool { return a.Kind == b.Kind && a.Str == b.Str && a.Num == b.Num }
@@ -71,9 +91,9 @@ func FuzzTokenizerAgrees(f *testing.F) {
 		`"\ud800"`, `"\udc00"`, `"\ud800\u0041"`, `"\ud83d\ude00"`, `"\u0000"`, `"\/"`,
 		`{"a":1,"a":2}`, `{"a":{"b":1,"b":2}}`, `{"b":1,"a":2}`,
 		`01`, `0`, `00`, `[01]`, `-0`, `1.0`, `1e2`,
-		`18446744073709551615`, `18446744073709551616`, `99999999999999999999999`,
+		`18446744073709551615`, `18446744073709551616`, `99999999999999999999999`, `[1.5]`, `00.5`, `1e`,
 		`1 2`, `{} x`, `[] ]`, `"a" "b"`, "1\n", " \t\r\n[ 1 , 2 ] \n", "1\x00", "\xef\xbb\xbf1",
-		``, ` `, `[`, `{`, `{"a"`, `{"a":`, `[1,`, `[1,]`, `{,}`, `"`, `"\`, `"\u12`, "\"\x01\"", `true`, `null`,
+		``, ` `, `[`, `{`, `{"a"`, `{"a":`, `[1,`, `[1,]`, `{,}`, `"`, `"\`, `"\u12`, `["\u12"]`, `"\u12"`, "\"\x01\"", "\"a\tb\"", `"\\"`, `"\\\""`, `["a\\\\", "b\""]`, `true`, `null`,
 	} {
 		f.Add(seed)
 	}

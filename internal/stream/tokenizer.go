@@ -12,14 +12,19 @@
 // requires remembering entire sibling subtrees. Comparisons with
 // constant documents (the ~(A) node test) are supported exactly, with
 // match state bounded by the constants' sizes.
+//
+// The tokenizer holds only the structure of a document: punctuation,
+// nesting and key uniqueness. Each string and number literal is read
+// raw and decoded by jsonval.Lexer, the one implementation of the
+// document language's token rules that the store's parsers and its
+// exact-find text check drive too; a rejected literal carries the
+// Lexer's message at its absolute offset.
 package stream
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
-	"unicode/utf8"
 
 	"jsonlogic/internal/jsonval"
 )
@@ -100,7 +105,8 @@ type TokenizerOptions struct {
 // Tokenizer reads one JSON document from an io.Reader as a stream of
 // tokens. It enforces the grammar of §2 (objects, arrays, strings,
 // natural numbers) including the pairwise-distinct-keys requirement,
-// using memory proportional to the open-nesting depth.
+// using memory proportional to the open-nesting depth plus the longest
+// literal.
 type Tokenizer struct {
 	r      *bufio.Reader
 	offset int64
@@ -114,7 +120,10 @@ type Tokenizer struct {
 	// object after a key's ':'; at top level before the first token.
 	expectValue bool
 
-	strBuf strings.Builder
+	// lit holds the raw bytes of the string or number literal being
+	// read; lex decodes them.
+	lit []byte
+	lex jsonval.Lexer[[]byte]
 }
 
 type frame struct {
@@ -261,7 +270,7 @@ func (t *Tokenizer) Next() (Token, error) {
 		t.expectValue = false
 		return Token{Kind: BeginArray, Offset: start}, nil
 	case b == '"':
-		s, err := t.string()
+		s, err := t.string(start)
 		if err != nil {
 			return Token{}, err
 		}
@@ -269,7 +278,7 @@ func (t *Tokenizer) Next() (Token, error) {
 		return Token{Kind: StringTok, Str: s, Offset: start}, nil
 	case b >= '0' && b <= '9':
 		t.unreadByte()
-		n, err := t.number()
+		n, err := t.number(start)
 		if err != nil {
 			return Token{}, err
 		}
@@ -294,7 +303,7 @@ func (t *Tokenizer) key(top *frame) (Token, error) {
 	if b != '"' {
 		return Token{}, t.errf("expected object key, got %q", b)
 	}
-	k, err := t.string()
+	k, err := t.string(start)
 	if err != nil {
 		return Token{}, err
 	}
@@ -336,184 +345,75 @@ func (t *Tokenizer) valueDone() {
 	}
 }
 
-// string reads the remainder of a string literal (the opening quote is
-// consumed) and decodes escapes.
-func (t *Tokenizer) string() (string, error) {
-	t.strBuf.Reset()
+// string reads the rest of the string literal whose opening quote,
+// at offset start, was just read, and decodes it with the document
+// language's Lexer. The raw literal is read up to its closing quote —
+// a quote after an odd run of backslashes is escaped, and the read
+// goes on — into one reused buffer.
+func (t *Tokenizer) string(start int64) (string, error) {
+	t.lit = append(t.lit[:0], '"')
 	for {
-		b, err := t.readByte()
-		if err != nil {
-			return "", t.eofErrf(err, "unterminated string")
+		chunk, err := t.r.ReadSlice('"')
+		t.lit = append(t.lit, chunk...)
+		t.offset += int64(len(chunk))
+		if err == bufio.ErrBufferFull {
+			continue
 		}
-		switch {
-		case b == '"':
-			return t.strBuf.String(), nil
-		case b == '\\':
-			e, err := t.readByte()
-			if err != nil {
-				return "", t.eofErrf(err, "unterminated escape")
-			}
-			switch e {
-			case '"', '\\', '/':
-				t.strBuf.WriteByte(e)
-			case 'b':
-				t.strBuf.WriteByte('\b')
-			case 'f':
-				t.strBuf.WriteByte('\f')
-			case 'n':
-				t.strBuf.WriteByte('\n')
-			case 'r':
-				t.strBuf.WriteByte('\r')
-			case 't':
-				t.strBuf.WriteByte('\t')
-			case 'u':
-				r, err := t.hex4()
-				if err != nil {
-					return "", err
-				}
-				if utf16IsHighSurrogate(r) {
-					// Expect a low surrogate escape.
-					b1, err1 := t.readByte()
-					b2, err2 := t.readByte()
-					if err1 != nil || err2 != nil || b1 != '\\' || b2 != 'u' {
-						if err1 != nil && err1 != io.EOF {
-							return "", err1
-						}
-						if err2 != nil && err2 != io.EOF {
-							return "", err2
-						}
-						return "", t.errf("unpaired surrogate \\u%04X", r)
-					}
-					lo, err := t.hex4()
-					if err != nil {
-						return "", err
-					}
-					if !utf16IsLowSurrogate(lo) {
-						return "", t.errf("invalid low surrogate \\u%04X", lo)
-					}
-					r = 0x10000 + (r-0xD800)<<10 + (lo - 0xDC00)
-				} else if utf16IsLowSurrogate(r) {
-					return "", t.errf("unpaired low surrogate \\u%04X", r)
-				}
-				t.strBuf.WriteRune(rune(r))
-			default:
-				return "", t.errf("invalid escape \\%c", e)
-			}
-		case b < 0x20:
-			return "", t.errf("raw control character 0x%02x in string", b)
-		case b < utf8.RuneSelf:
-			t.strBuf.WriteByte(b)
-		default:
-			// Multi-byte UTF-8: copy the full rune through.
-			t.unreadByte()
-			r, size, err := t.rune()
-			if err != nil {
+		if err != nil {
+			if err != io.EOF {
 				return "", err
 			}
-			_ = size
-			t.strBuf.WriteRune(r)
+			break // the Lexer reports the unterminated literal
 		}
-	}
-}
-
-func (t *Tokenizer) rune() (rune, int, error) {
-	var buf [4]byte
-	b0, err := t.readByte()
-	if err != nil {
-		return 0, 0, t.eofErrf(err, "truncated UTF-8 sequence")
-	}
-	buf[0] = b0
-	n := utf8ByteLen(b0)
-	if n == 0 {
-		return 0, 0, t.errf("invalid UTF-8 lead byte 0x%02x", b0)
-	}
-	for i := 1; i < n; i++ {
-		bi, err := t.readByte()
-		if err != nil {
-			return 0, 0, t.eofErrf(err, "truncated UTF-8 sequence")
+		backslashes := 0
+		for i := len(t.lit) - 2; t.lit[i] == '\\'; i-- {
+			backslashes++
 		}
-		buf[i] = bi
-	}
-	r, size := utf8.DecodeRune(buf[:n])
-	if r == utf8.RuneError && size <= 1 {
-		return 0, 0, t.errf("invalid UTF-8 sequence")
-	}
-	return r, size, nil
-}
-
-func utf8ByteLen(b byte) int {
-	switch {
-	case b < 0x80:
-		return 1
-	case b&0xE0 == 0xC0:
-		return 2
-	case b&0xF0 == 0xE0:
-		return 3
-	case b&0xF8 == 0xF0:
-		return 4
-	default:
-		return 0
-	}
-}
-
-func utf16IsHighSurrogate(r uint32) bool { return r >= 0xD800 && r <= 0xDBFF }
-func utf16IsLowSurrogate(r uint32) bool  { return r >= 0xDC00 && r <= 0xDFFF }
-
-func (t *Tokenizer) hex4() (uint32, error) {
-	var v uint32
-	for i := 0; i < 4; i++ {
-		b, err := t.readByte()
-		if err != nil {
-			return 0, t.eofErrf(err, "truncated \\u escape")
-		}
-		v <<= 4
-		switch {
-		case b >= '0' && b <= '9':
-			v |= uint32(b - '0')
-		case b >= 'a' && b <= 'f':
-			v |= uint32(b-'a') + 10
-		case b >= 'A' && b <= 'F':
-			v |= uint32(b-'A') + 10
-		default:
-			return 0, t.errf("invalid hex digit %q in \\u escape", b)
-		}
-	}
-	return v, nil
-}
-
-// number reads a natural-number literal (the model of §2 restricts
-// numbers to naturals).
-func (t *Tokenizer) number() (uint64, error) {
-	var v uint64
-	digits := 0
-	leadingZero := false
-	for {
-		b, err := t.readByte()
-		if err != nil {
-			if err == io.EOF {
-				break
-			}
-			return 0, err
-		}
-		if b < '0' || b > '9' {
-			t.unreadByte()
+		if backslashes%2 == 0 {
 			break
 		}
-		if digits == 1 && v == 0 {
-			leadingZero = true
+	}
+	t.lex.Reset(t.lit)
+	s, err := t.lex.ScanString()
+	if err != nil {
+		return "", literalError(start, err)
+	}
+	return string(s), nil
+}
+
+// number reads the natural-number literal starting at offset start,
+// and the byte after its digits when that is '.', 'e' or 'E' (the
+// Lexer rejects fractions there), and decodes it with the Lexer.
+func (t *Tokenizer) number(start int64) (uint64, error) {
+	t.lit = t.lit[:0]
+	for {
+		b, err := t.readByte()
+		if err == io.EOF {
+			break
 		}
-		d := uint64(b - '0')
-		if v > (^uint64(0)-d)/10 {
-			return 0, t.errf("number literal overflows uint64")
+		if err != nil {
+			return 0, err
 		}
-		v = v*10 + d
-		digits++
+		t.lit = append(t.lit, b)
+		if b < '0' || b > '9' {
+			if b != '.' && b != 'e' && b != 'E' {
+				t.lit = t.lit[:len(t.lit)-1]
+				t.unreadByte()
+			}
+			break
+		}
 	}
-	if digits == 0 {
-		return 0, t.errf("expected digits")
+	t.lex.Reset(t.lit)
+	n, err := t.lex.ScanNumber()
+	if err != nil {
+		return 0, literalError(start, err)
 	}
-	if leadingZero {
-		return 0, t.errf("number literal with leading zero")
-	}
-	return v, nil
+	return n, nil
+}
+
+// literalError places the Lexer's error in a literal starting at
+// offset start at its absolute offset in the document.
+func literalError(start int64, err error) error {
+	le := err.(*jsonval.SyntaxError)
+	return &SyntaxError{Offset: start + int64(le.Offset), Msg: le.Msg}
 }
