@@ -48,8 +48,8 @@ race-core:
 # probe, the durable write path (PutTree: index insert plus one WAL
 # frame rendered straight from the tree arena), tree construction
 # (jsontree.Parse and a reused Builder: four allocations a document;
-# PUT's body read and pooled parse, and engine.BuildTree: six, with the
-# read buffer and string),
+# engine.BuildTree, PUT's route, pooled or over a kept Builder: six,
+# with the read buffer and string),
 # a plan-cache miss beside disjoint resident plans (the semantic
 # dedup skips their containment proofs), the exact-find text check
 # (no allocation) and an exact find on a reopened segment store
@@ -59,7 +59,7 @@ race-core:
 # -count=1 defeats the test cache so the numbers are measured, not
 # replayed.
 alloc-check:
-	$(GO) test -run 'ZeroAllocs|AllocsBounded' -count=1 ./internal/jsontree ./internal/qir ./internal/engine ./internal/store ./internal/trace ./internal/httpapi ./internal/containment ./internal/jauto ./internal/schema ./internal/datalog
+	$(GO) test -run 'ZeroAllocs|AllocsBounded' -count=1 ./internal/jsontree ./internal/qir ./internal/engine ./internal/store ./internal/trace ./internal/containment ./internal/jauto ./internal/schema ./internal/datalog
 
 # The robustness suite: fault-injected durability (a FaultFS injects
 # ENOSPC/EIO/short writes under the WAL and segment builds; shards must

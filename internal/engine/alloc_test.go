@@ -61,22 +61,27 @@ func TestCompileTracedUntracedZeroAllocs(t *testing.T) {
 // store writes documents.
 const corpusDoc = `{"meta":{"region":"r4","seq":4,"tenant":"t4"},"payload":{"k10":{"k0":{"k1":59,"k10":"s30","k9":89},"k1":{"k10":"s12","k3":"s46","k7":16},"k2":{"k3":87,"k6":59}},"k6":{"k10":{"k10":87,"k2":21,"k9":56},"k4":{"k0":"s2","k2":31,"k9":"s74"},"k6":[73,53,27]},"k9":[["s71","s40",81],[9,56,"s80"],{"k0":"s65","k11":"s80","k5":"s78"}]}}`
 
-// TestBuildTreeAllocsBounded pins the reader-to-tree step:
-// BuildTree over a reused Builder costs the Tree's four allocations
-// plus the read buffer and the string parsed from it — six a
-// document.
+// TestBuildTreeAllocsBounded pins the reader-to-tree step, PUT
+// /docs' route: BuildTree over a reused Builder, and over the pooled
+// one PUT passes nil for, costs the Tree's four allocations plus the
+// read buffer and the string parsed from it — six a document, not
+// the eleven of a fresh Builder's arenas.
 func TestBuildTreeAllocsBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under -race")
 	}
-	b := jsontree.NewBuilder()
-	var r strings.Reader
-	if n := measureAllocs(func() {
-		r.Reset(corpusDoc)
-		if _, err := BuildTree(&r, b); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		b    *jsontree.Builder
+	}{{"reused", jsontree.NewBuilder()}, {"pooled", nil}} {
+		var r strings.Reader
+		if n := measureAllocs(func() {
+			r.Reset(corpusDoc)
+			if _, err := BuildTree(&r, tc.b); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 6 {
+			t.Errorf("BuildTree (%s Builder): %.1f allocs per document, want ≤ 6", tc.name, n)
 		}
-	}); n > 6 {
-		t.Errorf("BuildTree: %.1f allocs per document, want ≤ 6", n)
 	}
 }

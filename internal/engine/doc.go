@@ -46,8 +46,8 @@
 // the rule the store's bulk ingest shares — and GOMAXPROCS workers
 // parse each with jsontree.Parse, the store's route, then evaluate
 // in parallel. A malformed line fails that line only, not the batch.
-// BuildTree is the same parser behind a read of an io.Reader, into a
-// Builder the caller keeps.
+// BuildTree is the same parser behind a read of an io.Reader, into
+// the pooled Builder (PUT /docs) or one the caller keeps.
 // Fanning a plan out over stored documents is internal/store's job
 // (Find, Select).
 //

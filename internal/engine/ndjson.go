@@ -129,14 +129,16 @@ func (e *Engine) runNDJSON(p *Plan, r io.Reader, validate bool) ([]DocResult, er
 }
 
 // BuildTree reads one JSON document from r to its end and parses it
-// into a tree with b, for a caller that keeps its own Builder (PUT
-// /docs parses through jsontree.Parse's pool instead). The caller
-// bounds r, and a read error is returned unwrapped, before any
-// parsing.
+// into a tree with b, or, when b is nil, with jsontree.Parse's pooled
+// Builder (PUT /docs). The caller bounds r, and a read error is
+// returned unwrapped, before any parsing.
 func BuildTree(r io.Reader, b *jsontree.Builder) (*jsontree.Tree, error) {
 	text, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
+	}
+	if b == nil {
+		return jsontree.Parse(string(text))
 	}
 	return b.Parse(string(text))
 }

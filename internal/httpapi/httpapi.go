@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -164,7 +163,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // hitting the MaxBytesReader limit is 413 Request Entity Too Large
 // (the body was bigger than the server accepts), everything else —
 // malformed JSON, an early disconnect — is the client's 400. The
-// *http.MaxBytesError survives errors.As through readDoc's read, the
+// *http.MaxBytesError survives errors.As through engine.BuildTree's read, the
 // bulk scanner and json.Decoder, all of which return reader
 // errors unwrapped (or wrapped with %w / errors.Join).
 func bodyErrStatus(err error) int {
@@ -257,7 +256,7 @@ func (s *server) admit(w http.ResponseWriter, ctx context.Context, tr *trace.Tra
 
 func (s *server) putDoc(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	t, err := readDoc(http.MaxBytesReader(w, r.Body, s.maxBody))
+	t, err := engine.BuildTree(http.MaxBytesReader(w, r.Body, s.maxBody), nil)
 	if err != nil {
 		writeError(w, bodyErrStatus(err), "%v", err)
 		return
@@ -276,18 +275,6 @@ func (s *server) putDoc(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "nodes": t.Len()})
-}
-
-// readDoc is PUT's body-to-tree step: it reads the capped body to its
-// end and parses it with jsontree.Parse, the pooled Builder of /bulk
-// and Store.Put. A read error — the cap's *http.MaxBytesError
-// included — is returned unwrapped, before any parsing.
-func readDoc(r io.Reader) (*jsontree.Tree, error) {
-	body, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return jsontree.Parse(string(body))
 }
 
 func (s *server) getDoc(w http.ResponseWriter, r *http.Request) {

@@ -301,15 +301,22 @@ func (l *Lexer[T]) ValueError() error {
 }
 
 // ScanNumber scans the natural number starting at the current offset,
-// which must be a digit. It reads no byte past the digits and the one
-// after them.
+// which must be a digit. It fails as soon as the digits read so far
+// decide it — a second digit after a leading zero, or one that takes
+// the value past 2^64-1 — so a digit run of any length is rejected on
+// its first 21 digits; otherwise it reads no byte past the digits and
+// the one after them.
 func (l *Lexer[T]) ScanNumber() (uint64, error) {
 	start := l.Pos
 	var n uint64
-	overflow := false
 	for ; l.Pos < len(l.In) && l.In[l.Pos] >= '0' && l.In[l.Pos] <= '9'; l.Pos++ {
+		if n == 0 && l.Pos > start {
+			return 0, &SyntaxError{Offset: start, Msg: "leading zeros are not permitted in numbers"}
+		}
 		d := uint64(l.In[l.Pos] - '0')
-		overflow = overflow || n > (math.MaxUint64-d)/10
+		if n > (math.MaxUint64-d)/10 {
+			return 0, &SyntaxError{Offset: start, Msg: "number out of range (naturals are at most 2^64-1)"}
+		}
 		n = n*10 + d
 	}
 	if l.Pos < len(l.In) {
@@ -317,12 +324,6 @@ func (l *Lexer[T]) ScanNumber() (uint64, error) {
 		case '.', 'e', 'E':
 			return 0, l.Errorf("fractional and exponent numbers are outside the paper's value model (only naturals)")
 		}
-	}
-	if l.Pos-start > 1 && l.In[start] == '0' {
-		return 0, &SyntaxError{Offset: start, Msg: "leading zeros are not permitted in numbers"}
-	}
-	if overflow {
-		return 0, &SyntaxError{Offset: start, Msg: "number out of range: " + string(l.In[start:l.Pos])}
 	}
 	return n, nil
 }

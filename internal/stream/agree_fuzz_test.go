@@ -92,6 +92,7 @@ func FuzzTokenizerAgrees(f *testing.F) {
 		`{"a":1,"a":2}`, `{"a":{"b":1,"b":2}}`, `{"b":1,"a":2}`,
 		`01`, `0`, `00`, `[01]`, `-0`, `1.0`, `1e2`,
 		`18446744073709551615`, `18446744073709551616`, `99999999999999999999999`, `[1.5]`, `00.5`, `1e`,
+		`[123456789012345678901234567890.5]`, `[000000000000000000000000000000.5]`, "[\"a\x01" + strings.Repeat("b", 5000), "[\"a\xe2\x82(" + strings.Repeat("b", 5000) + `"]`,
 		`1 2`, `{} x`, `[] ]`, `"a" "b"`, "1\n", " \t\r\n[ 1 , 2 ] \n", "1\x00", "\xef\xbb\xbf1",
 		``, ` `, `[`, `{`, `{"a"`, `{"a":`, `[1,`, `[1,]`, `{,}`, `"`, `"\`, `"\u12`, `["\u12"]`, `"\u12"`, "\"\x01\"", "\"a\tb\"", `"\\"`, `"\\\""`, `["a\\\\", "b\""]`, `true`, `null`,
 	} {

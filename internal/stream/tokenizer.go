@@ -25,6 +25,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"unicode/utf8"
 
 	"jsonlogic/internal/jsonval"
 )
@@ -349,44 +350,103 @@ func (t *Tokenizer) valueDone() {
 // at offset start, was just read, and decodes it with the document
 // language's Lexer. The raw literal is read up to its closing quote —
 // a quote after an odd run of backslashes is escaped, and the read
-// goes on — into one reused buffer.
+// goes on — into one reused buffer. A literal that goes on past one
+// read is checked as it grows, and read only up to a byte that no
+// literal may hold (see badByte), so a rejected literal is not
+// buffered to its end.
 func (t *Tokenizer) string(start int64) (string, error) {
 	t.lit = append(t.lit[:0], '"')
+	checked := 1
 	for {
 		chunk, err := t.r.ReadSlice('"')
 		t.lit = append(t.lit, chunk...)
 		t.offset += int64(len(chunk))
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		if err != nil {
+		if err != nil && err != bufio.ErrBufferFull {
 			if err != io.EOF {
 				return "", err
 			}
 			break // the Lexer reports the unterminated literal
 		}
-		backslashes := 0
-		for i := len(t.lit) - 2; t.lit[i] == '\\'; i-- {
-			backslashes++
+		if err == nil {
+			backslashes := 0
+			for i := len(t.lit) - 2; t.lit[i] == '\\'; i-- {
+				backslashes++
+			}
+			if backslashes%2 == 0 {
+				break
+			}
 		}
-		if backslashes%2 == 0 {
+		var bad bool
+		if bad, checked = badByte(t.lit, checked); bad {
 			break
 		}
 	}
 	t.lex.Reset(t.lit)
 	s, err := t.lex.ScanString()
+	var str string
+	if err == nil {
+		str = string(s)
+	}
+	t.release()
 	if err != nil {
 		return "", literalError(start, err)
 	}
-	return string(s), nil
+	return str, nil
 }
 
-// number reads the natural-number literal starting at offset start,
-// and the byte after its digits when that is '.', 'e' or 'E' (the
-// Lexer rejects fractions there), and decodes it with the Lexer.
+// maxLit bounds the literal buffer a Tokenizer keeps between
+// literals, as the Lexer bounds its decoding scratch.
+const maxLit = 64 << 10
+
+// release drops the Lexer's view of the literal just decoded, and the
+// literal buffer and decoding scratch if a long string grew them past
+// their bounds, so a Tokenizer does not hold its longest literal for
+// the rest of the stream.
+func (t *Tokenizer) release() {
+	t.lex.Reset(nil)
+	if cap(t.lit) > maxLit {
+		t.lit = nil
+	}
+}
+
+// badByte reports whether lit[from:] holds a byte that no string
+// literal may hold: a raw control byte, or one that starts no valid
+// UTF-8 sequence. It also returns how far lit is checked, which stops
+// short of a trailing sequence the next read may complete. The Lexer
+// still decides the literal, and it rejects it at or before that
+// byte, from the bytes up to it alone.
+func badByte(lit []byte, from int) (bool, int) {
+	for i := from; i < len(lit); {
+		switch c := lit[i]; {
+		case c < 0x20:
+			return true, i
+		case c < utf8.RuneSelf:
+			i++
+		case !utf8.FullRune(lit[i:]):
+			return false, i
+		default:
+			r, size := utf8.DecodeRune(lit[i:])
+			if r == utf8.RuneError && size == 1 {
+				return true, i
+			}
+			i += size
+		}
+	}
+	return false, len(lit)
+}
+
+// maxDigits is one more than the digits of 2^64-1, the largest
+// natural: the Lexer rejects a longer digit run on its first maxDigits
+// digits, so number reads no further.
+const maxDigits = len("18446744073709551615") + 1
+
+// number reads the natural-number literal starting at offset start —
+// at most maxDigits digits, and the byte after them when that is '.',
+// 'e' or 'E' (the Lexer rejects fractions there) — and decodes it
+// with the Lexer.
 func (t *Tokenizer) number(start int64) (uint64, error) {
 	t.lit = t.lit[:0]
-	for {
+	for len(t.lit) < maxDigits {
 		b, err := t.readByte()
 		if err == io.EOF {
 			break
@@ -405,6 +465,7 @@ func (t *Tokenizer) number(start int64) (uint64, error) {
 	}
 	t.lex.Reset(t.lit)
 	n, err := t.lex.ScanNumber()
+	t.release()
 	if err != nil {
 		return 0, literalError(start, err)
 	}

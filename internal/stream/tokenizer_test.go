@@ -388,3 +388,114 @@ func TestTokenizerReaderErrorPropagates(t *testing.T) {
 		}
 	}
 }
+
+// runReader serves prefix and then n copies of b, counting the bytes
+// read from it.
+type runReader struct {
+	prefix string
+	b      byte
+	n, off int
+}
+
+func (r *runReader) Read(p []byte) (int, error) {
+	end := len(r.prefix) + r.n
+	if r.off >= end {
+		return 0, io.EOF
+	}
+	k := 0
+	for ; k < len(p) && r.off < end; k, r.off = k+1, r.off+1 {
+		if r.off < len(r.prefix) {
+			p[k] = r.prefix[r.off]
+		} else {
+			p[k] = r.b
+		}
+	}
+	return k, nil
+}
+
+// TestTokenizerRejectsLongLiteralEarly pins that a literal the
+// language rejects early is rejected there, whatever follows: a digit
+// run on its first 21 digits, a string at its first raw control byte
+// or invalid UTF-8. The tokenizer neither buffers the rest of an 8 MB
+// literal nor reads it.
+func TestTokenizerRejectsLongLiteralEarly(t *testing.T) {
+	const run = 8 << 20
+	for _, tc := range []struct {
+		prefix string
+		b      byte
+		offset int64
+		msg    string
+	}{
+		{"[", '1', 1, "number out of range"},
+		{"[", '0', 1, "leading zeros"},
+		{"[\"a\x01", 'a', 3, "raw control character"},
+		{"[\"a\xff", 'a', 3, "invalid UTF-8"},
+		{"{\"a\xc3(", 'a', 3, "invalid UTF-8"},
+	} {
+		r := &runReader{prefix: tc.prefix, b: tc.b, n: run}
+		tok := NewTokenizer(r)
+		var err error
+		for err == nil {
+			_, err = tok.Next()
+		}
+		var se *SyntaxError
+		if !errorsAs(err, &se) || se.Offset != tc.offset || !strings.HasPrefix(se.Msg, tc.msg) {
+			t.Errorf("%q then %c×%d: got %v, want %q at offset %d", tc.prefix, tc.b, run, err, tc.msg, tc.offset)
+		}
+		if len(err.Error()) > 200 {
+			t.Errorf("%q: error message of %d bytes", tc.prefix, len(err.Error()))
+		}
+		if r.off > 64<<10 {
+			t.Errorf("%q then %c×%d: read %d bytes before rejecting", tc.prefix, tc.b, run, r.off)
+		}
+		if cap(tok.lit) > maxLit {
+			t.Errorf("%q: literal buffer of %d bytes kept", tc.prefix, cap(tok.lit))
+		}
+	}
+}
+
+// TestTokenizerDropsLongLiteralBuffer: after a long string the
+// Tokenizer keeps neither the literal's buffer nor its decoding
+// scratch, so it does not hold its longest literal for the rest of
+// the stream.
+func TestTokenizerDropsLongLiteralBuffer(t *testing.T) {
+	long := strings.Repeat(`ab\n`, 100_000)
+	toks, err := drain(`["` + long + `", 1]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Repeat("ab\n", 100_000); len(toks) != 4 || toks[1].Str != want {
+		t.Fatalf("long string mis-read")
+	}
+	tok := NewTokenizer(strings.NewReader(`["` + long + `", 1]`))
+	for i := 0; i < 3; i++ {
+		if _, err := tok.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(tok.lit) > maxLit || tok.lex.In != nil {
+		t.Errorf("after a %d-byte literal: buffer of %d bytes kept, Lexer view kept: %v", len(long), cap(tok.lit), tok.lex.In != nil)
+	}
+}
+
+// BenchmarkTokenizeLongString reads a document of one 1 MB string,
+// plain or with an escape every 8 bytes; its B/op is the tokenizer's
+// memory for a long literal.
+func BenchmarkTokenizeLongString(b *testing.B) {
+	for _, tc := range []struct{ name, unit string }{
+		{"plain", "abcdefgh"},
+		{"escaped", `abcdef\n`},
+	} {
+		doc := `"` + strings.Repeat(tc.unit, 1<<17) + `"`
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var r strings.Reader
+			for i := 0; i < b.N; i++ {
+				r.Reset(doc)
+				if _, err := NewTokenizer(&r).Next(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
