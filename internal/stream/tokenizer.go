@@ -107,7 +107,8 @@ type TokenizerOptions struct {
 // tokens. It enforces the grammar of §2 (objects, arrays, strings,
 // natural numbers) including the pairwise-distinct-keys requirement,
 // using memory proportional to the open-nesting depth plus the longest
-// literal.
+// literal it accepts: a rejected one is read no further than one
+// buffer past the byte that rejects it.
 type Tokenizer struct {
 	r      *bufio.Reader
 	offset int64
